@@ -76,15 +76,6 @@ class DeBruijnAutomaton:
     def edge_endpoints(self, word_code: int):
         return word_code // self.size, word_code % self.n_states
 
-    def successors(self, state: int, label: int):
-        """Target states of the edges leaving `state` with the given label."""
-        out = []
-        for a in range(self.size):
-            w = state * self.size + a
-            if self.labels[w] == label:
-                out.append(w % self.n_states)
-        return out
-
 
 def build_de_bruijn(rule: LocalRule) -> DeBruijnAutomaton:
     _require_1d(rule)

@@ -52,6 +52,11 @@ class Alphabet:
         return math.prod(self.factors)
 
     @property
+    def state_dtype(self) -> np.dtype:
+        """Smallest unsigned dtype that holds every symbol code."""
+        return np.min_scalar_type(self.size - 1)
+
+    @property
     def h_max(self) -> float:
         """Maximum per-symbol entropy log|Sigma|, in nats."""
         return math.log(self.size)
@@ -165,10 +170,6 @@ class CellSet:
         if not self.cells:
             return np.zeros((0, self.dim), dtype=np.int64)
         return np.asarray(self.cells, dtype=np.int64)
-
-    def index_of(self, cell) -> int:
-        """Position of a cell in the canonical (sorted) order."""
-        return self.cells.index(_normalize_cell(cell, self.dim))
 
     def issubset(self, other: "CellSet") -> bool:
         return set(self.cells) <= set(other.cells)

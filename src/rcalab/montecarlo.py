@@ -6,6 +6,10 @@ uniform draw comes from a Philox stream addressed by (seed, stream, lane,
 time, block), so each replicate's trajectory is a pure function of
 (seed, replicate-index) no matter how many replicates run or on how many
 threads.
+
+The state of a block is held in the alphabet's smallest unsigned dtype.  One
+block-step is a rule lookup on neighbourhood codes (rules.apply_table) and a
+noise lookup perm_table[Z, x] with Z drawn by noise.sample_noise_symbols.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .entropy import WindowDistribution, check_cap
 from .lattice import CellSet, diameter, encode_patterns, pattern_strides
-from .noise import NoiseModel, sample_noise_symbols
+from .noise import NoiseModel, permute_symbols, sample_noise_symbols
 from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK
 from .rules import LocalRule, TorusConfiguration, apply_table
 
@@ -77,6 +81,8 @@ class SimulationPlan:
             arr = np.asarray(self.generator, dtype=np.int64)
             if arr.shape != self.sides:
                 raise ValueError("explicit initial pattern must match the torus shape")
+            if arr.min() < 0 or arr.max() >= self.rule.alphabet.size:
+                raise ValueError("explicit initial pattern has symbols outside the alphabet")
             object.__setattr__(self, "generator", arr)
         elif self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
@@ -99,19 +105,20 @@ class SimulationPlan:
 
     def _initial_block(self, block: int, rows: int) -> np.ndarray:
         shape = (rows,) + self.sides
+        dtype = self.rule.alphabet.state_dtype
         if isinstance(self.generator, np.ndarray):
-            return np.broadcast_to(self.generator, shape).copy()
+            return np.broadcast_to(self.generator.astype(dtype), shape).copy()
         if self.generator == "all-zeros":
-            return np.zeros(shape, dtype=np.int64)
+            return np.zeros(shape, dtype=dtype)
         if self.generator == "all-ones":
-            return np.ones(shape, dtype=np.int64)
+            return np.ones(shape, dtype=dtype)
         if self.generator == "checkerboard":
             grids = np.meshgrid(*[np.arange(s) for s in self.sides], indexing="ij")
             board = sum(grids) % 2
-            return np.broadcast_to(board, shape).copy()
+            return np.broadcast_to(board.astype(dtype), shape).copy()
         rng = CounterRng(self.seed, self.stream).block(LANE_INIT, 0, block)
         full = rng.integers(0, self.rule.alphabet.size, size=(REPLICATE_BLOCK,) + self.sides)
-        return full[:rows].astype(np.int64)
+        return full[:rows].astype(dtype)
 
     def _window_flat_index(self) -> np.ndarray:
         cols = []
@@ -121,24 +128,11 @@ class SimulationPlan:
         return np.asarray(cols, dtype=np.int64)
 
 
-def _noise_block(plan: SimulationPlan, block: int, rows: int, t: int) -> np.ndarray:
-    rng = CounterRng(plan.seed, plan.stream).block(LANE_NOISE, t, block)
-    shape = (REPLICATE_BLOCK,) + plan.sides
-    if plan.noise.kind == "additive":
-        z = sample_noise_symbols(plan.noise, shape, rng)
-        return z[:rows]
-    cum = np.cumsum(plan.noise.q)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(shape), side="right")[:rows]
-
-
 def _step_block(plan: SimulationPlan, data: np.ndarray, block: int, t: int) -> np.ndarray:
-    rows = data.shape[0]
-    updated = apply_table(data, plan.rule, batch_dims=1)
-    draw = _noise_block(plan, block, rows, t)
-    if plan.noise.kind == "additive":
-        return plan.noise.alphabet.add(updated, draw)
-    return plan.noise.perms[draw, updated]
+    updated = apply_table(data, plan.rule, batch_dims=1, dtype=data.dtype)
+    rng = CounterRng(plan.seed, plan.stream).block(LANE_NOISE, t, block)
+    z = sample_noise_symbols(plan.noise, (REPLICATE_BLOCK,) + plan.sides, rng)
+    return permute_symbols(plan.noise, z[: data.shape[0]], updated)
 
 
 def sample_trajectory(plan: SimulationPlan, replicate: int) -> list[TorusConfiguration]:
@@ -150,43 +144,53 @@ def sample_trajectory(plan: SimulationPlan, replicate: int) -> list[TorusConfigu
     lo = block * REPLICATE_BLOCK
     rows = min(plan.replicates - lo, REPLICATE_BLOCK)
     data = plan._initial_block(block, rows)
-    out = [TorusConfiguration(plan.sides, data[row].copy())]
+    out = [TorusConfiguration(plan.sides, data[row].astype(np.int64))]
     for t in range(1, plan.horizon + 1):
         data = _step_block(plan, data, block, t)
-        out.append(TorusConfiguration(plan.sides, data[row].copy()))
+        out.append(TorusConfiguration(plan.sides, data[row].astype(np.int64)))
     return out
 
 
-def _block_counts(plan: SimulationPlan, block: int) -> np.ndarray:
+def _block_counts(plan: SimulationPlan, block: int, counts: np.ndarray) -> None:
+    """Add one block's window pattern counts into counts (shape (horizon+1,
+    |Sigma|^|A|))."""
     size = plan.rule.alphabet.size
     cols = plan._window_flat_index()
     strides = pattern_strides(len(cols), size)
-    n_patterns = size ** len(cols)
+    n_patterns = counts.shape[1]
     lo = block * REPLICATE_BLOCK
     rows = min(plan.replicates - lo, REPLICATE_BLOCK)
-    counts = np.zeros((plan.horizon + 1, n_patterns), dtype=np.int64)
     data = plan._initial_block(block, rows)
-    flat = data.reshape(rows, -1)
-    counts[0] = np.bincount(flat[:, cols] @ strides, minlength=n_patterns)
-    for t in range(1, plan.horizon + 1):
-        data = _step_block(plan, data, block, t)
+    for t in range(plan.horizon + 1):
+        if t:
+            data = _step_block(plan, data, block, t)
         flat = data.reshape(rows, -1)
-        counts[t] = np.bincount(flat[:, cols] @ strides, minlength=n_patterns)
-    return counts
+        counts[t] += np.bincount(flat[:, cols] @ strides, minlength=n_patterns)
 
 
 def window_pattern_counts(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
-    """Pattern counts over the window, shape (horizon+1, |Sigma|^|A|); the
-    per-block sums are integers, so the reduction is exact and
-    thread-count-independent."""
-    check_cap(plan.rule.alphabet.size ** len(plan.window))
+    """Pattern counts over the window, shape (horizon+1, |Sigma|^|A|).
+
+    Each worker adds its blocks into one accumulator of its own; the sums are
+    integers, so the reduction is exact and thread-count-independent, and
+    memory does not grow with the number of blocks.
+    """
+    n_patterns = plan.rule.alphabet.size ** len(plan.window)
+    check_cap(n_patterns)
     n_blocks = -(-plan.replicates // REPLICATE_BLOCK)
-    if threads > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _block_counts(plan, b), range(n_blocks)))
-    else:
-        parts = [_block_counts(plan, b) for b in range(n_blocks)]
-    return np.sum(parts, axis=0)
+    workers = max(min(threads, n_blocks), 1)
+
+    def worker(first: int) -> np.ndarray:
+        counts = np.zeros((plan.horizon + 1, n_patterns), dtype=np.int64)
+        for b in range(first, n_blocks, workers):
+            _block_counts(plan, b, counts)
+        return counts
+
+    if workers == 1:
+        return worker(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(worker, range(workers)))
+    return sum(parts[1:], parts[0])
 
 
 def empirical_marginal(plan: SimulationPlan, t: int, threads: int = 1):

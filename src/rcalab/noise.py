@@ -31,13 +31,15 @@ SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Strictly positive noise on the alphabet.
+    """Strictly positive noise on the alphabet: x -> perm_table[Z, x] with
+    Z ~ q, where perm_table is read-only and in the alphabet's state dtype.
 
-    kind "additive": q is the law of the added symbol Z.
-    kind "permutation": perms is a stack of permutations of Sigma and q the
-    law over them; the induced channel matrix must be doubly stochastic with
-    all entries positive.  The permutation kind is an extension; bound
-    validation in this lab is additive-only.
+    kind "additive": q is the law of the added symbol Z, and row z of
+    perm_table is the translation x -> x + z.
+    kind "permutation": perms (the rows of perm_table) is a stack of
+    permutations of Sigma and q the law over them; the induced channel matrix
+    must be doubly stochastic with all entries positive.  The permutation kind
+    is an extension; bound validation in this lab is additive-only.
     """
 
     alphabet: Alphabet
@@ -72,6 +74,10 @@ class NoiseModel:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "perms", perms)
+        if kind == "additive":
+            perms = alphabet.add(alphabet.symbols()[:, None], alphabet.symbols())
+        object.__setattr__(self, "perm_table", perms.astype(alphabet.state_dtype))
+        self.perm_table.setflags(write=False)
         if kind == "permutation":
             ch = channel_matrix(self)
             if ch.min() <= 0:
@@ -122,12 +128,8 @@ def decompose(noise: NoiseModel):
 def channel_matrix(noise: NoiseModel) -> np.ndarray:
     """Single-cell transition matrix C[a, b] = Pr(output=b | input=a)."""
     size = noise.alphabet.size
-    if noise.kind == "additive":
-        a = np.arange(size)
-        diff = noise.alphabet.sub(a[None, :].repeat(size, 0), a[:, None].repeat(size, 1))
-        return noise.q[diff]
     ch = np.zeros((size, size))
-    for p, w in zip(noise.perms, noise.q):
+    for p, w in zip(noise.perm_table, noise.q):
         ch[np.arange(size), p] += w
     return ch
 
@@ -141,33 +143,32 @@ def local_kernel(rule: LocalRule, noise: NoiseModel) -> np.ndarray:
 
 
 def sample_noise_symbols(noise: NoiseModel, shape, rng: np.random.Generator) -> np.ndarray:
-    """Draw iid noise symbols Z ~ q (additive kind only)."""
-    if noise.kind != "additive":
-        raise ValueError("symbol draws apply to additive noise")
-    cum = np.cumsum(noise.q)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(shape), side="right").astype(np.int64)
+    """Draw iid rows Z ~ q of perm_table by inverse CDF: sum_k [u >= cum_k]
+    over cum[:-1] equals searchsorted(cum, u, side="right") as u < cum[-1] = 1."""
+    u = rng.random(shape)
+    z = np.zeros(u.shape, dtype=np.min_scalar_type(noise.perm_table.size - 1))
+    for c in np.cumsum(noise.q)[:-1]:
+        z += u >= c
+    return z
 
 
-def apply_noise_array(data: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    if noise.kind == "additive":
-        z = sample_noise_symbols(noise, data.shape, rng)
-        return noise.alphabet.add(data, z)
-    cum = np.cumsum(noise.q)
-    cum[-1] = 1.0
-    which = np.searchsorted(cum, rng.random(data.shape), side="right")
-    return noise.perms[which, data]
+def permute_symbols(noise: NoiseModel, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """perm_table[z, x] as one flat lookup."""
+    return noise.perm_table.ravel().take(z * noise.alphabet.size + x)
 
 
 def apply_noise(x, noise: NoiseModel, rng: np.random.Generator):
     """Perturb every cell independently; deterministic given the generator.
 
     Accepts a TorusConfiguration or a raw symbol array and returns the same
-    shape.
+    shape, as int64 symbol codes.
     """
     if isinstance(x, TorusConfiguration):
-        return TorusConfiguration(x.sides, apply_noise_array(x.data, noise, rng))
-    return apply_noise_array(np.asarray(x), noise, rng)
+        return TorusConfiguration(x.sides, apply_noise(x.data, noise, rng))
+    x = np.asarray(x)
+    if x.size and (x.min() < 0 or x.max() >= noise.alphabet.size):
+        raise ValueError("symbols outside the alphabet")
+    return permute_symbols(noise, sample_noise_symbols(noise, x.shape, rng), x).astype(np.int64)
 
 
 def noise_to_json(noise: NoiseModel) -> dict:

@@ -133,18 +133,40 @@ def _check_torus_fits(sides, rule: LocalRule):
         )
 
 
-def apply_table(data: np.ndarray, rule: LocalRule, batch_dims: int = 0) -> np.ndarray:
-    """Synchronous rule application on a raw torus array.
+def _wrap_pad(data: np.ndarray, r: int, axes) -> np.ndarray:
+    """Copy of data with every periodic axis extended by r wrapped cells on
+    each side."""
+    for ax in axes:
+        side = data.shape[ax]
+        lo = data.take(np.arange(-r, 0) % side, axis=ax)
+        hi = data.take(np.arange(r) % side, axis=ax)
+        data = np.concatenate([lo, data, hi], axis=ax)
+    return data
+
+
+def apply_table(
+    data: np.ndarray, rule: LocalRule, batch_dims: int = 0, dtype=np.int64
+) -> np.ndarray:
+    """Synchronous rule application on a raw torus array, returned in dtype.
 
     `data` has shape (*batch, *sides); the trailing dims are periodic axes.
+    Neighbourhood codes are read off one wrap-padded copy of the torus by
+    slicing, accumulated in the smallest unsigned dtype that holds
+    |Sigma|^|N|, and looked up in the table once.
     """
-    axes = tuple(range(batch_dims, data.ndim))
-    strides = pattern_strides(len(rule.neighborhood), rule.alphabet.size)
-    idx = np.zeros(data.shape, dtype=np.int64)
-    for offset, s in zip(rule.neighborhood, strides):
-        shifted = np.roll(data, shift=tuple(-v for v in offset), axis=axes)
-        idx += shifted.astype(np.int64) * s
-    return rule.table[idx]
+    r = rule.radius
+    sides = data.shape[batch_dims:]
+    padded = _wrap_pad(data, r, range(batch_dims, data.ndim))
+    batch = (slice(None),) * batch_dims
+    first, *rest = [
+        padded[batch + tuple(slice(r + v, r + v + s) for v, s in zip(offset, sides))]
+        for offset in rule.neighborhood
+    ]
+    idx = first.astype(np.min_scalar_type(rule.table.size - 1))
+    for cells in rest:
+        idx *= rule.alphabet.size
+        np.add(idx, cells, out=idx, casting="unsafe")
+    return rule.table.astype(dtype, copy=False).take(idx)
 
 
 def apply_rule(x: TorusConfiguration, rule: LocalRule) -> TorusConfiguration:

@@ -268,3 +268,28 @@ def test_rca_lab_threads_env(tmp_path, monkeypatch):
     }
     cfg = write_config(tmp_path, doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
+
+
+def test_check_pinsker_decides_in_nats(monkeypatch):
+    from rcalab import cli
+    from rcalab.entropy import WindowDistribution, pinsker_bound, tv_to_uniform
+    from rcalab.lattice import Alphabet, CellSet, hypercube
+
+    # uniform up to 1e-11, like the exact Z3 window law a few steps in: the
+    # deficiency rounds to 0, so sqrt(D/2) = 0 sits below TV, but
+    # 2 TV^2 <= D holds within the nats-side slack
+    probs = [1 / 9] * 9
+    probs[0] += 1e-11
+    probs[1] -= 1e-11
+    near = WindowDistribution(hypercube(2), Alphabet((3,)), probs)
+    check = cli.check_pinsker(near)
+    assert check.rhs == 0.0 and check.lhs > 1e-12
+    assert check.ok
+
+    skew = WindowDistribution(CellSet([0]), Alphabet((3,)), [0.5, 0.25, 0.25])
+    check = cli.check_pinsker(skew)
+    assert check.ok
+    assert (check.lhs, check.rhs) == (tv_to_uniform(skew), pinsker_bound(skew))
+    # an under-reported deficiency makes the row false
+    monkeypatch.setattr(cli, "deficiency", lambda p: 0.0)
+    assert not cli.check_pinsker(skew).ok

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,8 @@ from rcalab.montecarlo import (
     sample_trajectory,
     window_pattern_counts,
 )
-from rcalab.noise import additive_noise
-from rcalab.rules import build_elementary, build_linear
+from rcalab.noise import additive_noise, permutation_noise
+from rcalab.rules import build_elementary, build_linear, lift_second_order
 
 Z2 = Alphabet((2,))
 Q91 = additive_noise(Z2, [0.9, 0.1])
@@ -110,6 +113,8 @@ def test_generators():
     assert sample_trajectory(plan, 0)[0].data.tolist() == [0, 1, 0, 1]
     plan = ident_plan(generator=np.array([1, 0, 1, 1]), horizon=0)
     assert sample_trajectory(plan, 3)[0].data.tolist() == [1, 0, 1, 1]
+    with pytest.raises(ValueError):
+        ident_plan(generator=np.array([1, 0, 2, 1]))
     # seeded-random differs between replicates, same per replicate
     plan = ident_plan(generator="seeded-random", horizon=0, replicates=2000)
     x = sample_trajectory(plan, 7)[0].data
@@ -193,3 +198,85 @@ def test_mixing_scan_nested_windows():
     assert set(out) == {1, 2}
     assert out[1].converged and out[2].converged
     assert out[1].t_mix <= out[2].t_mix  # smaller window mixes no later
+
+
+# SHA-256 of the little-endian int64 window counts, recorded before the
+# block-step was rewritten for speed: the Philox address contract promises
+# these exact integers for every version of the engine.
+Z3 = Alphabet((3,))
+VON_NEUMANN_Z3 = {(0, 0): 1, (-1, 0): 1, (1, 0): 2, (0, -1): 1, (0, 1): 1}
+PINNED_DIGESTS = {
+    "z2-r90-zeros": "cc9eb2d4352f2fe91ff050bfaf4b3f95d70ed5b5550d1e2abef67cd0cb5e5208",
+    "z2-r90-pattern": "c02b1e7435e1ead6fb7dbffc26e4a3c9a4dc5be330bc4a022d685cfc4d285f9b",
+    "z3-linear-checker": "fd57791e14dd9dc1f4fe2efe1c65a9eae5d30913088f9d8eb06bb35035f7c829",
+    "z3-perm-2d-vn": "6fd6e0ee942fefab275dced496b46fd17b51f5af3c5029b4000dbf5da55be7f0",
+    "z2xz2-lift-random": "90a1e53c293bd8d43192b5f86782aac208c349df0a692b2c30cc06fd3fdba583",
+    "z2-r90-ones-threads3": "f6e23224de51576c89c215c22202ca5b6f99856802987d27afc41b0a2b7a992e",
+}
+
+
+def pinned_plans():
+    """name -> (plan, threads); replicate counts other than 1024 end in a
+    partial block."""
+    pattern = np.zeros(15, dtype=np.int64)
+    pattern[[2, 3, 7, 11]] = 1
+    lift = lift_second_order(R90)
+    perm3 = permutation_noise(
+        Z3, [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2]], [0.7, 0.1, 0.1, 0.1]
+    )
+    return {
+        "z2-r90-zeros": (SimulationPlan(
+            R90, Q91, (15,), "all-zeros", 5, 2500, 11, hypercube(4)), 1),
+        "z2-r90-pattern": (SimulationPlan(
+            R90, additive_noise(Z2, [0.8, 0.2]), (15,), pattern, 5, 1024, 12,
+            hypercube(3), stream=4), 1),
+        "z3-linear-checker": (SimulationPlan(
+            build_linear(Z3, {-1: 1, 0: 2, 1: 1}), additive_noise(Z3, [0.85, 0.1, 0.05]),
+            (12,), "checkerboard", 4, 1500, 13, hypercube(3)), 1),
+        "z3-perm-2d-vn": (SimulationPlan(
+            build_linear(Z3, VON_NEUMANN_Z3), perm3, (9, 9), "seeded-random", 3, 1100,
+            14, hypercube(2, 2)), 1),
+        "z2xz2-lift-random": (SimulationPlan(
+            lift, additive_noise(lift.alphabet, [0.7, 0.1, 0.1, 0.1]), (11,),
+            "seeded-random", 4, 2100, 15, hypercube(2), stream=2), 1),
+        "z2-r90-ones-threads3": (SimulationPlan(
+            R90, Q91, (15,), "all-ones", 5, 4000, 16, hypercube(4)), 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_counts_match_pinned_digest(name):
+    plan, threads = pinned_plans()[name]
+    counts = window_pattern_counts(plan, threads=threads)
+    assert counts.dtype == np.int64
+    assert counts.sum(axis=1).tolist() == [plan.replicates] * (plan.horizon + 1)
+    digest = hashlib.sha256(np.ascontiguousarray(counts, dtype="<i8").tobytes()).hexdigest()
+    assert digest == PINNED_DIGESTS[name]
+
+
+def test_trajectory_symbols_are_int64():
+    plan, _ = pinned_plans()["z3-perm-2d-vn"]
+    traj = sample_trajectory(plan, 1099)
+    assert all(cfg.data.dtype == np.int64 and cfg.data.shape == (9, 9) for cfg in traj)
+
+
+def _peak_bytes(plan, threads):
+    tracemalloc.start()
+    try:
+        window_pattern_counts(plan, threads=threads)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_count_reduction_streams(threads):
+    # a 2^10-pattern window over 31 steps: one block's counts are 254 KiB,
+    # so holding every block would put 16 blocks at over 4 MiB
+    def plan(blocks):
+        return SimulationPlan(
+            IDENT, Q91, (11,), "all-zeros", 30, blocks * 1024, 3, hypercube(10)
+        )
+
+    few, many = _peak_bytes(plan(2), threads), _peak_bytes(plan(16), threads)
+    assert many <= few + 256 * 1024

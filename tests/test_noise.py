@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rcalab.lattice import Alphabet
 from rcalab.noise import (
+    MIN_PROB,
     additive_noise,
     apply_noise,
     channel_matrix,
@@ -12,6 +15,7 @@ from rcalab.noise import (
     noise_from_json,
     noise_to_json,
     permutation_noise,
+    sample_noise_symbols,
 )
 from rcalab.rules import TorusConfiguration, build_elementary
 
@@ -142,6 +146,9 @@ def test_permutation_apply():
     rng = np.random.Generator(np.random.Philox(key=3))
     out = apply_noise(np.zeros(200_000, dtype=np.int64), noise, rng)
     assert abs((out == 1).mean() - 0.1) < 3 * np.sqrt(0.09 / 200_000)
+    # a flat table lookup would read a neighbouring row for symbol 2
+    with pytest.raises(ValueError):
+        apply_noise(np.array([0, 2, 1]), noise, rng)
 
 
 def test_noise_json_roundtrip():
@@ -155,3 +162,75 @@ def test_noise_json_roundtrip():
     pn = permutation_noise(Z2, [[0, 1], [1, 0]], [0.85, 0.15])
     back = noise_from_json(noise_to_json(pn))
     assert np.array_equal(back.perms, pn.perms)
+
+
+class _FixedUniforms:
+    """Stand-in generator whose random() returns prescribed uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        [0.9, 0.1],
+        [0.7, 0.2, 0.1],
+        [MIN_PROB, 0.5 - MIN_PROB, 0.5],
+        [1.0 - 3 * MIN_PROB, MIN_PROB, MIN_PROB, MIN_PROB],
+        [0.25, MIN_PROB, 0.25 - MIN_PROB, 0.5],
+    ],
+)
+def test_noise_index_matches_searchsorted(q):
+    # the comparison-sum inverse CDF gives searchsorted(side="right")'s
+    # integers, also for u on a cumulative value, u = 0 and u just below 1
+    noise = additive_noise(Alphabet((len(q),)), q)
+    cum = np.cumsum(noise.q)
+    cum[-1] = 1.0
+    edges = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0), np.nextafter(cum[:-1], 1)])
+    rng = np.random.default_rng(len(q))
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0)], edges, rng.random(4000)])
+    got = sample_noise_symbols(noise, u.shape, _FixedUniforms(u))
+    assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
+
+
+# Digests of apply_noise outputs (little-endian int64) from the searchsorted
+# and Alphabet.add implementation the table sampler replaced.
+APPLY_NOISE_DIGESTS = {
+    "additive-z3": "c3bc413a3bdcdb9830047f57fffb193b493ea0f108f3d15bb2cc56fd3421e20f",
+    "additive-z2xz2": "5e5b9a55ac9ce915d46e522962c809765d09047a76fb9c31ccde82d7091ab8e6",
+    "perm-z3": "5ede8f97aba866fc578a7463f2f9b06d1bbf6664e56f0e7a76f9d6f12ab460c1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPLY_NOISE_DIGESTS))
+def test_apply_noise_pinned(name):
+    x = np.arange(3000) % 3
+    noise, data = {
+        "additive-z3": (additive_noise(Z3, [0.7, 0.2, 0.1]), x),
+        "additive-z2xz2": (
+            additive_noise(Alphabet((2, 2)), [0.4, 0.3, 0.2, 0.1]), (np.arange(3000) * 7) % 4
+        ),
+        "perm-z3": (permutation_noise(
+            Z3, [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2]], [0.7, 0.1, 0.1, 0.1]), x),
+    }[name]
+    rng = np.random.Generator(np.random.Philox(key=99))
+    out = apply_noise(TorusConfiguration((30, 100), data), noise, rng)
+    assert out.data.dtype == np.int64 and out.sides == (30, 100)
+    digest = hashlib.sha256(np.ascontiguousarray(out.data, dtype="<i8").tobytes()).hexdigest()
+    assert digest == APPLY_NOISE_DIGESTS[name]
+
+
+def test_perm_table_rows():
+    # additive noise is permutation noise whose row z translates by z
+    z22 = Alphabet((2, 2))
+    table = additive_noise(z22, [0.4, 0.3, 0.2, 0.1]).perm_table
+    sym = z22.symbols()
+    assert np.array_equal(table, z22.add(sym[:, None], sym[None, :]))
+    perms = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2]]
+    pn = permutation_noise(Z3, perms, [0.7, 0.1, 0.1, 0.1])
+    assert np.array_equal(pn.perm_table, perms)
+    assert pn.perm_table.dtype == np.uint8 and not pn.perm_table.flags.writeable
