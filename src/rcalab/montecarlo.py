@@ -129,7 +129,7 @@ class SimulationPlan:
 
 
 def _step_block(plan: SimulationPlan, data: np.ndarray, block: int, t: int) -> np.ndarray:
-    updated = apply_table(data, plan.rule, batch_dims=1, dtype=data.dtype)
+    updated = apply_table(data, plan.rule, batch_dims=1)
     rng = CounterRng(plan.seed, plan.stream).block(LANE_NOISE, t, block)
     z = sample_noise_symbols(plan.noise, (REPLICATE_BLOCK,) + plan.sides, rng)
     return permute_symbols(plan.noise, z[: data.shape[0]], updated)

@@ -133,21 +133,9 @@ def _check_torus_fits(sides, rule: LocalRule):
         )
 
 
-def _wrap_pad(data: np.ndarray, r: int, axes) -> np.ndarray:
-    """Copy of data with every periodic axis extended by r wrapped cells on
-    each side."""
-    for ax in axes:
-        side = data.shape[ax]
-        lo = data.take(np.arange(-r, 0) % side, axis=ax)
-        hi = data.take(np.arange(r) % side, axis=ax)
-        data = np.concatenate([lo, data, hi], axis=ax)
-    return data
-
-
-def apply_table(
-    data: np.ndarray, rule: LocalRule, batch_dims: int = 0, dtype=np.int64
-) -> np.ndarray:
-    """Synchronous rule application on a raw torus array, returned in dtype.
+def apply_table(data: np.ndarray, rule: LocalRule, batch_dims: int = 0) -> np.ndarray:
+    """Synchronous rule application on a raw torus array, returned in the
+    dtype of `data`.
 
     `data` has shape (*batch, *sides); the trailing dims are periodic axes.
     Neighbourhood codes are read off one wrap-padded copy of the torus by
@@ -156,7 +144,7 @@ def apply_table(
     """
     r = rule.radius
     sides = data.shape[batch_dims:]
-    padded = _wrap_pad(data, r, range(batch_dims, data.ndim))
+    padded = np.pad(data, [(0, 0)] * batch_dims + [(r, r)] * len(sides), mode="wrap")
     batch = (slice(None),) * batch_dims
     first, *rest = [
         padded[batch + tuple(slice(r + v, r + v + s) for v, s in zip(offset, sides))]
@@ -166,7 +154,7 @@ def apply_table(
     for cells in rest:
         idx *= rule.alphabet.size
         np.add(idx, cells, out=idx, casting="unsafe")
-    return rule.table.astype(dtype, copy=False).take(idx)
+    return rule.table.astype(data.dtype, copy=False).take(idx)
 
 
 def apply_rule(x: TorusConfiguration, rule: LocalRule) -> TorusConfiguration:

@@ -293,3 +293,11 @@ def test_check_pinsker_decides_in_nats(monkeypatch):
     # an under-reported deficiency makes the row false
     monkeypatch.setattr(cli, "deficiency", lambda p: 0.0)
     assert not cli.check_pinsker(skew).ok
+    # with D read as 0 the slack lets TV up to sqrt(SLACK / 2) ~ 2.2e-5 pass
+    for eps, ok in [(1e-6, True), (2e-5, True), (3e-5, False), (1e-4, False)]:
+        probs = [1 / 9] * 9
+        probs[0] += eps
+        probs[1] -= eps
+        check = cli.check_pinsker(WindowDistribution(hypercube(2), Alphabet((3,)), probs))
+        assert check.lhs == pytest.approx(eps, rel=1e-6)
+        assert bool(check.ok) == ok
