@@ -1,11 +1,12 @@
 """Decision procedures for surjectivity and injectivity of one-dimensional CA
-via de Bruijn automaton constructions, with a brute-force preimage-count
-oracle for cross-validation.
+on the de Bruijn automaton, with a brute-force preimage-count oracle for
+cross-validation.
 
 Sparse neighbourhoods are normalized to a contiguous interval by padding the
-table with dummy dependence; this leaves the global map unchanged.  The
-supported envelope is small contiguous spans (radius <= 2 binary, radius <= 1
-ternary) where the subset construction stays tiny.
+table with dummy dependence; this leaves the global map unchanged.  Both
+decisions are queries on one pair graph of the de Bruijn automaton.  The
+supported envelope is 256 de Bruijn states: contiguous spans of up to 9 binary
+cells (radius 4) or 6 ternary cells (radius 2).
 """
 
 from __future__ import annotations
@@ -83,7 +84,10 @@ def build_de_bruijn(rule: LocalRule) -> DeBruijnAutomaton:
     return DeBruijnAutomaton(rule.alphabet.size, m, table)
 
 
-STATE_ENVELOPE = 256  # de Bruijn states; covers radius <= 3 binary, radius <= 2 ternary
+# de Bruijn states: a contiguous span of up to 9 binary cells (radius 4) or 6
+# ternary cells (radius 2).  The pair graph has |states|^2 nodes with
+# |Sigma|^2 candidate edges each, so this caps it near 65,536 nodes.
+STATE_ENVELOPE = 256
 
 
 def _check_envelope(auto: DeBruijnAutomaton):
@@ -94,84 +98,65 @@ def _check_envelope(auto: DeBruijnAutomaton):
         )
 
 
+def _pair_graph(rule: LocalRule):
+    """Pair graph of the de Bruijn automaton: node u * n + v for each state
+    pair, and an edge for each pair of equal-label words out of u and v.
+    Returns the edge arrays (src, dst) and the diagonal mask."""
+    auto = build_de_bruijn(rule)
+    _check_envelope(auto)
+    n = auto.n_states
+    labels = auto.labels.reshape(n, auto.size)  # labels[u, a] of word u * size + a
+    heads = np.arange(auto.n_edges).reshape(n, auto.size) % n
+    u, v, a, b = np.nonzero(labels[:, None, :, None] == labels[None, :, None, :])
+    diag = np.zeros(n * n, dtype=bool)
+    diag[:: n + 1] = True
+    return u * n + v, heads[u, a] * n + heads[v, b], diag
+
+
+def _marked(nodes: np.ndarray, n_nodes: int) -> np.ndarray:
+    mask = np.zeros(n_nodes, dtype=bool)
+    mask[nodes] = True
+    return mask
+
+
+def _reach(src: np.ndarray, dst: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Nodes reachable from the `start` mask along edges src -> dst."""
+    seen = start.copy()
+    frontier = start
+    while frontier.any():
+        frontier = _marked(dst[frontier[src]], seen.size) & ~seen
+        seen |= frontier
+    return seen
+
+
 def test_surjective(rule: LocalRule) -> bool:
     """Surjectivity of the global map on Sigma^Z.
 
-    Subset construction on the label-determinized de Bruijn automaton:
-    surjective iff the empty state-set is unreachable from the full set
-    (every finite word then has a preimage).
+    Surjective iff the de Bruijn automaton has no diamond (Hedlund;
+    Amoroso-Patt): no off-diagonal pair is both reachable from the diagonal
+    and able to reach it.  The last diagonal pair before such a pair and the
+    first one after it would bound a diamond.
     """
-    auto = build_de_bruijn(rule)
-    _check_envelope(auto)
-    size, n_states = auto.size, auto.n_states
-    # succ_mask[label][state] = bitmask of successor states
-    succ_mask = np.zeros((size, n_states), dtype=object)
-    for s in range(n_states):
-        for a in range(size):
-            w = s * size + a
-            succ_mask[auto.labels[w]][s] |= 1 << (w % n_states)
-    full = (1 << n_states) - 1
-    seen = {full}
-    stack = [full]
-    while stack:
-        subset = stack.pop()
-        for label in range(size):
-            nxt = 0
-            bits = subset
-            while bits:
-                s = (bits & -bits).bit_length() - 1
-                nxt |= succ_mask[label][s]
-                bits &= bits - 1
-            if nxt == 0:
-                return False
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
+    src, dst, diag = _pair_graph(rule)
+    return not (_reach(src, dst, diag) & _reach(dst, src, diag) & ~diag).any()
 
 
 def test_injective(rule: LocalRule) -> bool:
     """Injectivity (equivalently reversibility) of the global map on Sigma^Z.
 
-    Pair-graph construction: product automaton of equal-label edge pairs,
-    trimmed to states lying on bi-infinite paths (iteratively dropping states
-    with no predecessor or no successor); injective iff every survivor is
-    diagonal.
+    Injective iff every pair on a bi-infinite path is diagonal: trimming
+    repeatedly drops pairs with no live in-edge or no live out-edge, and the
+    survivors must all lie on the diagonal.
     """
-    auto = build_de_bruijn(rule)
-    _check_envelope(auto)
-    size, n_states = auto.size, auto.n_states
-    n_pairs = n_states * n_states
-    edges_out: list[list[int]] = [[] for _ in range(n_pairs)]
-    edges_in: list[list[int]] = [[] for _ in range(n_pairs)]
-    for u in range(n_states):
-        for v in range(n_states):
-            pair = u * n_states + v
-            for a in range(size):
-                for b in range(size):
-                    wu, wv = u * size + a, v * size + b
-                    if auto.labels[wu] != auto.labels[wv]:
-                        continue
-                    tgt = (wu % n_states) * n_states + (wv % n_states)
-                    edges_out[pair].append(tgt)
-                    edges_in[tgt].append(pair)
-    alive = [True] * n_pairs
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n_pairs):
-            if not alive[p]:
-                continue
-            if not any(alive[t] for t in edges_out[p]) or not any(
-                alive[s] for s in edges_in[p]
-            ):
-                alive[p] = False
-                changed = True
-    for u in range(n_states):
-        for v in range(n_states):
-            if u != v and alive[u * n_states + v]:
-                return False
-    return True
+    src, dst, diag = _pair_graph(rule)
+    alive = np.ones(diag.size, dtype=bool)
+    while True:
+        live = alive[src] & alive[dst]
+        src, dst = src[live], dst[live]
+        trimmed = _marked(src, alive.size) & _marked(dst, alive.size)
+        if np.array_equal(trimmed, alive):
+            return not (alive & ~diag).any()
+        alive = trimmed
 
 
 def preimage_count_oracle(rule: LocalRule, w, enum_cap: int = ORACLE_ENUM_CAP) -> int:

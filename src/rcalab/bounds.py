@@ -13,7 +13,7 @@ import numpy as np
 
 from .entropy import WindowDistribution, check_cap, deficiency, entropy_vec
 from .lattice import Alphabet, CellSet, hypercube, moore, translate
-from .noise import NoiseModel, channel_matrix, kappa
+from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
 from .rules import LocalRule
 
 __all__ = [
@@ -73,12 +73,6 @@ class BoundReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def _convolve_axes(tensor: np.ndarray, channel: np.ndarray) -> np.ndarray:
-    for axis in range(tensor.ndim):
-        tensor = np.moveaxis(np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis)
-    return tensor
-
-
 def check_noise_lemma(p, noise: NoiseModel, variant: str = "scalar") -> BoundReport:
     """Entropy gain from one round of iid noise.
 
@@ -101,7 +95,7 @@ def check_noise_lemma(p, noise: NoiseModel, variant: str = "scalar") -> BoundRep
         n = round(math.log(p.size, size))
         if size ** n != p.size or p.ndim != 1:
             raise ValueError("joint variant needs a flat distribution over Sigma^n")
-        noisy = _convolve_axes(p.reshape((size,) * n), channel).reshape(-1)
+        noisy = convolve_sites(p, channel, n)
         lhs = entropy_vec(noisy)
         rhs = n * k * h_max + (1.0 - k) * entropy_vec(p)
     elif variant == "conditional":

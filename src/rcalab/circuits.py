@@ -14,7 +14,7 @@ import numpy as np
 from .bounds import SLACK, BoundReport
 from .entropy import check_cap, entropy_vec
 from .lattice import Alphabet, decode_patterns, encode_patterns
-from .noise import NoiseModel, channel_matrix, kappa
+from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
 from .rng import CounterRng, LANE_SCHEDULE
 
 __all__ = [
@@ -235,18 +235,6 @@ def _permute_rows(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return mat[..., inverse]
 
 
-def _convolve_sites(mat: np.ndarray, channel: np.ndarray, n_sites: int) -> np.ndarray:
-    """Per-site noise convolution of batched distributions (batch axis 0)."""
-    size = channel.shape[0]
-    batch = mat.shape[0]
-    tensor = mat.reshape((batch,) + (size,) * n_sites)
-    for axis in range(1, n_sites + 1):
-        tensor = np.moveaxis(
-            np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis
-        )
-    return tensor.reshape(batch, -1)
-
-
 def apply_layer(state: ChainState, network: ReversibleNetwork, layer_index: int) -> ChainState:
     """Push the distribution through one bijective layer (entropy is exactly
     preserved)."""
@@ -266,7 +254,7 @@ def evolve_chain_exact(
     for step in range(state.t + 1, state.t + t + 1):
         perm = network.layer_permutation(network.layer_index_at(step))
         probs = _permute_rows(probs, perm)
-        probs = _convolve_sites(probs, channel, network.n_sites)
+        probs = convolve_sites(probs, channel, network.n_sites)
     return ChainState(network.alphabet, network.n_sites, probs[0], state.t + t)
 
 
@@ -311,7 +299,7 @@ def worst_case_curve(
             if li not in perms:
                 perms[li] = network.layer_permutation(li)
             mat = _permute_rows(mat, perms[li])
-            mat = _convolve_sites(mat, channel, network.n_sites)
+            mat = convolve_sites(mat, channel, network.n_sites)
             d_curve[t] = max(d_curve[t], 0.5 * np.abs(mat - uniform).sum(axis=1).max())
             h_min = min(entropy_vec(row) for row in mat)
             xi_curve[t] = max(xi_curve[t], h_max_total - h_min)

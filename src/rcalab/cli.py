@@ -222,7 +222,7 @@ def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
         h = entropy(marginal)
         xi = deficiency(marginal)
         tv = tv_to_uniform(marginal)
-        bound = check_evolution_bound(problem, surjective=surjective)
+        bound = check_evolution_bound(problem, marginal, surjective=surjective)
         rows.append([t, label, h, h / ln2, xi, tv, bound.rhs, bound.ok])
     writer.table(
         "evolve-exact",
@@ -387,7 +387,8 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
             problem = ConeProblem(
                 rule, noise, window, t, _initial_on_cone(inst.get("initial", "all-zeros"), rule, window, t)
             )
-            res = check_evolution_bound(problem, surjective=inst.get("surjective"))
+            marginal = exact_window_marginal(problem)
+            res = check_evolution_bound(problem, marginal, surjective=inst.get("surjective"))
             reports.append(
                 BoundReport(
                     claim="evolution/entropy-floor",
@@ -397,7 +398,7 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
                     params={"t": t, "window": _window_label(window)},
                 )
             )
-            pinsker = check_pinsker(exact_window_marginal(problem))
+            pinsker = check_pinsker(marginal)
             reports.append(
                 BoundReport(
                     claim="pinsker/tv-vs-deficiency",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .entropy import WindowDistribution, check_cap, entropy
 from .lattice import CellSet, decode_patterns, moore, moore_boundary, pattern_strides
-from .noise import NoiseModel, channel_matrix, kappa
+from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
 from .rules import LocalRule
 
 __all__ = [
@@ -122,13 +122,8 @@ def push_deterministic(
 
 def convolve_noise(dist: WindowDistribution, noise: NoiseModel) -> WindowDistribution:
     """Independent per-cell noise convolution of a window law."""
-    size = dist.alphabet.size
-    n = dist.n_cells
-    channel = channel_matrix(noise)
-    tensor = dist.probs.reshape((size,) * n)
-    for axis in range(n):
-        tensor = np.moveaxis(np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis)
-    return WindowDistribution(dist.window, dist.alphabet, tensor.reshape(-1))
+    probs = convolve_sites(dist.probs, channel_matrix(noise), dist.n_cells)
+    return WindowDistribution(dist.window, dist.alphabet, probs)
 
 
 def exact_window_marginal(problem: ConeProblem) -> WindowDistribution:
@@ -161,9 +156,12 @@ class BoundCheck(NamedTuple):
     ok: bool
 
 
-def check_evolution_bound(problem: ConeProblem, surjective: bool | None = None) -> BoundCheck:
+def check_evolution_bound(
+    problem: ConeProblem, law: WindowDistribution, surjective: bool | None = None
+) -> BoundCheck:
     """Entropy floor H(X^t_J) >= [1 - (1-kappa)^t] |J| h_max - c_tilde(J),
-    with the left side computed exactly.
+    with the left side the entropy of `law`, the exact window law
+    exact_window_marginal(problem).
 
     The rule must be surjective for the bound to be claimed; pass
     surjective=True to skip the 1D decision procedure (required for d >= 2).
@@ -176,7 +174,9 @@ def check_evolution_bound(problem: ConeProblem, surjective: bool | None = None) 
         surjective = test_surjective(problem.rule)
     if not surjective:
         raise ValueError("evolution bound applies to surjective rules only")
-    lhs = entropy(exact_window_marginal(problem))
+    if law.window != problem.window:
+        raise ValueError("law must live on the problem's window")
+    lhs = entropy(law)
     k = kappa(problem.noise)
     _, c_tilde = leakage_constants(problem.window, problem.rule, problem.noise)
     h = problem.rule.alphabet.h_max

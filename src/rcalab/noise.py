@@ -19,6 +19,7 @@ __all__ = [
     "kappa",
     "decompose",
     "channel_matrix",
+    "convolve_sites",
     "local_kernel",
     "apply_noise",
     "noise_to_json",
@@ -132,6 +133,17 @@ def channel_matrix(noise: NoiseModel) -> np.ndarray:
     for p, w in zip(noise.perm_table, noise.q):
         ch[np.arange(size), p] += w
     return ch
+
+
+def convolve_sites(probs: np.ndarray, channel: np.ndarray, n_sites: int) -> np.ndarray:
+    """Independent per-site noise on laws over Sigma^n_sites, held flat in the
+    last axis of probs (leading axes are a batch): the channel is applied to
+    one site axis at a time, first site first."""
+    batch = probs.shape[:-1]
+    tensor = probs.reshape(batch + (channel.shape[0],) * n_sites)
+    for axis in range(len(batch), tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis)
+    return tensor.reshape(probs.shape)
 
 
 def local_kernel(rule: LocalRule, noise: NoiseModel) -> np.ndarray:

@@ -92,7 +92,7 @@ def test_criterion_3_evolution_bound():
     start = time.time()
     checked = 0
     for problem in _criterion_3_instances():
-        res = check_evolution_bound(problem, surjective=True)
+        res = check_evolution_bound(problem, exact_window_marginal(problem), surjective=True)
         assert res.ok, (problem.window, problem.horizon)
         checked += 1
     assert checked == 4 * 6 * 21

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -12,7 +13,13 @@ from rcalab.analysis import (
 )
 from rcalab.entropy import CapExceededError
 from rcalab.lattice import Alphabet, decode_patterns, encode_patterns, pattern_strides
-from rcalab.rules import LocalRule, apply_table, build_elementary, build_linear
+from rcalab.rules import (
+    LocalRule,
+    apply_table,
+    build_elementary,
+    build_linear,
+    lift_second_order,
+)
 
 Z2 = Alphabet((2,))
 Z3 = Alphabet((3,))
@@ -252,3 +259,101 @@ def test_ternary_shift_reversible():
 def test_analyze_rule_shape():
     out = analyze_rule(build_elementary(90))
     assert out == {"surjective": True, "injective": False, "balanced": True}
+
+
+def _span_offsets(span):
+    return [(o,) for o in range(-(span // 2), span - span // 2)]
+
+
+def _random_rule(alphabet, span, rng):
+    table = rng.integers(0, alphabet.size, size=alphabet.size ** span)
+    return LocalRule(alphabet, _span_offsets(span), table)
+
+
+def _permutive(alphabet, span, rng, right=False):
+    # x_first + g(rest) mod |Sigma|, or g(rest) + x_last with right=True; the
+    # first offset is the most significant digit of the table index
+    size = alphabet.size
+    g = rng.integers(0, size, size=size ** (span - 1))
+    codes = np.arange(size ** span)
+    if right:
+        rest, digit = np.divmod(codes, size)
+    else:
+        digit, rest = np.divmod(codes, size ** (span - 1))
+    return LocalRule(alphabet, _span_offsets(span), (digit + g[rest]) % size)
+
+
+def _compose(f, g):
+    # one contiguous rule for the global map x -> f(g(x))
+    size, nf, ng = f.alphabet.size, len(f.neighborhood), len(g.neighborhood)
+    span = nf + ng - 1
+    words = decode_patterns(np.arange(size ** span, dtype=np.int64), span, size)
+    inner = np.stack(
+        [g.table[words[:, i : i + ng] @ pattern_strides(ng, size)] for i in range(nf)], axis=1
+    )
+    return LocalRule(f.alphabet, _span_offsets(span), f.table[inner @ pattern_strides(nf, size)])
+
+
+def _random_composite(rng):
+    makers = (_random_rule, _permutive, partial(_permutive, right=True))
+    f, g = (makers[rng.integers(0, 3)](Z2, 3, rng) for _ in range(2))
+    return _compose(f, g)
+
+
+# (seed, rule family); radius-4 binary rules have 256 de Bruijn states, the
+# edge of the decision envelope
+VERDICT_FAMILIES = {
+    "random-binary-span5": (11, lambda rng: [_random_rule(Z2, 5, rng) for _ in range(60)]),
+    "random-ternary-span3": (12, lambda rng: [_random_rule(Z3, 3, rng) for _ in range(60)]),
+    "random-binary-radius4": (13, lambda rng: [_random_rule(Z2, 9, rng) for _ in range(3)]),
+    "left-permutive-binary-span5": (14, lambda rng: [_permutive(Z2, 5, rng) for _ in range(20)]),
+    "left-permutive-ternary-span3": (15, lambda rng: [_permutive(Z3, 3, rng) for _ in range(10)]),
+    "left-permutive-binary-radius4": (16, lambda rng: [_permutive(Z2, 9, rng) for _ in range(3)]),
+    "composites-binary-span5": (17, lambda rng: [_random_composite(rng) for _ in range(40)]),
+    "second-order-lifts": (
+        0,
+        lambda rng: [
+            lift_second_order(build_elementary(code))
+            for code in (0, 30, 54, 90, 110, 150, 184, 204, 232)
+        ],
+    ),
+    # Z2 x Z2 rules of span 5: 256 de Bruijn states on a 4-letter alphabet
+    "second-order-lift-composites": (
+        0,
+        lambda rng: [
+            _compose(lift_second_order(build_elementary(a)), lift_second_order(build_elementary(b)))
+            for a, b in ((30, 110), (90, 184))
+        ],
+    ),
+}
+
+# One character per rule, (surjective, injective): "-" neither, "s" surjective
+# only, "i" injective only, "b" both.  Recorded with an independent pair of
+# procedures (a subset construction on the de Bruijn automaton for
+# surjectivity, a separately built pair graph for injectivity).
+PINNED_VERDICTS = {
+    "composites-binary-span5": "ss--ss-ss-s--ss-s--ss-s-ss-s-s-ssss----s",
+    "left-permutive-binary-radius4": "sss",
+    "left-permutive-binary-span5": "s" * 20,
+    "left-permutive-ternary-span3": "s" * 10,
+    "random-binary-radius4": "---",
+    "random-binary-span5": "-" * 60,
+    "random-ternary-span3": "-" * 60,
+    "second-order-lift-composites": "bb",
+    "second-order-lifts": "b" * 9,
+}
+
+_VERDICT_CODE = {(False, False): "-", (True, False): "s", (False, True): "i", (True, True): "b"}
+
+
+def _verdicts(family):
+    seed, make = VERDICT_FAMILIES[family]
+    rules = make(np.random.default_rng(seed))
+    return "".join(
+        _VERDICT_CODE[analysis.test_surjective(r), analysis.test_injective(r)] for r in rules
+    )
+
+
+@pytest.mark.parametrize("family", sorted(VERDICT_FAMILIES))
+def test_pinned_verdicts(family):
+    assert _verdicts(family) == PINNED_VERDICTS[family]

@@ -301,3 +301,35 @@ def test_check_pinsker_decides_in_nats(monkeypatch):
         check = cli.check_pinsker(WindowDistribution(hypercube(2), Alphabet((3,)), probs))
         assert check.lhs == pytest.approx(eps, rel=1e-6)
         assert bool(check.ok) == ok
+
+
+@pytest.mark.parametrize("kind", ["evolve-exact", "verify-bounds"])
+def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
+    # each t needs one exact window law, shared by the entropy floor and the
+    # Pinsker row; count the solves wherever they are called from
+    from rcalab import cli, exact
+
+    solve = exact.exact_window_marginal
+    calls = []
+
+    def counted(problem):
+        calls.append(problem.horizon)
+        return solve(problem)
+
+    monkeypatch.setattr(cli, "exact_window_marginal", counted)
+    monkeypatch.setattr(exact, "exact_window_marginal", counted)
+    horizon = 3
+    instance = {
+        "rule": {"elementary": 90}, "noise": NOISE,
+        "window": {"hypercube": 2}, "horizon": horizon, "initial": "all-zeros",
+    }
+    if kind == "evolve-exact":
+        doc = {"kind": kind, "params": instance}
+    else:
+        doc = {
+            "kind": kind, "seed": 1,
+            "params": {"checks": ["evolution", "pinsker"], "evolution_instance": instance},
+        }
+    cfg = write_config(tmp_path, doc)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == list(range(horizon + 1))

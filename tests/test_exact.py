@@ -99,25 +99,35 @@ def test_leakage_constants_examples():
 
 def test_evolution_bound_vacuous_cases():
     # t = 0: rhs = -c_tilde <= 0 <= lhs
-    res = check_evolution_bound(ConeProblem(R90, Q91, hypercube(1), 0, 0))
+    problem = ConeProblem(R90, Q91, hypercube(1), 0, 0)
+    res = check_evolution_bound(problem, exact_window_marginal(problem))
     assert res.ok and res.rhs <= 0 <= res.lhs + 1e-12
     # single cell: c_tilde = 24 ln 2 > h_max, bound vacuous but ok
-    res = check_evolution_bound(ConeProblem(R90, Q91, hypercube(1), 2, np.zeros(5, int)))
+    problem = ConeProblem(R90, Q91, hypercube(1), 2, np.zeros(5, int))
+    res = check_evolution_bound(problem, exact_window_marginal(problem))
     assert res.rhs < 0 and res.ok
 
 
 def test_evolution_bound_rule90():
-    res = check_evolution_bound(ConeProblem(R90, Q91, hypercube(4), 3, np.zeros(10, int)))
+    problem = ConeProblem(R90, Q91, hypercube(4), 3, np.zeros(10, int))
+    law = exact_window_marginal(problem)
+    res = check_evolution_bound(problem, law)
     assert res.ok
-    assert res.lhs == pytest.approx(
-        entropy(exact_window_marginal(ConeProblem(R90, Q91, hypercube(4), 3, np.zeros(10, int))))
-    )
+    assert res.lhs == pytest.approx(entropy(law))
+
+
+def test_evolution_bound_rejects_law_off_window():
+    problem = ConeProblem(R90, Q91, hypercube(2), 1, np.zeros(4, int))
+    other = exact_window_marginal(ConeProblem(R90, Q91, hypercube(1), 1, np.zeros(3, int)))
+    with pytest.raises(ValueError):
+        check_evolution_bound(problem, other)
 
 
 def test_evolution_bound_requires_surjective():
     r110 = build_elementary(110)
+    problem = ConeProblem(r110, Q91, hypercube(1), 1, np.zeros(3, int))
     with pytest.raises(ValueError):
-        check_evolution_bound(ConeProblem(r110, Q91, hypercube(1), 1, np.zeros(3, int)))
+        check_evolution_bound(problem, exact_window_marginal(problem))
 
 
 def test_surjective_step_bound_small_windows():
