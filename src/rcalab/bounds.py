@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import WindowDistribution, check_cap, deficiency, entropy_vec
-from .lattice import Alphabet, CellSet, hypercube, moore, translate
+from .lattice import Alphabet, CellSet, hypercube, translate
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
 from .rules import LocalRule
 
@@ -171,6 +171,20 @@ class BootstrapLayout:
     def big_window(self) -> CellSet:
         return hypercube(self.m, self.d)
 
+    def packed(self) -> bool:
+        """m = k (n + 2rt), there are k^d blocks, and the fattened blocks
+        moore(Q_w, rt) are pairwise disjoint inside S_m."""
+        rt = self.r * self.t
+        if self.m != self.k * (self.n + 2 * rt) or len(self.blocks) != self.k ** self.d:
+            return False
+        ball = hypercube(2 * rt + 1, self.d, anchor=(-rt,) * self.d).as_array()
+        fat = [(q.as_array()[:, None] + ball).reshape(-1, self.d) for q in self.blocks]
+        if not all(((f >= 0) & (f < self.m)).all() for f in fat):
+            return False
+        # cells of S_m as integers; each fattened block counts each cell once
+        codes = np.concatenate([np.unique(f @ self.m ** np.arange(self.d)) for f in fat])
+        return np.unique(codes).size == codes.size
+
 
 def bootstrap_layout(n: int, k: int, r: int, t: int, d: int) -> BootstrapLayout:
     if n < 1 or k < 1:
@@ -178,22 +192,12 @@ def bootstrap_layout(n: int, k: int, r: int, t: int, d: int) -> BootstrapLayout:
     if r < 0 or t < 0:
         raise ValueError("r and t must be non-negative")
     pitch = n + 2 * r * t
-    m = k * pitch
     base = hypercube(n, d, anchor=(r * t,) * d)
-    blocks = []
-    big = set(hypercube(m, d).cells)
-    used: set = set()
-    for w in hypercube(k, d).cells:
-        q = translate(base, tuple(pitch * wi for wi in w))
-        fat = moore(q, r * t)
-        fat_cells = set(fat.cells)
-        if not fat_cells <= big:
-            raise AssertionError("moore(Q_w, rt) leaves S_m")
-        if used & fat_cells:
-            raise AssertionError("moore(Q_w, rt) blocks overlap")
-        used |= fat_cells
-        blocks.append(q)
-    return BootstrapLayout(n, k, r, t, d, m, tuple(blocks))
+    blocks = tuple(translate(base, tuple(pitch * wi for wi in w)) for w in hypercube(k, d).cells)
+    layout = BootstrapLayout(n, k, r, t, d, k * pitch, blocks)
+    if not layout.packed():
+        raise AssertionError("moore(Q_w, rt) blocks leave S_m or overlap")
+    return layout
 
 
 def check_block_superadditivity(

@@ -358,14 +358,19 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
             r = int(rng.integers(0, 3))
             t = int(rng.integers(0, 5))
             d = int(rng.integers(1, 3))
-            layout = bootstrap_layout(n, k, r, t, d)
+            row = {"n": n, "k": k, "r": r, "t": t, "d": d}
+            try:
+                layout = bootstrap_layout(n, k, r, t, d)
+                m, ok = layout.m, layout.packed()
+            except AssertionError as exc:
+                m, ok, row["error"] = 0, False, str(exc)
             reports.append(
                 BoundReport(
                     claim="bootstrap/layout",
                     lhs=float(k * (n + 2 * r * t)),
-                    rhs=float(layout.m),
-                    ok=True,
-                    params={"n": n, "k": k, "r": r, "t": t, "d": d},
+                    rhs=float(m),
+                    ok=ok,
+                    params=row,
                 )
             )
     if "superadditivity" in checks:

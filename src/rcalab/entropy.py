@@ -20,6 +20,7 @@ __all__ = [
     "WindowDistribution",
     "entropy",
     "entropy_vec",
+    "entropy_rows",
     "deficiency",
     "tv_distance",
     "tv_vec",
@@ -129,6 +130,15 @@ def entropy_vec(probs: np.ndarray) -> float:
     p = np.asarray(probs, dtype=np.float64)
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum()) + 0.0
+
+
+def entropy_rows(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row (last axis) of a stack of
+    probability vectors, with entropy_vec's conventions: 0*log0 = 0 and no
+    negative zero."""
+    p = np.asarray(probs, dtype=np.float64)
+    logs = np.log(p, where=p > 0, out=np.zeros_like(p))
+    return -np.einsum("...i,...i->...", p, logs) + 0.0
 
 
 def entropy(p: WindowDistribution) -> float:

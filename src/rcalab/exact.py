@@ -1,11 +1,13 @@
-"""Exact law of the noisy trajectory on a finite window by dependence-cone
-enumeration, plus the boundary leakage constants and the entropy-evolution
-bound checker.
+"""Exact law of the noisy trajectory on a finite window by a kernel sweep
+over the dependence cone, plus the boundary leakage constants and the
+entropy-evolution bound checker.
 
 Per step the distribution lives on a shrinking cone: the law on moore(A, r*s)
-is pushed through one deterministic rule application onto moore(A, r*(s-1))
-(marginalizing everything else eagerly) and then convolved with the per-cell
-noise channel.  Peak state space is |Sigma|^|moore(A, r*t)| at the start.
+is contracted, one target cell at a time, against the PCA local kernel
+phi(u, b) = q(b - f(u)) onto moore(A, r*(s-1)), so the rule and the noise are
+one einsum per target cell and every source cell is summed out after its
+last use.  The same sweep serves every dimension.  A point-mass start skips
+the largest cone: its first step is a product of kernel rows.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .entropy import WindowDistribution, check_cap, entropy
 from .lattice import CellSet, decode_patterns, moore, moore_boundary, pattern_strides
-from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
+from .noise import NoiseModel, channel_matrix, convolve_sites, kappa, local_kernel
 from .rules import LocalRule
 
 __all__ = [
@@ -31,8 +33,6 @@ __all__ = [
     "push_deterministic",
     "convolve_noise",
 ]
-
-_CHUNK = 1 << 16
 
 SLACK = 1e-9
 
@@ -73,22 +73,66 @@ class ConeProblem:
     def cone(self) -> CellSet:
         return dependence_cone(self.window, self.rule, self.horizon)
 
-    def initial_distribution(self) -> WindowDistribution:
-        cone = self.cone()
-        alphabet = self.rule.alphabet
+    def initial_symbols(self) -> np.ndarray | None:
+        """Per-cell symbols of a point-mass initial, in the cone's canonical
+        cell order; None when the initial is a WindowDistribution."""
+        cone, size = self.cone(), self.rule.alphabet.size
         if isinstance(self.initial, WindowDistribution):
             if self.initial.window != cone:
                 raise ValueError("initial distribution must cover the dependence cone")
-            return self.initial
+            return None
         if isinstance(self.initial, (int, np.integer)):
-            return WindowDistribution.point_mass(
-                cone, alphabet, int(self.initial), cap=self.cap
-            )
+            if not 0 <= self.initial < size ** len(cone):
+                raise ValueError("initial pattern code out of range")
+            return decode_patterns(int(self.initial), len(cone), size)
         symbols = np.asarray(self.initial, dtype=np.int64)
         if symbols.shape != (len(cone),):
             raise ValueError("point initial must give one symbol per cone cell")
-        code = int(symbols @ pattern_strides(len(cone), alphabet.size))
-        return WindowDistribution.point_mass(cone, alphabet, code, cap=self.cap)
+        if symbols.min() < 0 or symbols.max() >= size:
+            raise ValueError("initial symbols outside the alphabet")
+        return symbols
+
+    def initial_distribution(self) -> WindowDistribution:
+        symbols = self.initial_symbols()
+        if symbols is None:
+            return self.initial
+        code = int(symbols @ pattern_strides(len(symbols), self.rule.alphabet.size))
+        return WindowDistribution.point_mass(self.cone(), self.rule.alphabet, code, cap=self.cap)
+
+
+def _neighbour_slots(source: CellSet, rule: LocalRule, target: CellSet) -> np.ndarray:
+    """Source-cell index of each target cell's neighbours, (|target|, |N|)."""
+    pos = {c: i for i, c in enumerate(source.cells)}
+    cells = [tuple(c + o for c, o in zip(cell, off)) for cell in target.cells for off in rule.neighborhood]
+    if not all(c in pos for c in cells):
+        raise ValueError("target neighbourhood leaves the source window")
+    return np.array([pos[c] for c in cells], dtype=np.int64).reshape(len(target), -1)
+
+
+def _sweep(dist: WindowDistribution, rule: LocalRule, target: CellSet, kernel) -> WindowDistribution:
+    """Law on `target` of one application of the local kernel (one row per
+    neighbourhood code, one column per output symbol) to the law on the
+    source window, which must hold target + N.
+
+    The cone tensor is contracted one target cell at a time in canonical
+    order: each einsum appends the target's output axis and sums out every
+    source axis whose last user is that target; source axes no target uses
+    go with the first target.  Source axis a has einsum label a, and freed
+    labels are recycled for output axes, as labels must be < 52."""
+    size = rule.alphabet.size
+    uses = _neighbour_slots(dist.window, rule, target).tolist()
+    last = dict.fromkeys(range(dist.n_cells), 0)
+    last.update((a, j) for j, axes in enumerate(uses) for a in axes)
+    tensor = dist.probs.reshape((size,) * dist.n_cells)
+    current, free = list(range(dist.n_cells)), list(range(51, dist.n_cells - 1, -1))
+    kernel = kernel.reshape((size,) * (len(rule.neighborhood) + 1))
+    for j, axes in enumerate(uses):
+        done = {a for a, k in last.items() if k == j}
+        out = [lab for lab in current if lab not in done] + [free.pop()]
+        tensor = np.einsum(tensor, current, kernel, axes + out[-1:], out)
+        current = out
+        free.extend(done)
+    return WindowDistribution(target, rule.alphabet, tensor.reshape(-1))
 
 
 def push_deterministic(
@@ -97,27 +141,7 @@ def push_deterministic(
     """Exact pushforward of a window law through one deterministic rule
     application, marginalized onto `target` (requires target + N inside the
     source window)."""
-    src = dist.window
-    size = rule.alphabet.size
-    n_src, n_tgt = len(src), len(target)
-    pos = {c: i for i, c in enumerate(src.cells)}
-    gather = np.empty((n_tgt, len(rule.neighborhood)), dtype=np.int64)
-    for i, cell in enumerate(target.cells):
-        for j, off in enumerate(rule.neighborhood):
-            shifted = tuple(c + o for c, o in zip(cell, off))
-            if shifted not in pos:
-                raise ValueError("target neighbourhood leaves the source window")
-            gather[i, j] = pos[shifted]
-    nb_strides = pattern_strides(len(rule.neighborhood), size)
-    out = np.zeros(size ** n_tgt)
-    tgt_strides = pattern_strides(n_tgt, size)
-    for start in range(0, dist.probs.size, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, dist.probs.size), dtype=np.int64)
-        slots = decode_patterns(codes, n_src, size)
-        images = rule.table[slots[:, gather] @ nb_strides]
-        out_codes = images @ tgt_strides
-        out += np.bincount(out_codes, weights=dist.probs[codes], minlength=out.size)
-    return WindowDistribution(target, rule.alphabet, out)
+    return _sweep(dist, rule, target, np.eye(rule.alphabet.size)[rule.table])
 
 
 def convolve_noise(dist: WindowDistribution, noise: NoiseModel) -> WindowDistribution:
@@ -128,12 +152,21 @@ def convolve_noise(dist: WindowDistribution, noise: NoiseModel) -> WindowDistrib
 
 def exact_window_marginal(problem: ConeProblem) -> WindowDistribution:
     """Exact law of X^t on the window, renormalized when float drift exceeds
-    1e-12."""
-    dist = problem.initial_distribution()
-    rule, noise = problem.rule, problem.noise
+    1e-12.  Each step is one sweep with the noisy local kernel; from a point
+    mass the first step is the outer product of the kernel rows at the
+    targets' neighbourhood codes, so the largest cone is never built."""
+    rule = problem.rule
+    kernel = local_kernel(rule, problem.noise)
+    symbols = problem.initial_symbols()
+    dist = None if symbols is not None and problem.horizon > 0 else problem.initial_distribution()
     for s in range(problem.horizon, 0, -1):
         target = dependence_cone(problem.window, rule, s - 1)
-        dist = convolve_noise(push_deterministic(dist, rule, target), noise)
+        if dist is None:
+            slots = _neighbour_slots(problem.cone(), rule, target)
+            codes = symbols[slots] @ pattern_strides(len(rule.neighborhood), rule.alphabet.size)
+            dist = WindowDistribution.product_of_cells(target, rule.alphabet, kernel[codes])
+        else:
+            dist = _sweep(dist, rule, target, kernel)
         drift = abs(float(dist.probs.sum()) - 1.0)
         if drift > 1e-12:
             dist = WindowDistribution(dist.window, dist.alphabet, dist.probs / dist.probs.sum())

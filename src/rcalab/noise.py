@@ -6,6 +6,7 @@ induced PCA local kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -28,6 +29,9 @@ __all__ = [
 
 MIN_PROB = 1e-9
 SUM_TOL = 1e-12
+# Largest joint state count of a run of sites that convolve_sites noises in
+# one matmul.
+GROUP_STATES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +141,22 @@ def channel_matrix(noise: NoiseModel) -> np.ndarray:
 
 def convolve_sites(probs: np.ndarray, channel: np.ndarray, n_sites: int) -> np.ndarray:
     """Independent per-site noise on laws over Sigma^n_sites, held flat in the
-    last axis of probs (leading axes are a batch): the channel is applied to
-    one site axis at a time, first site first."""
-    batch = probs.shape[:-1]
-    tensor = probs.reshape(batch + (channel.shape[0],) * n_sites)
-    for axis in range(len(batch), tensor.ndim):
-        tensor = np.moveaxis(np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis)
-    return tensor.reshape(probs.shape)
+    last axis of probs (leading axes are a batch): runs of consecutive sites,
+    first site first, take the Kronecker power of the channel as one matmul on
+    a (pre, Sigma^g, post) view, with g the largest run of at most
+    GROUP_STATES joint states."""
+    size = channel.shape[0]
+    group = 1
+    while size ** (group + 1) <= GROUP_STATES:
+        group += 1
+    out = probs.reshape(-1, size ** n_sites)
+    rows = out.shape[0]
+    for lo in range(0, n_sites, group):
+        g = min(group, n_sites - lo)
+        block = reduce(np.kron, [channel] * g)
+        view = out.reshape(rows * size ** lo, size ** g, size ** (n_sites - lo - g))
+        out = view[..., 0] @ block if lo + g == n_sites else np.matmul(block.T, view)
+    return out.reshape(probs.shape)
 
 
 def local_kernel(rule: LocalRule, noise: NoiseModel) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rcalab import circuits
 from rcalab.circuits import (
     ChainState,
     ControlledAdd,
@@ -220,3 +221,30 @@ def test_network_json_roundtrip():
     assert network_to_json(back) == doc
     for li in range(3):
         assert np.array_equal(net.layer_permutation(li), back.layer_permutation(li))
+
+
+def test_worst_case_curve_chunks_by_state_cap(monkeypatch):
+    net = ReversibleNetwork(
+        6,
+        Z2,
+        (
+            tuple(ControlledAdd(i, i + 1) for i in (0, 2, 4)),
+            (Toffoli(0, 1, 2), Toffoli(3, 4, 5)),
+            (ControlledAdd(1, 2), ControlledAdd(3, 4), ControlledAdd(5, 0)),
+        ),
+    )
+    whole = worst_case_curve(net, Q91, 7)
+    batches = []
+    convolve = circuits.convolve_sites
+
+    def spy(probs, channel, n_sites):
+        batches.append(probs.shape[0])
+        return convolve(probs, channel, n_sites)
+
+    monkeypatch.setattr(circuits, "convolve_sites", spy)
+    monkeypatch.setattr(circuits, "STATE_CAP", 10 * 64)
+    chunked = worst_case_curve(net, Q91, 7)
+    assert max(batches) == 10 and sum(batches) == 7 * 64
+    assert chunked[2] == whole[2] == "exact"
+    for a, b in zip(chunked[:2], whole[:2]):
+        assert np.abs(a - b).max() < 1e-12

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -333,3 +334,43 @@ def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
     cfg = write_config(tmp_path, doc)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == list(range(horizon + 1))
+
+
+def test_verify_bounds_bootstrap_rows_are_checks(tmp_path, monkeypatch):
+    from rcalab import bounds, cli
+
+    doc = {"kind": "verify-bounds", "seed": 3, "params": {"checks": ["bootstrap"], "layout_tuples": 12}}
+    cfg = write_config(tmp_path, doc)
+
+    def rows(out):
+        lines = (out / "verify-bounds.jsonl").read_text().splitlines()
+        return [json.loads(line) for line in lines[1:]]
+
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "good")]) == 0
+    good = rows(tmp_path / "good")
+    assert len(good) == 12 and all(r["ok"] and r["lhs"] == r["rhs"] for r in good)
+
+    def stacked(n, k, r, t, d):
+        # every block on the first one: overlapping whenever k**d > 1
+        layout = bounds.bootstrap_layout(n, k, r, t, d)
+        return dataclasses.replace(layout, blocks=(layout.blocks[0],) * len(layout.blocks))
+
+    monkeypatch.setattr(cli, "bootstrap_layout", stacked)
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "stacked")]) == EXIT_BOUND
+    assert [r["ok"] for r in rows(tmp_path / "stacked")] == [r["params"]["k"] ** r["params"]["d"] == 1 for r in good]
+
+    def shrunk(n, k, r, t, d):
+        return dataclasses.replace(bounds.bootstrap_layout(n, k, r, t, d), m=k * n)
+
+    monkeypatch.setattr(cli, "bootstrap_layout", shrunk)
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "shrunk")]) == EXIT_BOUND
+    assert [r["ok"] for r in rows(tmp_path / "shrunk")] == [r["params"]["r"] * r["params"]["t"] == 0 for r in good]
+
+    def broken(n, k, r, t, d):
+        raise AssertionError("moore(Q_w, rt) blocks leave S_m or overlap")
+
+    monkeypatch.setattr(cli, "bootstrap_layout", broken)
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "broken")]) == EXIT_BOUND
+    failed = rows(tmp_path / "broken")
+    assert len(failed) == 12 and not any(r["ok"] for r in failed)
+    assert all("overlap" in r["params"]["error"] for r in failed)

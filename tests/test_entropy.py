@@ -8,6 +8,7 @@ from rcalab.entropy import (
     WindowDistribution,
     deficiency,
     entropy,
+    entropy_rows,
     entropy_vec,
     estimate_entropy,
     kl_divergence,
@@ -163,3 +164,17 @@ def test_plugin_negative_bias():
     assert estimate_entropy(s, "miller-madow") == pytest.approx(
         estimate_entropy(s, "plugin") + (k_hat - 1) / 80.0
     )
+
+
+def test_entropy_rows_matches_entropy_vec():
+    rng = np.random.default_rng(4)
+    mat = rng.dirichlet(np.ones(16), size=6)
+    mat[0] = np.eye(16)[3]
+    mat[1, :8] = 0.0
+    mat[1] /= mat[1].sum()
+    got = entropy_rows(mat)
+    assert got.shape == (6,)
+    for row, h in zip(mat, got):
+        assert h == pytest.approx(entropy_vec(row), abs=1e-14)
+    assert got[0] == 0.0 and not np.signbit(got[0])
+    assert entropy_rows(mat[None]).shape == (1, 6)

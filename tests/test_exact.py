@@ -14,9 +14,9 @@ from rcalab.exact import (
     leakage_constants,
     push_deterministic,
 )
-from rcalab.lattice import Alphabet, CellSet, hypercube, moore
-from rcalab.noise import additive_noise
-from rcalab.rules import build_elementary, build_linear
+from rcalab.lattice import Alphabet, CellSet, decode_patterns, hypercube, moore, pattern_strides
+from rcalab.noise import additive_noise, channel_matrix, permutation_noise
+from rcalab.rules import LocalRule, build_elementary, build_linear, lift_second_order
 
 Z2 = Alphabet((2,))
 Q91 = additive_noise(Z2, [0.9, 0.1])
@@ -53,6 +53,16 @@ def test_initial_forms_agree():
     point = WindowDistribution.point_mass(cone, Z2, code)
     c = exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 2, point))
     assert np.allclose(a.probs, b.probs) and np.allclose(b.probs, c.probs)
+
+
+def test_point_initial_outside_alphabet_rejected():
+    # three cone cells: codes 0..7, symbols 0..1
+    for initial in (8, -1, np.array([0, 2, 0]), np.array([0, -1, 0])):
+        with pytest.raises(ValueError):
+            exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 1, initial))
+    other = WindowDistribution.uniform(hypercube(2), Z2)
+    with pytest.raises(ValueError):
+        exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 1, other))
 
 
 def test_marginal_consistency():
@@ -190,3 +200,119 @@ def test_renormalization_drift():
     marginal = exact_window_marginal(ConeProblem(IDENT, Q91, CellSet([0]), 200, 0))
     assert marginal.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert marginal.probs == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+# Reference engine: the dependence-cone enumeration the kernel sweep replaced.
+# It decodes every source pattern, gathers each target cell's neighbourhood,
+# looks the image up in the rule table and bincounts the image codes; noise
+# is then applied one site axis at a time.
+
+
+def _enumerate_push(dist, rule, target):
+    size = rule.alphabet.size
+    pos = {c: i for i, c in enumerate(dist.window.cells)}
+    gather = np.array(
+        [[pos[tuple(c + o for c, o in zip(cell, off))] for off in rule.neighborhood] for cell in target.cells]
+    )
+    slots = decode_patterns(np.arange(dist.probs.size), dist.n_cells, size)
+    images = rule.table[slots[:, gather] @ pattern_strides(len(rule.neighborhood), size)]
+    out = np.bincount(
+        images @ pattern_strides(len(target), size), weights=dist.probs, minlength=size ** len(target)
+    )
+    return WindowDistribution(target, rule.alphabet, out)
+
+
+def _noise_per_site(probs, channel, n_sites):
+    tensor = probs.reshape((channel.shape[0],) * n_sites)
+    for axis in range(n_sites):
+        tensor = np.moveaxis(np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis)
+    return tensor.reshape(-1)
+
+
+def _enumerate_marginal(problem):
+    dist = problem.initial_distribution()
+    for s in range(problem.horizon, 0, -1):
+        target = dependence_cone(problem.window, problem.rule, s - 1)
+        pushed = _enumerate_push(dist, problem.rule, target)
+        probs = _noise_per_site(pushed.probs, channel_matrix(problem.noise), len(target))
+        dist = WindowDistribution(target, pushed.alphabet, probs / probs.sum())
+    return dist
+
+
+def _random_rule(alphabet, offsets, seed):
+    table = np.random.default_rng(seed).integers(0, alphabet.size, size=alphabet.size ** len(offsets))
+    return LocalRule(alphabet, offsets, table)
+
+
+def _random_noise(alphabet, seed):
+    return additive_noise(alphabet, np.random.default_rng(seed).dirichlet(np.ones(alphabet.size)) * 0.9 + 0.1 / alphabet.size)
+
+
+Z3 = Alphabet((3,))
+VON_NEUMANN = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
+MOORE_2D = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
+
+# (rule, window, horizons): cones stay below 2**16 states
+AGREEMENT_CASES = {
+    "binary-r1": (_random_rule(Z2, [(-1,), (0,), (1,)], 1), hypercube(3), (0, 1, 2, 4)),
+    "binary-r2": (_random_rule(Z2, [(o,) for o in range(-2, 3)], 2), hypercube(2), (0, 1, 2, 3)),
+    "binary-one-sided": (_random_rule(Z2, [(0,), (1,)], 3), hypercube(2), (1, 3)),
+    "z3-linear": (build_linear(Z3, {-1: 1, 0: 2, 1: 1}), hypercube(2), (0, 1, 2, 3)),
+    "z2xz2-lift": (lift_second_order(build_elementary(30)), hypercube(2), (0, 1, 2)),
+    "2d-von-neumann": (_random_rule(Z2, VON_NEUMANN, 4), hypercube(2, 2), (0, 1)),
+    "2d-moore": (_random_rule(Z2, MOORE_2D, 5), hypercube(2, 2), (0, 1)),
+    "2d-moore-single-cell": (_random_rule(Z2, MOORE_2D, 6), hypercube(1, 2), (1,)),
+}
+
+
+def _initials(rule, window, t, seed):
+    """Code, symbol-array and WindowDistribution initials on the cone."""
+    cone = dependence_cone(window, rule, t)
+    rng = np.random.default_rng(seed)
+    size = rule.alphabet.size
+    symbols = rng.integers(0, size, size=len(cone))
+    code = int(symbols @ pattern_strides(len(cone), size))
+    law = WindowDistribution(cone, rule.alphabet, rng.dirichlet(np.ones(size ** len(cone))))
+    return {"symbols": symbols, "code": code, "law": law}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_marginal_agrees_with_enumeration(name):
+    rule, window, horizons = AGREEMENT_CASES[name]
+    noise = _random_noise(rule.alphabet, 7)
+    for t in horizons:
+        for form, initial in _initials(rule, window, t, t).items():
+            problem = ConeProblem(rule, noise, window, t, initial)
+            got = exact_window_marginal(problem)
+            want = _enumerate_marginal(problem)
+            assert got.window == want.window == window
+            assert np.abs(got.probs - want.probs).max() < 1e-12, (name, t, form)
+
+
+def test_marginal_agrees_with_enumeration_permutation_noise():
+    rule = build_linear(Z3, {-1: 1, 1: 1})
+    noise = permutation_noise(Z3, [[0, 1, 2], [1, 0, 2], [2, 1, 0], [0, 2, 1]], [0.7, 0.1, 0.1, 0.1])
+    for t in (1, 2, 3):
+        for initial in _initials(rule, hypercube(2), t, 10 + t).values():
+            problem = ConeProblem(rule, noise, hypercube(2), t, initial)
+            assert np.abs(exact_window_marginal(problem).probs - _enumerate_marginal(problem).probs).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
+def test_push_deterministic_agrees_with_enumeration(name):
+    rule, window, _ = AGREEMENT_CASES[name]
+    rng = np.random.default_rng(11)
+    size = rule.alphabet.size
+    for source, target in ((moore(window, rule.radius), window), (moore(window, 2 * rule.radius), window)):
+        if size ** len(source) > 2 ** 16:
+            continue
+        law = WindowDistribution(source, rule.alphabet, rng.dirichlet(np.ones(size ** len(source))))
+        got = push_deterministic(law, rule, target)
+        assert got.window == target
+        assert np.abs(got.probs - _enumerate_push(law, rule, target).probs).max() < 1e-12, name
+
+
+def test_push_deterministic_rejects_target_outside_source():
+    law = WindowDistribution.uniform(hypercube(3), Z2)
+    with pytest.raises(ValueError):
+        push_deterministic(law, R90, hypercube(2))

@@ -9,6 +9,7 @@ from rcalab.noise import (
     additive_noise,
     apply_noise,
     channel_matrix,
+    convolve_sites,
     decompose,
     kappa,
     local_kernel,
@@ -234,3 +235,26 @@ def test_perm_table_rows():
     pn = permutation_noise(Z3, perms, [0.7, 0.1, 0.1, 0.1])
     assert np.array_equal(pn.perm_table, perms)
     assert pn.perm_table.dtype == np.uint8 and not pn.perm_table.flags.writeable
+
+
+def _convolve_per_site(probs, channel, n_sites):
+    # reference: one tensordot per site axis, first site first
+    batch = probs.shape[:-1]
+    tensor = probs.reshape(batch + (channel.shape[0],) * n_sites)
+    for axis in range(len(batch), tensor.ndim):
+        tensor = np.moveaxis(np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis)
+    return tensor.reshape(probs.shape)
+
+
+@pytest.mark.parametrize(
+    "size, n_sites",
+    [(2, 0), (2, 1), (2, 5), (2, 6), (2, 7), (2, 13), (3, 0), (3, 1), (3, 4), (3, 5), (4, 1), (4, 4), (4, 5)],
+)
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_convolve_sites_matches_per_site_loop(size, n_sites, batch):
+    rng = np.random.default_rng(size * 100 + n_sites)
+    channel = rng.dirichlet(np.ones(size), size=size)
+    probs = rng.dirichlet(np.ones(size ** n_sites), size=batch or None)
+    got = convolve_sites(probs, channel, n_sites)
+    assert got.shape == probs.shape
+    assert np.abs(got - _convolve_per_site(probs, channel, n_sites)).max() < 1e-12
