@@ -64,7 +64,6 @@ from .bounds import (
     main_theorem_bound,
 )
 from .circuits import (
-    ChainState,
     ReversibleNetwork,
     alternating_cnot_network,
     chain_mixing_time,

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import SLACK, BoundReport
-from .entropy import STATE_CAP, check_cap, entropy_rows, entropy_vec
-from .lattice import Alphabet, decode_patterns, encode_patterns
+from .entropy import STATE_CAP, WindowDistribution, check_cap, entropy_rows
+# not called here; kept because perfbench/tracer.py patches circuits.entropy_vec
+from .entropy import entropy_vec  # noqa: F401
+from .lattice import Alphabet, decode_patterns, encode_patterns, hypercube
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
 from .rng import CounterRng, LANE_SCHEDULE
 
@@ -24,7 +26,6 @@ __all__ = [
     "Toffoli",
     "PermutationGate",
     "ReversibleNetwork",
-    "ChainState",
     "apply_layer",
     "evolve_chain_exact",
     "worst_case_curve",
@@ -194,40 +195,6 @@ class ReversibleNetwork:
         return perm
 
 
-@dataclass
-class ChainState:
-    """Distribution over Sigma^A at a time index."""
-
-    alphabet: Alphabet
-    n_sites: int
-    probs: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.shape != (self.alphabet.size ** self.n_sites,):
-            raise ValueError("probability vector has the wrong length")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-10:
-            raise ValueError("probabilities must sum to 1")
-
-    @classmethod
-    def point_mass(cls, alphabet, n_sites, code: int, cap=None):
-        n = alphabet.size ** n_sites
-        check_cap(n, cap)
-        probs = np.zeros(n)
-        probs[int(code)] = 1.0
-        return cls(alphabet, n_sites, probs)
-
-    @classmethod
-    def uniform(cls, alphabet, n_sites, cap=None):
-        n = alphabet.size ** n_sites
-        check_cap(n, cap)
-        return cls(alphabet, n_sites, np.full(n, 1.0 / n))
-
-    def entropy(self) -> float:
-        return entropy_vec(self.probs)
-
-
 def _permute_rows(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
     # pushforward through x -> perm[x]: new[perm[j]] = old[j]
     inverse = np.empty_like(perm)
@@ -235,27 +202,41 @@ def _permute_rows(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.take(mat, inverse, axis=-1)
 
 
-def apply_layer(state: ChainState, network: ReversibleNetwork, layer_index: int) -> ChainState:
-    """Push the distribution through one bijective layer (entropy is exactly
-    preserved)."""
+def _check_chain_law(dist: WindowDistribution, network: ReversibleNetwork):
+    if dist.window != hypercube(network.n_sites) or dist.alphabet != network.alphabet:
+        raise ValueError("chain law must live on hypercube(n_sites) over the network's alphabet")
+
+
+def apply_layer(
+    dist: WindowDistribution, network: ReversibleNetwork, layer_index: int
+) -> WindowDistribution:
+    """Push a law on hypercube(n_sites) through one bijective layer (entropy
+    is exactly preserved)."""
+    _check_chain_law(dist, network)
     perm = network.layer_permutation(layer_index)
-    probs = _permute_rows(state.probs[None, :], perm)[0]
-    return ChainState(state.alphabet, state.n_sites, probs, state.t)
+    probs = _permute_rows(dist.probs[None, :], perm)[0]
+    return WindowDistribution(dist.window, dist.alphabet, probs)
 
 
 def evolve_chain_exact(
-    state: ChainState, network: ReversibleNetwork, noise: NoiseModel, t: int
-) -> ChainState:
-    """t alternations of (scheduled layer, per-site noise)."""
+    dist: WindowDistribution,
+    network: ReversibleNetwork,
+    noise: NoiseModel,
+    t: int,
+    start: int = 0,
+) -> WindowDistribution:
+    """Law after t alternations of (scheduled layer, per-site noise), for a
+    law on hypercube(n_sites) at time `start`: steps start+1..start+t."""
+    _check_chain_law(dist, network)
     if noise.alphabet.factors != network.alphabet.factors:
         raise ValueError("noise and network alphabets differ")
     channel = channel_matrix(noise)
-    probs = state.probs[None, :].copy()
-    for step in range(state.t + 1, state.t + t + 1):
+    probs = dist.probs[None, :].copy()
+    for step in range(start + 1, start + t + 1):
         perm = network.layer_permutation(network.layer_index_at(step))
         probs = _permute_rows(probs, perm)
         probs = convolve_sites(probs, channel, network.n_sites)
-    return ChainState(network.alphabet, network.n_sites, probs[0], state.t + t)
+    return WindowDistribution(dist.window, dist.alphabet, probs[0])
 
 
 def worst_case_curve(
@@ -387,15 +368,6 @@ def alternating_cnot_network(n_bits: int, alphabet: Alphabet | None = None) -> R
     if n_bits % 2 == 0:
         layer_b.append(ControlledAdd(n_bits - 1, 0))
     return ReversibleNetwork(n_bits, alphabet, (tuple(layer_a), tuple(layer_b)), "cycle")
-
-
-_GATE_NAMES = {
-    "translate": Translate,
-    "cadd": ControlledAdd,
-    "swap": Swap,
-    "toffoli": Toffoli,
-    "permutation": PermutationGate,
-}
 
 
 def network_to_json(network: ReversibleNetwork) -> dict:

@@ -42,14 +42,15 @@ from .circuits import network_from_json, worst_case_curve
 from .entropy import (
     CapExceededError,
     WindowDistribution,
+    check_cap,
     deficiency,
     entropy,
     estimate_entropy,
     pinsker_bound,
     tv_to_uniform,
 )
-from .exact import BoundCheck, ConeProblem, check_evolution_bound, exact_window_marginal
-from .lattice import Alphabet, CellSet, hypercube
+from .exact import ConeProblem, check_evolution_bound, dependence_cone, exact_window_marginal
+from .lattice import Alphabet, CellSet, diameter, hypercube
 from .montecarlo import SimulationPlan, mixing_scan, window_pattern_counts
 from .noise import kappa, noise_from_json
 from .rules import rule_from_json
@@ -110,8 +111,6 @@ def _parse_window(doc, dim: int) -> CellSet:
 
 
 def _window_label(window: CellSet) -> str:
-    from .lattice import diameter
-
     n = diameter(window)
     if window == hypercube(n, window.dim):
         return f"S_{n}"
@@ -186,16 +185,8 @@ def _check_finite(rows):
     return rows
 
 
-def _parse_rule(doc):
-    if "elementary" in doc:
-        from .rules import build_elementary
-
-        return build_elementary(int(doc["elementary"]))
-    return rule_from_json(doc)
-
-
 def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
-    rule = _parse_rule(params["rule"])
+    rule = rule_from_json(params["rule"])
     verdict = analyze_rule(rule)
     doc = {"rule": params["rule"], **verdict}
     writer.json_doc("analyze-rule", doc)
@@ -203,27 +194,50 @@ def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
     return 0
 
 
-def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
-    rule = _parse_rule(params["rule"])
-    noise = noise_from_json(params["noise"])
-    window = _parse_window(params["window"], rule.dim)
-    horizon = int(params["horizon"])
-    initial_kind = params.get("initial", "all-zeros")
-    surjective = params.get("surjective")
-    cap = int(params["cap"]) if "cap" in params else None
-    rows = []
-    label = _window_label(window)
-    ln2 = math.log(2.0)
+def _cone_problems(inst: dict):
+    """One ConeProblem per t = 0..horizon of an exact-law instance (rule,
+    noise, window, horizon, initial, cap).  The initial is given once on the
+    horizon's cone moore(A, rT); each t takes its restriction to moore(A, rt).
+    The cap is checked on the horizon's cone before the first problem."""
+    rule = rule_from_json(inst["rule"])
+    noise = noise_from_json(inst["noise"])
+    window = _parse_window(inst["window"], rule.dim)
+    horizon = int(inst["horizon"])
+    cap = int(inst["cap"]) if "cap" in inst else None
+    cone = dependence_cone(window, rule, horizon)
+    kind = inst.get("initial", "all-zeros")
+    if kind == "all-zeros":
+        symbols = np.zeros(len(cone), dtype=np.int64)
+    elif kind == "all-ones":
+        symbols = np.ones(len(cone), dtype=np.int64)
+    elif isinstance(kind, dict) and "pattern" in kind:
+        symbols = np.asarray(kind["pattern"], dtype=np.int64)
+        if symbols.shape != (len(cone),):
+            raise ConfigError(
+                f"initial pattern must give {len(cone)} symbols, one per cell of the "
+                f"horizon cone moore(A, {rule.radius * horizon})"
+            )
+    else:
+        raise ConfigError(f"unknown initial {kind!r}")
+    check_cap(rule.alphabet.size ** len(cone), cap)
+    pos = {c: i for i, c in enumerate(cone.cells)}
     for t in range(horizon + 1):
-        problem = ConeProblem(
-            rule, noise, window, t, _initial_on_cone(initial_kind, rule, window, t), cap=cap
-        )
+        cells = dependence_cone(window, rule, t).cells
+        yield ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]], cap=cap)
+
+
+def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
+    surjective = params.get("surjective")
+    rows = []
+    ln2 = math.log(2.0)
+    for problem in _cone_problems(params):
         marginal = exact_window_marginal(problem)
         h = entropy(marginal)
         xi = deficiency(marginal)
         tv = tv_to_uniform(marginal)
         bound = check_evolution_bound(problem, marginal, surjective=surjective)
-        rows.append([t, label, h, h / ln2, xi, tv, bound.rhs, bound.ok])
+        label = _window_label(problem.window)
+        rows.append([problem.horizon, label, h, h / ln2, xi, tv, bound.rhs, bound.ok])
     writer.table(
         "evolve-exact",
         ["t", "window", "H_nats", "H_bits", "deficiency", "tv_to_uniform", "bound_rhs", "ok"],
@@ -232,22 +246,8 @@ def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
     return 0
 
 
-def _initial_on_cone(kind, rule, window, t):
-    from .exact import dependence_cone
-
-    cone = dependence_cone(window, rule, t)
-    n = len(cone)
-    if kind == "all-zeros":
-        return np.zeros(n, dtype=np.int64)
-    if kind == "all-ones":
-        return np.ones(n, dtype=np.int64)
-    if isinstance(kind, dict) and "pattern" in kind:
-        return np.asarray(kind["pattern"], dtype=np.int64)
-    raise ConfigError(f"unknown initial {kind!r}")
-
-
 def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) -> int:
-    rule = _parse_rule(params["rule"])
+    rule = rule_from_json(params["rule"])
     noise = noise_from_json(params["noise"])
     window = _parse_window(params["window"], rule.dim)
     estimator = params.get("estimator", "miller-madow")
@@ -266,8 +266,6 @@ def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) ->
         allow_wrap=bool(params.get("allow_wrap", False)),
     )
     counts = window_pattern_counts(plan, threads=threads)
-    from .lattice import diameter
-
     n = diameter(window)
     rows = []
     for t in range(plan.horizon + 1):
@@ -296,7 +294,7 @@ def _entropy_from_counts(counts: np.ndarray, estimator: str) -> float:
 
 
 def run_mixing_scan(params: dict, seed: int, writer: OutputWriter, threads: int) -> int:
-    rule = _parse_rule(params["rule"])
+    rule = rule_from_json(params["rule"])
     noise = noise_from_json(params["noise"])
     estimates = mixing_scan(
         rule,
@@ -331,13 +329,14 @@ def run_mixing_scan(params: dict, seed: int, writer: OutputWriter, threads: int)
     return 0
 
 
-def check_pinsker(marginal: WindowDistribution) -> BoundCheck:
+def check_pinsker(marginal: WindowDistribution) -> BoundReport:
     """Pinsker's inequality TV <= sqrt(D/2), reported as (TV, sqrt(D/2)) but
     decided in the squared form 2 TV^2 <= D + SLACK: roundoff of order 1e-15
     in the deficiency D moves sqrt(D/2) by about 1e-8 near D = 0, so only
     the nats side carries a meaningful slack."""
     tv = tv_to_uniform(marginal)
-    return BoundCheck(tv, pinsker_bound(marginal), 2.0 * tv * tv <= deficiency(marginal) + SLACK)
+    ok = 2.0 * tv * tv <= deficiency(marginal) + SLACK
+    return BoundReport("pinsker/tv-vs-deficiency", tv, pinsker_bound(marginal), ok)
 
 
 def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
@@ -385,34 +384,15 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
             reports.append(check_block_superadditivity(block, k, r=1, t=t))
     if "evolution" in checks and "evolution_instance" in params:
         inst = params["evolution_instance"]
-        rule = _parse_rule(inst["rule"])
-        noise = noise_from_json(inst["noise"])
-        window = _parse_window(inst["window"], rule.dim)
-        for t in range(int(inst["horizon"]) + 1):
-            problem = ConeProblem(
-                rule, noise, window, t, _initial_on_cone(inst.get("initial", "all-zeros"), rule, window, t)
-            )
+        for problem in _cone_problems(inst):
             marginal = exact_window_marginal(problem)
-            res = check_evolution_bound(problem, marginal, surjective=inst.get("surjective"))
-            reports.append(
-                BoundReport(
-                    claim="evolution/entropy-floor",
-                    lhs=res.lhs,
-                    rhs=res.rhs,
-                    ok=res.ok,
-                    params={"t": t, "window": _window_label(window)},
-                )
-            )
-            pinsker = check_pinsker(marginal)
-            reports.append(
-                BoundReport(
-                    claim="pinsker/tv-vs-deficiency",
-                    lhs=pinsker.lhs,
-                    rhs=pinsker.rhs,
-                    ok=pinsker.ok,
-                    params={"t": t, "window": _window_label(window)},
-                )
-            )
+            label = _window_label(problem.window)
+            for report in (
+                check_evolution_bound(problem, marginal, surjective=inst.get("surjective")),
+                check_pinsker(marginal),
+            ):
+                report.params = {"t": problem.horizon, "window": label}
+                reports.append(report)
     if "decay-envelope" in checks and "decay_instance" in params:
         reports += _decay_envelope_reports(params["decay_instance"])
     writer.json_lines("verify-bounds", [r.to_json_line() for r in reports])
@@ -424,29 +404,21 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
 def _decay_envelope_reports(inst: dict) -> list[BoundReport]:
     """User-supplied (alpha, beta) envelope against the exact TV curve: checks
     TV(t) <= alpha e^(-beta t) n^((d-1)/2) wherever t >= a log n + b."""
-    from .lattice import diameter
-
-    rule = _parse_rule(inst["rule"])
-    noise = noise_from_json(inst["noise"])
-    window = _parse_window(inst["window"], rule.dim)
     alpha, beta = float(inst["alpha"]), float(inst["beta"])
     gate_a, gate_b = float(inst.get("a", 0.0)), float(inst.get("b", 0.0))
-    n = diameter(window)
     reports = []
-    for t in range(int(inst["horizon"]) + 1):
+    for problem in _cone_problems(inst):
+        t, n = problem.horizon, diameter(problem.window)
         if not theorem_applicable(t, n, gate_a, gate_b):
             continue
-        problem = ConeProblem(
-            rule, noise, window, t, _initial_on_cone(inst.get("initial", "all-zeros"), rule, window, t)
-        )
         tv = tv_to_uniform(exact_window_marginal(problem))
-        envelope = main_theorem_bound(n, t, alpha, beta, rule.dim)
+        envelope = main_theorem_bound(n, t, alpha, beta, problem.rule.dim)
         reports.append(
             BoundReport(
                 claim="main-theorem/decay-envelope",
                 lhs=tv,
                 rhs=envelope,
-                ok=tv <= envelope + 1e-9,
+                ok=tv <= envelope + SLACK,
                 params={"t": t, "n": n, "alpha": alpha, "beta": beta},
             )
         )

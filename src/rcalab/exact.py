@@ -13,10 +13,10 @@ the largest cone: its first step is a product of kernel rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from .bounds import SLACK, BoundReport
 from .entropy import WindowDistribution, check_cap, entropy
 from .lattice import CellSet, decode_patterns, moore, moore_boundary, pattern_strides
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa, local_kernel
@@ -29,12 +29,9 @@ __all__ = [
     "leakage_constants",
     "check_evolution_bound",
     "check_surjective_step_bound",
-    "BoundCheck",
     "push_deterministic",
     "convolve_noise",
 ]
-
-SLACK = 1e-9
 
 
 def dependence_cone(A: CellSet, rule: LocalRule, t: int) -> CellSet:
@@ -183,15 +180,9 @@ def leakage_constants(J: CellSet, rule: LocalRule, noise: NoiseModel):
     return c, (1.0 - k) / k * c
 
 
-class BoundCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    ok: bool
-
-
 def check_evolution_bound(
     problem: ConeProblem, law: WindowDistribution, surjective: bool | None = None
-) -> BoundCheck:
+) -> BoundReport:
     """Entropy floor H(X^t_J) >= [1 - (1-kappa)^t] |J| h_max - c_tilde(J),
     with the left side the entropy of `law`, the exact window law
     exact_window_marginal(problem).
@@ -214,12 +205,12 @@ def check_evolution_bound(
     _, c_tilde = leakage_constants(problem.window, problem.rule, problem.noise)
     h = problem.rule.alphabet.h_max
     rhs = (1.0 - (1.0 - k) ** problem.horizon) * len(problem.window) * h - c_tilde
-    return BoundCheck(lhs, rhs, lhs >= rhs - SLACK)
+    return BoundReport("evolution/entropy-floor", lhs, rhs, lhs >= rhs - SLACK)
 
 
 def check_surjective_step_bound(
     rule: LocalRule, J: CellSet, initial: WindowDistribution
-) -> BoundCheck:
+) -> BoundReport:
     """One deterministic step of a surjective CA loses at most c(J) nats:
     H((FX)_J) >= H(X_J) - c(J).
 
@@ -236,4 +227,4 @@ def check_surjective_step_bound(
     h_after = entropy(image)
     c = (len(moore_boundary(J, 2 * r)) + len(moore_boundary(J, r))) * rule.alphabet.h_max
     rhs = h_before - c
-    return BoundCheck(h_after, rhs, h_after >= rhs - SLACK)
+    return BoundReport("surjective-step/entropy-loss", h_after, rhs, h_after >= rhs - SLACK)

@@ -230,6 +230,8 @@ def rule_to_json(rule: LocalRule) -> dict:
 
 
 def rule_from_json(doc: dict) -> LocalRule:
+    if "elementary" in doc:
+        return build_elementary(doc["elementary"])
     alphabet = Alphabet(tuple(doc["alphabet"]))
     if "linear" in doc:
         coeffs = {tuple(a): int(c) for a, c in doc["linear"]}

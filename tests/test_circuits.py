@@ -5,7 +5,6 @@ import pytest
 
 from rcalab import circuits
 from rcalab.circuits import (
-    ChainState,
     ControlledAdd,
     PermutationGate,
     ReversibleNetwork,
@@ -22,7 +21,8 @@ from rcalab.circuits import (
     worst_case_curve,
     worst_case_distance,
 )
-from rcalab.lattice import Alphabet
+from rcalab.entropy import WindowDistribution, entropy
+from rcalab.lattice import Alphabet, hypercube
 from rcalab.noise import additive_noise
 
 Z2 = Alphabet((2,))
@@ -80,14 +80,14 @@ def test_disjoint_sites_enforced():
 def test_layer_preserves_entropy():
     rng = np.random.default_rng(0)
     net = alternating_cnot_network(4)
-    state = ChainState(Z2, 4, rng.dirichlet(np.ones(16)))
+    state = WindowDistribution(hypercube(4), Z2, rng.dirichlet(np.ones(16)))
     for li in (0, 1):
         out = apply_layer(state, net, li)
-        assert out.entropy() == pytest.approx(state.entropy(), abs=1e-12)
+        assert entropy(out) == pytest.approx(entropy(state), abs=1e-12)
 
 
 def test_identity_layer_noop():
-    state = ChainState.point_mass(Z2, 1, 1)
+    state = WindowDistribution.point_mass(hypercube(1), Z2, 1)
     out = apply_layer(state, single_site_identity(), 0)
     assert np.array_equal(out.probs, state.probs)
 
@@ -95,15 +95,14 @@ def test_identity_layer_noop():
 def test_single_site_closed_form():
     net = single_site_identity()
     for t in (0, 1, 3, 7):
-        out = evolve_chain_exact(ChainState.point_mass(Z2, 1, 0), net, Q91, t)
+        out = evolve_chain_exact(WindowDistribution.point_mass(hypercube(1), Z2, 0), net, Q91, t)
         p1 = (1 - 0.8 ** t) / 2
         assert out.probs == pytest.approx([1 - p1, p1], abs=1e-14)
-        assert out.t == t
 
 
 def test_uniform_is_stationary():
     net = alternating_cnot_network(4)
-    state = ChainState.uniform(Z2, 4)
+    state = WindowDistribution.uniform(hypercube(4), Z2)
     out = evolve_chain_exact(state, net, Q91, 5)
     assert np.abs(out.probs - 1 / 16).max() < 1e-14
 
@@ -111,13 +110,42 @@ def test_uniform_is_stationary():
 def test_entropy_recursion_along_chain():
     # H(X^t) >= kappa |A| h_max + (1-kappa) H(X^{t-1}) at every step
     net = alternating_cnot_network(4)
-    state = ChainState.point_mass(Z2, 4, 5)
-    h_prev = state.entropy()
+    state = WindowDistribution.point_mass(hypercube(4), Z2, 5)
+    h_prev = entropy(state)
     for t in range(1, 12):
-        state = evolve_chain_exact(state, net, Q91, 1)
-        h = state.entropy()
+        state = evolve_chain_exact(state, net, Q91, 1, start=t - 1)
+        h = entropy(state)
         assert h >= 0.2 * 4 * math.log(2) + 0.8 * h_prev - 1e-12
         h_prev = h
+
+
+def test_chain_law_must_live_on_the_network_sites():
+    net = alternating_cnot_network(4)
+    wrong = [
+        WindowDistribution.uniform(hypercube(3), Z2),
+        WindowDistribution.uniform(hypercube(2, dim=2), Z2),
+        WindowDistribution.uniform(hypercube(4, anchor=(1,)), Z2),
+        WindowDistribution.uniform(hypercube(4), Alphabet((2, 2))),
+    ]
+    for dist in wrong:
+        with pytest.raises(ValueError):
+            apply_layer(dist, net, 0)
+        with pytest.raises(ValueError):
+            evolve_chain_exact(dist, net, Q91, 1)
+
+
+def test_evolve_chain_start_picks_the_layers():
+    # steps are numbered from start + 1, so two one-step calls equal one
+    # two-step call only when the second starts at 1
+    layers = ((Translate(0, 1),), (ControlledAdd(0, 1),))
+    net = ReversibleNetwork(2, Z2, layers, "fixed")
+    law = WindowDistribution.point_mass(hypercube(2), Z2, 0b00)
+    both = evolve_chain_exact(law, net, Q91, 2)
+    first = evolve_chain_exact(law, net, Q91, 1)
+    assert np.array_equal(evolve_chain_exact(first, net, Q91, 1, start=1).probs, both.probs)
+    assert not np.allclose(evolve_chain_exact(first, net, Q91, 1).probs, both.probs)
+    with pytest.raises(ValueError):  # the fixed schedule has no third layer
+        evolve_chain_exact(both, net, Q91, 1, start=2)
 
 
 def test_worst_case_distance_t0():

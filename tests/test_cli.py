@@ -374,3 +374,58 @@ def test_verify_bounds_bootstrap_rows_are_checks(tmp_path, monkeypatch):
     failed = rows(tmp_path / "broken")
     assert len(failed) == 12 and not any(r["ok"] for r in failed)
     assert all("overlap" in r["params"]["error"] for r in failed)
+
+
+def test_evolve_exact_pattern_initial_on_horizon_cone(tmp_path, capsys):
+    from rcalab.entropy import entropy
+    from rcalab.exact import ConeProblem, exact_window_marginal
+    from rcalab.lattice import hypercube
+    from rcalab.noise import noise_from_json
+    from rcalab.rules import build_elementary
+
+    # moore(S_2, 2) = cells -2..3; each t reads the pattern on moore(S_2, t)
+    pattern = [1, 0, 1, 1, 0, 1]
+    params = {
+        "rule": {"elementary": 90}, "noise": NOISE,
+        "window": {"hypercube": 2}, "horizon": 2, "initial": {"pattern": pattern},
+    }
+    cfg = write_config(tmp_path, {"kind": "evolve-exact", "params": params})
+    out = tmp_path / "out"
+    assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "evolve-exact.csv")
+    assert [int(r["t"]) for r in rows] == [0, 1, 2]
+    assert float(rows[0]["tv_to_uniform"]) == 0.75  # a point mass on 4 patterns
+    rule, noise = build_elementary(90), noise_from_json(NOISE)
+    for t, sub in ((1, pattern[1:5]), (2, pattern)):
+        law = exact_window_marginal(ConeProblem(rule, noise, hypercube(2), t, sub))
+        assert float(rows[t]["H_nats"]) == entropy(law)
+
+    bad = dict(params, initial={"pattern": pattern[:4]})
+    cfg = write_config(tmp_path, {"kind": "evolve-exact", "params": bad}, "bad.json")
+    assert main(["evolve-exact", "--config", cfg, "--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    assert "must give 6 symbols" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["evolution_instance", "decay_instance"])
+def test_verify_bounds_instance_honours_cap(tmp_path, monkeypatch, key):
+    from rcalab import cli
+
+    solve = cli.exact_window_marginal
+    calls = []
+    monkeypatch.setattr(cli, "exact_window_marginal", lambda p: calls.append(p) or solve(p))
+    # the horizon cone moore(S_2, 3) has 8 cells, 256 states
+    instance = {
+        "rule": {"elementary": 90}, "noise": NOISE,
+        "window": {"hypercube": 2}, "horizon": 3, "alpha": 2.0, "beta": 0.05,
+    }
+    check = {"evolution_instance": "evolution", "decay_instance": "decay-envelope"}[key]
+    for cap, code in ((256, 0), (255, EXIT_CAP)):
+        doc = {
+            "kind": "verify-bounds", "seed": 1,
+            "params": {"checks": [check], key: dict(instance, cap=cap)},
+        }
+        cfg = write_config(tmp_path, doc, f"cap{cap}.json")
+        calls.clear()
+        assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / str(cap))]) == code
+        # a cap below the horizon cone fails before any t is solved
+        assert bool(calls) == (code == 0)

@@ -183,6 +183,13 @@ def test_rule_serialization_roundtrip():
     assert back.linear_coeffs == lin.linear_coeffs
 
 
+def test_rule_from_json_elementary():
+    # the config schema's {"elementary": n} form
+    rule = rule_from_json({"elementary": 30})
+    assert rule.table.tolist() == build_elementary(30).table.tolist()
+    assert rule.neighborhood == build_elementary(30).neighborhood
+
+
 def test_unsorted_neighborhood_reindexes_table():
     # rule 90 with offsets given as (+1, -1, 0): f_user(c, a, b) = a xor c
     table_user = np.empty(8, dtype=np.int64)
