@@ -177,9 +177,6 @@ class CellSet:
     def isdisjoint(self, other: "CellSet") -> bool:
         return set(self.cells).isdisjoint(other.cells)
 
-    def union(self, other: "CellSet") -> "CellSet":
-        return CellSet(self.cells + other.cells, dim=self.dim)
-
     def difference(self, other: "CellSet") -> "CellSet":
         rhs = set(other.cells)
         return CellSet([c for c in self.cells if c not in rhs], dim=self.dim)

@@ -5,11 +5,15 @@ Replicates are processed in fixed blocks of REPLICATE_BLOCK rows; every
 uniform draw comes from a Philox stream addressed by (seed, stream, lane,
 time, block), so each replicate's trajectory is a pure function of
 (seed, replicate-index) no matter how many replicates run or on how many
-threads.
+threads.  Each worker builds one generator per plan and moves it to each
+draw's address with CounterRng.seek, which draws exactly what a generator
+built there would.
 
-The state of a block is held in the alphabet's smallest unsigned dtype.  One
-block-step is a rule lookup on neighbourhood codes (rules.apply_table) and a
-noise lookup perm_table[Z, x] with Z drawn by noise.sample_noise_symbols.
+The state of a block is held in the alphabet's smallest unsigned dtype.  The
+rule and the noise are fused into one table, step_table[code * |Z| + z] =
+perm_table[z, rule.table[code]], built once per plan and worker: a
+block-step is one uniform draw, the neighbourhood codes scaled by |Z| plus
+the comparison-sum noise index (noise.add_noise_index), and one lookup.
 """
 
 from __future__ import annotations
@@ -19,11 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import WindowDistribution, check_cap
+from .entropy import STATE_CAP, CapExceededError, WindowDistribution
 from .lattice import CellSet, diameter, encode_patterns, pattern_strides
-from .noise import NoiseModel, permute_symbols, sample_noise_symbols
+from .noise import NoiseModel, add_noise_index
 from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK
-from .rules import LocalRule, TorusConfiguration, apply_table
+from .rules import LocalRule, TorusConfiguration, neighbourhood_codes
+
+# not called here since the block-step fuses rule and noise into one lookup;
+# kept because perfbench/tracer.py patches montecarlo.apply_table and
+# montecarlo.sample_noise_symbols
+from .noise import sample_noise_symbols  # noqa: F401
+from .rules import apply_table  # noqa: F401
 
 __all__ = [
     "GENERATORS",
@@ -103,23 +113,6 @@ class SimulationPlan:
             return self.generator
         return "pattern"
 
-    def _initial_block(self, block: int, rows: int) -> np.ndarray:
-        shape = (rows,) + self.sides
-        dtype = self.rule.alphabet.state_dtype
-        if isinstance(self.generator, np.ndarray):
-            return np.broadcast_to(self.generator.astype(dtype), shape).copy()
-        if self.generator == "all-zeros":
-            return np.zeros(shape, dtype=dtype)
-        if self.generator == "all-ones":
-            return np.ones(shape, dtype=dtype)
-        if self.generator == "checkerboard":
-            grids = np.meshgrid(*[np.arange(s) for s in self.sides], indexing="ij")
-            board = sum(grids) % 2
-            return np.broadcast_to(board.astype(dtype), shape).copy()
-        rng = CounterRng(self.seed, self.stream).block(LANE_INIT, 0, block)
-        full = rng.integers(0, self.rule.alphabet.size, size=(REPLICATE_BLOCK,) + self.sides)
-        return full[:rows].astype(dtype)
-
     def _window_flat_index(self) -> np.ndarray:
         cols = []
         for cell in self.window.cells:
@@ -128,11 +121,59 @@ class SimulationPlan:
         return np.asarray(cols, dtype=np.int64)
 
 
-def _step_block(plan: SimulationPlan, data: np.ndarray, block: int, t: int) -> np.ndarray:
-    updated = apply_table(data, plan.rule, batch_dims=1)
-    rng = CounterRng(plan.seed, plan.stream).block(LANE_NOISE, t, block)
-    z = sample_noise_symbols(plan.noise, (REPLICATE_BLOCK,) + plan.sides, rng)
-    return permute_symbols(plan.noise, z[: data.shape[0]], updated)
+class _BlockStepper:
+    """One worker's run of a plan: the fused step table and the window
+    columns, built once, and the one generator that every draw of the plan
+    moves by CounterRng.seek.
+
+    Draws fill rows in order, so the rows of a partial last block draw only
+    their own prefix of the block's stream.
+    """
+
+    def __init__(self, plan: SimulationPlan):
+        perm_table = plan.noise.perm_table
+        self.plan = plan
+        self.n_noise = perm_table.shape[0]
+        self.step_table = np.ascontiguousarray(perm_table[:, plan.rule.table].T).ravel()
+        self.code_dtype = np.min_scalar_type(self.step_table.size - 1)
+        self.cols = plan._window_flat_index()
+        self.strides = pattern_strides(len(self.cols), plan.rule.alphabet.size)
+        self.rng = CounterRng(plan.seed, plan.stream)
+        self.gen = self.rng.block(LANE_NOISE)
+
+    def initial(self, block: int) -> np.ndarray:
+        """X^0 of the block's rows."""
+        plan = self.plan
+        rows = min(plan.replicates - block * REPLICATE_BLOCK, REPLICATE_BLOCK)
+        shape = (rows,) + plan.sides
+        dtype = plan.rule.alphabet.state_dtype
+        if isinstance(plan.generator, np.ndarray):
+            return np.broadcast_to(plan.generator.astype(dtype), shape).copy()
+        if plan.generator == "all-zeros":
+            return np.zeros(shape, dtype=dtype)
+        if plan.generator == "all-ones":
+            return np.ones(shape, dtype=dtype)
+        if plan.generator == "checkerboard":
+            grids = np.meshgrid(*[np.arange(s) for s in plan.sides], indexing="ij")
+            board = sum(grids) % 2
+            return np.broadcast_to(board.astype(dtype), shape).copy()
+        self.rng.seek(self.gen, LANE_INIT, 0, block)
+        return self.gen.integers(0, plan.rule.alphabet.size, size=shape).astype(dtype)
+
+
+def _step_block(stepper: _BlockStepper, data: np.ndarray, block: int, t: int) -> np.ndarray:
+    """X^t of a block from X^(t-1): one draw and one fused lookup."""
+    # Draw before building the codes, and free the uniforms before take()
+    # widens the codes to intp (8 bytes a cell each): in this order the
+    # worker threads' malloc arenas do not keep the freed block temporaries,
+    # which otherwise raised lab-mix's peak RSS from 53.7 to 58.8 MB.
+    stepper.rng.seek(stepper.gen, LANE_NOISE, t, block)
+    u = stepper.gen.random(data.shape)
+    code = neighbourhood_codes(data, stepper.plan.rule, batch_dims=1, dtype=stepper.code_dtype)
+    code *= stepper.n_noise
+    add_noise_index(stepper.plan.noise, u, code)
+    del u
+    return stepper.step_table.take(code)
 
 
 def sample_trajectory(plan: SimulationPlan, replicate: int) -> list[TorusConfiguration]:
@@ -141,49 +182,50 @@ def sample_trajectory(plan: SimulationPlan, replicate: int) -> list[TorusConfigu
     if not 0 <= replicate < plan.replicates:
         raise ValueError("replicate index out of range")
     block, row = divmod(replicate, REPLICATE_BLOCK)
-    lo = block * REPLICATE_BLOCK
-    rows = min(plan.replicates - lo, REPLICATE_BLOCK)
-    data = plan._initial_block(block, rows)
+    stepper = _BlockStepper(plan)
+    data = stepper.initial(block)
     out = [TorusConfiguration(plan.sides, data[row].astype(np.int64))]
     for t in range(1, plan.horizon + 1):
-        data = _step_block(plan, data, block, t)
+        data = _step_block(stepper, data, block, t)
         out.append(TorusConfiguration(plan.sides, data[row].astype(np.int64)))
     return out
 
 
-def _block_counts(plan: SimulationPlan, block: int, counts: np.ndarray) -> None:
+def _block_counts(stepper: _BlockStepper, block: int, counts: np.ndarray) -> None:
     """Add one block's window pattern counts into counts (shape (horizon+1,
     |Sigma|^|A|))."""
-    size = plan.rule.alphabet.size
-    cols = plan._window_flat_index()
-    strides = pattern_strides(len(cols), size)
-    n_patterns = counts.shape[1]
-    lo = block * REPLICATE_BLOCK
-    rows = min(plan.replicates - lo, REPLICATE_BLOCK)
-    data = plan._initial_block(block, rows)
-    for t in range(plan.horizon + 1):
+    data = stepper.initial(block)
+    for t in range(stepper.plan.horizon + 1):
         if t:
-            data = _step_block(plan, data, block, t)
-        flat = data.reshape(rows, -1)
-        counts[t] += np.bincount(flat[:, cols] @ strides, minlength=n_patterns)
+            data = _step_block(stepper, data, block, t)
+        window = data.reshape(data.shape[0], -1)[:, stepper.cols]
+        codes = np.einsum("ij,j->i", window, stepper.strides)
+        counts[t] += np.bincount(codes, minlength=counts.shape[1])
 
 
 def window_pattern_counts(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     """Pattern counts over the window, shape (horizon+1, |Sigma|^|A|).
 
-    Each worker adds its blocks into one accumulator of its own; the sums are
-    integers, so the reduction is exact and thread-count-independent, and
-    memory does not grow with the number of blocks.
+    Each worker adds its blocks into one int64 accumulator of its own; the
+    sums are integers, so the reduction is exact and thread-count-independent,
+    and memory does not grow with the number of blocks.  The accumulators'
+    bytes are checked against 8 * STATE_CAP before any is allocated.
     """
     n_patterns = plan.rule.alphabet.size ** len(plan.window)
-    check_cap(n_patterns)
     n_blocks = -(-plan.replicates // REPLICATE_BLOCK)
     workers = max(min(threads, n_blocks), 1)
+    n_bytes = (plan.horizon + 1) * n_patterns * 8 * workers
+    if n_bytes > 8 * STATE_CAP:
+        raise CapExceededError(
+            f"{workers} count accumulator(s) of {plan.horizon + 1} x {n_patterns} int64"
+            f" need {n_bytes} bytes, over the cap of {8 * STATE_CAP}"
+        )
 
     def worker(first: int) -> np.ndarray:
+        stepper = _BlockStepper(plan)
         counts = np.zeros((plan.horizon + 1, n_patterns), dtype=np.int64)
         for b in range(first, n_blocks, workers):
-            _block_counts(plan, b, counts)
+            _block_counts(stepper, b, counts)
         return counts
 
     if workers == 1:

@@ -7,6 +7,10 @@ address and never depends on scheduling, batch layout, or thread count.
 Replicates are grouped into fixed blocks of REPLICATE_BLOCK rows; a replicate
 always reads the same row of its block's draw matrix regardless of how many
 replicates run alongside it.
+
+block() builds a generator at an address; seek() moves an existing one to
+another address, where it draws the same values, so a loop over many
+addresses needs only one generator.
 """
 
 from __future__ import annotations
@@ -29,11 +33,33 @@ class CounterRng:
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
 
-    def block(self, lane: int, t: int = 0, index: int = 0) -> np.random.Generator:
-        """Fresh generator for the (lane, t, index) stream."""
+    @staticmethod
+    def _counter(lane: int, t: int, index: int) -> int:
+        """Initial 256-bit Philox counter of the (lane, t, index) stream."""
         if lane < 0 or t < 0 or index < 0:
             raise ValueError("lane, t, and index must be non-negative")
         counter = (int(lane) << 192) | (int(index) << 128) | (int(t) << 64)
+        if counter >> 256:
+            raise ValueError("lane, t, and index address a counter past 256 bits")
+        return counter
+
+    def block(self, lane: int, t: int = 0, index: int = 0) -> np.random.Generator:
+        """Fresh generator for the (lane, t, index) stream."""
+        counter = self._counter(lane, t, index)
         return np.random.Generator(
             np.random.Philox(key=[self.seed, self.stream], counter=counter)
         )
+
+    def seek(self, gen: np.random.Generator, lane: int, t: int = 0, index: int = 0) -> None:
+        """Move gen, a generator from this CounterRng's block(), to the
+        (lane, t, index) stream: it keeps its key, takes that stream's
+        counter and drops its buffered words, so it then draws exactly what
+        block(lane, t, index) would."""
+        counter = self._counter(lane, t, index)
+        state = gen.bit_generator.state
+        state["state"]["counter"] = np.array(
+            [(counter >> s) & _MASK64 for s in (0, 64, 128, 192)], dtype=np.uint64
+        )
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        gen.bit_generator.state = state

