@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .lattice import (
     Alphabet,
     CellSet,
-    Window,
     diameter,
     hypercube,
     moore,

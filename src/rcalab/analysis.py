@@ -74,9 +74,6 @@ class DeBruijnAutomaton:
     def n_edges(self) -> int:
         return self.size ** self.m
 
-    def edge_endpoints(self, word_code: int):
-        return word_code // self.size, word_code % self.n_states
-
 
 def build_de_bruijn(rule: LocalRule) -> DeBruijnAutomaton:
     _require_1d(rule)

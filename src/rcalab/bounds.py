@@ -5,7 +5,6 @@ superadditivity check, decay-constant fitting, and the main bound evaluator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ __all__ = [
     "BoundReport",
     "check_noise_lemma",
     "equilibrium_constants",
-    "equilibrium_time",
     "bootstrap_layout",
     "BootstrapLayout",
     "check_block_superadditivity",
@@ -60,17 +58,10 @@ class BoundReport:
             for k, v in self.params.items()
         }
 
-    def to_json_line(self) -> str:
-        doc = {
-            "claim": self.claim,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ok": self.ok,
-            "params": self.params,
-        }
-        if self.caveat:
-            doc["caveat"] = self.caveat
-        return json.dumps(doc, sort_keys=True)
+    def to_dict(self) -> dict:
+        doc = {"claim": self.claim, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok,
+               "params": self.params}
+        return {**doc, "caveat": self.caveat} if self.caveat else doc
 
 
 def check_noise_lemma(p, noise: NoiseModel, variant: str = "scalar") -> BoundReport:
@@ -139,19 +130,6 @@ def hypercube_leakage(n: int, d: int, r: int, h_max: float, k: float):
     |boundary of moore(S_n, rho)| = (n + 2 rho)^d - n^d."""
     c = ((n + 4 * r) ** d - n ** d + (n + 2 * r) ** d - n ** d) * h_max
     return c, (1.0 - k) / k * c
-
-
-def equilibrium_time(J: CellSet, rule: LocalRule, noise: NoiseModel) -> float:
-    """Time after which H(X^t_J) >= |J| h_max - 2 c_tilde(J) is guaranteed:
-    a0 log(|J| / c_tilde(J)) + b0.  Radius-0 rules have no boundary leakage
-    (c_tilde = 0) and the guarantee degenerates; returns inf there."""
-    from .exact import leakage_constants
-
-    a0, b0 = equilibrium_constants(noise)
-    _, c_tilde = leakage_constants(J, rule, noise)
-    if c_tilde == 0.0:
-        return math.inf
-    return a0 * math.log(len(J) / c_tilde) + b0
 
 
 @dataclass(frozen=True)

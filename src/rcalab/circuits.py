@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import SLACK, BoundReport
-from .entropy import STATE_CAP, WindowDistribution, check_cap, entropy_rows
+from .entropy import STATE_CAP, WindowDistribution, check_cap, entropy_rows, mixing_time
 # not called here; kept because perfbench/tracer.py patches circuits.entropy_vec
 from .entropy import entropy_vec  # noqa: F401
 from .lattice import Alphabet, decode_patterns, encode_patterns, hypercube
@@ -32,6 +32,7 @@ __all__ = [
     "worst_case_distance",
     "chain_mixing_time",
     "ChainMixing",
+    "finite_bound_rhs",
     "check_finite_bound",
     "alternating_cnot_network",
     "network_to_json",
@@ -317,15 +318,15 @@ def chain_mixing_time(
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     d_curve, _, mode = worst_case_curve(network, noise, horizon, exact_cap=exact_cap)
-    hit = np.nonzero(d_curve <= epsilon)[0]
-    converged = hit.size > 0
-    return ChainMixing(
-        epsilon=epsilon,
-        t_mix=int(hit[0]) if converged else horizon + 1,
-        converged=converged,
-        mode=mode,
-        d_curve=d_curve,
-    )
+    t_mix, converged = mixing_time(d_curve, epsilon)
+    return ChainMixing(epsilon, t_mix, converged, mode, d_curve)
+
+
+def finite_bound_rhs(network: ReversibleNetwork, noise: NoiseModel, t: int) -> float:
+    """Right side sqrt(h_max/2) |A|^(1/2) (1-kappa)^(t/2) of the decay bound
+    on the worst-case distance d(t)."""
+    h, n = network.alphabet.h_max, network.n_sites
+    return math.sqrt(h / 2.0) * math.sqrt(n) * (1.0 - kappa(noise)) ** (t / 2.0)
 
 
 def check_finite_bound(
@@ -334,12 +335,9 @@ def check_finite_bound(
     """Decay bound d(t) <= sqrt(h_max/2) |A|^(1/2) (1-kappa)^(t/2), with the
     entropy form Xi(X^t) <= (1-kappa)^t |A| h_max carried in params."""
     d_curve, xi_curve, mode = worst_case_curve(network, noise, t, exact_cap=exact_cap)
-    k = kappa(noise)
-    h = network.alphabet.h_max
-    n = network.n_sites
-    lhs = float(d_curve[t])
-    rhs = math.sqrt(h / 2.0) * math.sqrt(n) * (1.0 - k) ** (t / 2.0)
-    xi_bound = (1.0 - k) ** t * n * h
+    k, n = kappa(noise), network.n_sites
+    lhs, rhs = float(d_curve[t]), finite_bound_rhs(network, noise, t)
+    xi_bound = (1.0 - k) ** t * n * network.alphabet.h_max
     return BoundReport(
         claim="finite-computer/decay",
         lhs=lhs,

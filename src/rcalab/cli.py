@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 import os
@@ -38,7 +39,7 @@ from .bounds import (
     noise_lemma_suite,
     theorem_applicable,
 )
-from .circuits import network_from_json, worst_case_curve
+from .circuits import finite_bound_rhs, network_from_json, worst_case_curve
 from .entropy import (
     CapExceededError,
     WindowDistribution,
@@ -46,13 +47,14 @@ from .entropy import (
     deficiency,
     entropy,
     estimate_entropy,
+    mixing_time,
     pinsker_bound,
     tv_to_uniform,
 )
 from .exact import ConeProblem, check_evolution_bound, dependence_cone, exact_window_marginal
 from .lattice import Alphabet, CellSet, diameter, hypercube
-from .montecarlo import SimulationPlan, mixing_scan, window_pattern_counts
-from .noise import kappa, noise_from_json
+from .montecarlo import SimulationPlan, mixing_scan, tv_curve, window_pattern_counts
+from .noise import noise_from_json
 from .rules import rule_from_json
 
 KINDS = (
@@ -118,7 +120,10 @@ def _window_label(window: CellSet) -> str:
 
 
 class OutputWriter:
-    """CSV / JSON-lines emitter with the reproducibility header."""
+    """CSV / JSON / JSON-lines emitter with the reproducibility header.
+
+    Each file is formatted in full before it is opened, so a non-finite
+    number (refused by _fmt_cell and by every json.dumps) leaves no file."""
 
     def __init__(self, out_dir: str, config: dict, seed: int, fmt: str):
         self.out_dir = Path(out_dir)
@@ -130,43 +135,39 @@ class OutputWriter:
             "generated-at": datetime.now(timezone.utc).isoformat(),
         }
         self.fmt = fmt
-        self.files: list[Path] = []
+
+    def _write(self, name: str, text: str) -> Path:
+        path = self.out_dir / name
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return path
+
+    def _jsonl(self, name: str, docs) -> Path:
+        # docs (any iterable) is dumped one dict at a time: a list of every
+        # verify-bounds report's dict left its small-object arenas resident,
+        # 0.3 MB on top of lab-mix's peak RSS
+        lines = [_dumps({"metadata": self.meta})] + [_dumps(doc) for doc in docs]
+        return self._write(f"{name}.jsonl", "\n".join(lines) + "\n")
 
     def table(self, name: str, columns: list[str], rows: list[list]):
         if self.fmt == "jsonl":
-            path = self.out_dir / f"{name}.jsonl"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps({"metadata": self.meta}, sort_keys=True) + "\n")
-                for row in rows:
-                    fh.write(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n")
-        else:
-            path = self.out_dir / f"{name}.csv"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                for key, val in self.meta.items():
-                    fh.write(f"# {key}={val}\n")
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(columns)
-                for row in rows:
-                    writer.writerow([_fmt_cell(v) for v in row])
-        self.files.append(path)
-        return path
+            return self._jsonl(name, (dict(zip(columns, row)) for row in rows))
+        buf = io.StringIO()
+        buf.writelines(f"# {key}={val}\n" for key, val in self.meta.items())
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+        return self._write(f"{name}.csv", buf.getvalue())
 
     def json_doc(self, name: str, doc: dict):
-        path = self.out_dir / f"{name}.json"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"metadata": self.meta, **doc}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.files.append(path)
-        return path
+        return self._write(f"{name}.json", _dumps({"metadata": self.meta, **doc}, indent=2) + "\n")
 
-    def json_lines(self, name: str, lines: list[str]):
-        path = self.out_dir / f"{name}.jsonl"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps({"metadata": self.meta}, sort_keys=True) + "\n")
-            for line in lines:
-                fh.write(line + "\n")
-        self.files.append(path)
-        return path
+    def json_lines(self, name: str, docs):
+        return self._jsonl(name, docs)
+
+
+def _dumps(doc, **kw) -> str:
+    return json.dumps(doc, sort_keys=True, allow_nan=False, **kw)
 
 
 def _fmt_cell(v):
@@ -175,14 +176,6 @@ def _fmt_cell(v):
             raise ValueError("non-finite value in output")
         return repr(v)
     return v
-
-
-def _check_finite(rows):
-    for row in rows:
-        for v in row:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError("non-finite value in output row")
-    return rows
 
 
 def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
@@ -241,7 +234,7 @@ def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
     writer.table(
         "evolve-exact",
         ["t", "window", "H_nats", "H_bits", "deficiency", "tv_to_uniform", "bound_rhs", "ok"],
-        _check_finite(rows),
+        rows,
     )
     return 0
 
@@ -266,24 +259,18 @@ def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) ->
         allow_wrap=bool(params.get("allow_wrap", False)),
     )
     counts = window_pattern_counts(plan, threads=threads)
+    tv, se = tv_curve(counts, plan.replicates)
     n = diameter(window)
-    rows = []
-    for t in range(plan.horizon + 1):
-        phat = counts[t] / plan.replicates
-        dist = WindowDistribution(window, rule.alphabet, phat)
-        tv = tv_to_uniform(dist)
-        dev = phat - 1.0 / phat.size
-        m = float((np.sign(dev) * phat).sum())
-        se = 0.5 * math.sqrt(max(1.0 - m * m, 0.0) / plan.replicates)
-        h_hat = _entropy_from_counts(counts[t], estimator)
-        rows.append(
-            [n, t, plan.generator_label, tv, se, h_hat, estimator, plan.replicates, seed]
-        )
+    rows = [
+        [n, t, plan.generator_label, float(tv[t]), float(se[t]),
+         _entropy_from_counts(counts[t], estimator), estimator, plan.replicates, seed]
+        for t in range(plan.horizon + 1)
+    ]
     writer.meta["wrap-contaminated"] = plan.wrap_contaminated
     writer.table(
         "simulate",
         ["n", "t", "generator", "tv_hat", "se", "H_hat_nats", "estimator", "R", "seed"],
-        _check_finite(rows),
+        rows,
     )
     return 0
 
@@ -321,11 +308,9 @@ def run_mixing_scan(params: dict, seed: int, writer: OutputWriter, threads: int)
     writer.table(
         "mixing-scan",
         ["n", "epsilon", "t_mix", "converged", "monotone_within_3sigma", "R", "seed"],
-        _check_finite(rows),
+        rows,
     )
-    writer.table(
-        "mixing-curves", ["n", "t", "generator", "tv_hat", "se"], _check_finite(curve_rows)
-    )
+    writer.table("mixing-curves", ["n", "t", "generator", "tv_hat", "se"], curve_rows)
     return 0
 
 
@@ -395,7 +380,7 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
                 reports.append(report)
     if "decay-envelope" in checks and "decay_instance" in params:
         reports += _decay_envelope_reports(params["decay_instance"])
-    writer.json_lines("verify-bounds", [r.to_json_line() for r in reports])
+    writer.json_lines("verify-bounds", (r.to_dict() for r in reports))
     failed = [r for r in reports if not r.ok and not r.caveat]
     print(f"verify-bounds: {len(reports) - len(failed)}/{len(reports)} ok")
     return EXIT_BOUND if failed else 0
@@ -432,22 +417,19 @@ def run_circuit_mix(params: dict, seed: int, writer: OutputWriter) -> int:
     epsilon = float(params.get("epsilon", 0.01))
     exact_cap = int(params.get("exact_cap", 2 ** 20))
     d_curve, xi_curve, mode = worst_case_curve(network, noise, horizon, exact_cap=exact_cap)
-    k = kappa(noise)
-    h = network.alphabet.h_max
-    n = network.n_sites
-    rows = []
-    for t in range(horizon + 1):
-        rhs = math.sqrt(h / 2.0) * math.sqrt(n) * (1.0 - k) ** (t / 2.0)
-        h_min = n * h - xi_curve[t]
-        rows.append([t, float(d_curve[t]), rhs, float(h_min), float(xi_curve[t])])
+    h_total = network.n_sites * network.alphabet.h_max
+    rows = [
+        [t, float(d_curve[t]), finite_bound_rhs(network, noise, t), float(h_total - xi_curve[t]),
+         float(xi_curve[t])]
+        for t in range(horizon + 1)
+    ]
     writer.meta["sup-mode"] = mode
-    writer.table("circuit-mix", ["t", "d_phi", "bound_rhs", "H", "Xi"], _check_finite(rows))
-    hit = np.nonzero(d_curve <= epsilon)[0]
-    converged = bool(hit.size)
+    writer.table("circuit-mix", ["t", "d_phi", "bound_rhs", "H", "Xi"], rows)
+    t_mix, converged = mixing_time(d_curve, epsilon)
     writer.table(
         "circuit-mix-summary",
         ["epsilon", "t_mix", "converged", "mode"],
-        [[epsilon, int(hit[0]) if converged else horizon + 1, converged, mode]],
+        [[epsilon, t_mix, converged, mode]],
     )
     return 0
 

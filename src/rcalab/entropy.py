@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Alphabet, CellSet
+from .lattice import Alphabet, CellSet, marginalize_patterns
 
 __all__ = [
     "STATE_CAP",
@@ -28,6 +28,7 @@ __all__ = [
     "kl_divergence",
     "pinsker_bound",
     "estimate_entropy",
+    "mixing_time",
 ]
 
 # Largest dense probability vector an exact engine will build (2**24 doubles);
@@ -108,15 +109,8 @@ class WindowDistribution:
 
     def marginal(self, sub_window: CellSet) -> "WindowDistribution":
         """Exact marginal on a subset of the window's cells."""
-        if not sub_window.issubset(self.window):
-            raise ValueError("marginal target must be a subset of the window")
-        size = self.alphabet.size
-        keep = [self.window.cells.index(c) for c in sub_window.cells]
-        tensor = self.probs.reshape((size,) * self.n_cells)
-        drop = tuple(i for i in range(self.n_cells) if i not in keep)
-        marg = tensor.sum(axis=drop)
-        # sub_window cells are sorted, and sorted positions preserve order
-        return WindowDistribution(sub_window, self.alphabet, marg.reshape(-1))
+        probs = marginalize_patterns(self.probs, self.window, sub_window, self.alphabet.size)
+        return WindowDistribution(sub_window, self.alphabet, probs)
 
 
 def _as_probs(p) -> np.ndarray:
@@ -181,6 +175,15 @@ def kl_divergence(p, q) -> float:
 def pinsker_bound(p: WindowDistribution) -> float:
     """Upper bound sqrt(deficiency/2) on the TV distance to uniform."""
     return math.sqrt(max(deficiency(p), 0.0) / 2.0)
+
+
+def mixing_time(curve, epsilon: float) -> tuple[int, bool]:
+    """First passage of a distance curve d(0..T) below epsilon: (t_mix,
+    True) with t_mix the smallest t where d(t) <= epsilon, or (T + 1, False),
+    a lower bound, when the curve never gets there (Levin, Peres & Wilmer,
+    Markov Chains and Mixing Times, 2nd ed., 2017, sec. 4.5)."""
+    hit = np.flatnonzero(np.asarray(curve) <= epsilon)
+    return (int(hit[0]), True) if hit.size else (len(curve), False)
 
 
 def estimate_entropy(samples, method: str = "plugin") -> float:

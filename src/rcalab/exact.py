@@ -170,13 +170,16 @@ def exact_window_marginal(problem: ConeProblem) -> WindowDistribution:
     return dist
 
 
+def _leakage(J: CellSet, rule: LocalRule) -> float:
+    """c(J) = (|dM^2r(J)| + |dM^r(J)|) h_max."""
+    r = rule.radius
+    return (len(moore_boundary(J, 2 * r)) + len(moore_boundary(J, r))) * rule.alphabet.h_max
+
+
 def leakage_constants(J: CellSet, rule: LocalRule, noise: NoiseModel):
     """Boundary constants: c(J) = (|dM^2r(J)| + |dM^r(J)|) h_max and
     c_tilde(J) = ((1-kappa)/kappa) c(J)."""
-    r = rule.radius
-    h = rule.alphabet.h_max
-    c = (len(moore_boundary(J, 2 * r)) + len(moore_boundary(J, r))) * h
-    k = kappa(noise)
+    c, k = _leakage(J, rule), kappa(noise)
     return c, (1.0 - k) / k * c
 
 
@@ -218,13 +221,8 @@ def check_surjective_step_bound(
     a function of the boundary ring and the image on moore(J, r), so the
     infinite-lattice constant applies verbatim.
     """
-    r = rule.radius
-    cone = moore(J, 2 * r)
-    if initial.window != cone:
+    if initial.window != moore(J, 2 * rule.radius):
         raise ValueError("initial law must live on moore(J, 2r)")
-    h_before = entropy(initial.marginal(J))
-    image = push_deterministic(initial, rule, J)
-    h_after = entropy(image)
-    c = (len(moore_boundary(J, 2 * r)) + len(moore_boundary(J, r))) * rule.alphabet.h_max
-    rhs = h_before - c
+    h_after = entropy(push_deterministic(initial, rule, J))
+    rhs = entropy(initial.marginal(J)) - _leakage(J, rule)
     return BoundReport("surjective-step/entropy-loss", h_after, rhs, h_after >= rhs - SLACK)

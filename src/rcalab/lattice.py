@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "Alphabet",
     "CellSet",
-    "Window",
     "hypercube",
     "moore",
     "moore_boundary",
@@ -28,6 +27,7 @@ __all__ = [
     "pattern_strides",
     "encode_patterns",
     "decode_patterns",
+    "marginalize_patterns",
 ]
 
 
@@ -80,11 +80,6 @@ class Alphabet:
                 raise ValueError(f"digit {x} out of range for Z_{m}")
             code += x * s
         return code
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        if not 0 <= code < self.size:
-            raise ValueError("symbol code out of range")
-        return tuple((code // s) % m for m, s in zip(self.factors, self._strides))
 
     # Group operations on symbol codes.  Array-friendly: accept scalars or
     # numpy arrays, return the same shape (int64).
@@ -174,47 +169,21 @@ class CellSet:
     def issubset(self, other: "CellSet") -> bool:
         return set(self.cells) <= set(other.cells)
 
-    def isdisjoint(self, other: "CellSet") -> bool:
-        return set(self.cells).isdisjoint(other.cells)
-
     def difference(self, other: "CellSet") -> "CellSet":
         rhs = set(other.cells)
         return CellSet([c for c in self.cells if c not in rhs], dim=self.dim)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Hypercube window anchor + [0, side-1]^d."""
-
-    anchor: tuple[int, ...]
-    side: int
-
-    def __init__(self, anchor, side: int):
-        anchor = _normalize_cell(anchor)
-        side = int(side)
-        if side < 0:
-            raise ValueError("window side must be non-negative")
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "side", side)
-
-    @property
-    def dim(self) -> int:
-        return len(self.anchor)
-
-    def cell_set(self) -> CellSet:
-        rng = range(self.side)
-        cells = [
-            tuple(a + v for a, v in zip(self.anchor, offs))
-            for offs in iterproduct(rng, repeat=self.dim)
-        ]
-        return CellSet(cells, dim=self.dim)
-
-
 def hypercube(side: int, dim: int = 1, anchor=None) -> CellSet:
     """The window S_side = [0, side-1]^dim (optionally shifted to anchor)."""
-    if anchor is None:
-        anchor = (0,) * dim
-    return Window(anchor, side).cell_set()
+    anchor = _normalize_cell((0,) * dim if anchor is None else anchor)
+    if int(side) < 0:
+        raise ValueError("window side must be non-negative")
+    cells = [
+        tuple(a + v for a, v in zip(anchor, offs))
+        for offs in iterproduct(range(int(side)), repeat=len(anchor))
+    ]
+    return CellSet(cells, dim=len(anchor))
 
 
 def translate(J: CellSet, vector) -> CellSet:
@@ -267,3 +236,18 @@ def decode_patterns(codes: np.ndarray, n_cells: int, base: int) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
     strides = pattern_strides(n_cells, base)
     return (codes[..., None] // strides) % base
+
+
+def marginalize_patterns(values, window: CellSet, sub: CellSet, base: int) -> np.ndarray:
+    """Sum values indexed by the patterns of `window` (last axis, base^|window|
+    entries) onto the patterns of sub, a subset of the window's cells;
+    leading axes are a batch.  The last axis is viewed as one axis per cell
+    and the cells outside sub are summed out."""
+    if not sub.issubset(window):
+        raise ValueError("sub-window must be contained in the window")
+    values, keep = np.asarray(values), set(sub.cells)
+    batch = values.shape[:-1]
+    drop = tuple(len(batch) + i for i, c in enumerate(window.cells) if c not in keep)
+    tensor = values.reshape(batch + (base,) * len(window)).sum(axis=drop)
+    # cells are stored sorted, so the kept axes are in sub's order
+    return tensor.reshape(batch + (base ** len(sub),))

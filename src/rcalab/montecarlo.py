@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import STATE_CAP, CapExceededError, WindowDistribution
-from .lattice import CellSet, diameter, encode_patterns, pattern_strides
+from .entropy import STATE_CAP, CapExceededError, WindowDistribution, mixing_time
+from .lattice import CellSet, diameter, hypercube, marginalize_patterns, pattern_strides
 from .noise import NoiseModel, add_noise_index
 from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK
 from .rules import LocalRule, TorusConfiguration, neighbourhood_codes
@@ -41,6 +41,7 @@ __all__ = [
     "sample_trajectory",
     "window_pattern_counts",
     "empirical_marginal",
+    "tv_curve",
     "MixingEstimate",
     "estimate_mixing_time",
     "adversarial_family",
@@ -248,8 +249,9 @@ def empirical_marginal(plan: SimulationPlan, t: int, threads: int = 1):
     return dist, se
 
 
-def _tv_curve(counts: np.ndarray, replicates: int):
-    """Per-time TV distance to uniform with delta-method standard errors."""
+def tv_curve(counts: np.ndarray, replicates: int):
+    """Per-time TV distance to uniform with delta-method standard errors,
+    from window pattern counts of shape (horizon+1, |Sigma|^|A|)."""
     n_patterns = counts.shape[1]
     phat = counts / replicates
     dev = phat - 1.0 / n_patterns
@@ -260,16 +262,9 @@ def _tv_curve(counts: np.ndarray, replicates: int):
 
 
 def marginalize_counts(counts: np.ndarray, window: CellSet, sub: CellSet, size: int) -> np.ndarray:
-    """Re-express pattern counts over `window` as counts over a sub-window."""
-    if not sub.issubset(window):
-        raise ValueError("sub-window must be contained in the window")
-    keep = [window.cells.index(c) for c in sub.cells]
-    codes = np.arange(counts.shape[-1], dtype=np.int64)
-    symbols = (codes[:, None] // pattern_strides(len(window), size)) % size
-    sub_codes = encode_patterns(symbols[:, keep], size)
-    out = np.zeros(counts.shape[:-1] + (size ** len(sub),), dtype=counts.dtype)
-    np.add.at(out.T, sub_codes, counts.T)
-    return out
+    """Re-express pattern counts over `window` as counts over a sub-window.
+    A name of its own because the benchmark tracer times it."""
+    return marginalize_patterns(counts, window, sub, size)
 
 
 @dataclass
@@ -289,17 +284,12 @@ class MixingEstimate:
     curves: dict = field(default_factory=dict)
     monotone_within_3sigma: bool = True
 
-    @property
-    def lower_bound_only(self) -> bool:
-        return not self.converged
 
-
-def estimate_mixing_time(
-    plans, epsilon: float, threads: int = 1, counts_by_plan=None
-) -> MixingEstimate:
-    """Mixing time of the shared observation window, maximizing the empirical
+def estimate_mixing_time(plans, counts, epsilon: float) -> MixingEstimate:
+    """Mixing time of a shared observation window, maximizing the empirical
     distance over the plan family (a certified lower-bound family for the sup
-    over all initial configurations)."""
+    over all initial configurations).  counts[i] are plan i's window pattern
+    counts, or their marginal on a sub-window of the plans' window."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     plans = list(plans)
@@ -307,29 +297,16 @@ def estimate_mixing_time(
     horizon = plans[0].horizon
     if any(p.window != window or p.horizon != horizon for p in plans):
         raise ValueError("plans must share window and horizon")
-    curves = {}
-    tv_all, se_all = [], []
-    for i, plan in enumerate(plans):
-        counts = (
-            counts_by_plan[i]
-            if counts_by_plan is not None
-            else window_pattern_counts(plan, threads=threads)
-        )
-        tv, se = _tv_curve(counts, plan.replicates)
-        label = f"{plan.generator_label}#{plan.stream}"
-        curves[label] = np.column_stack([tv, se])
-        tv_all.append(tv)
-        se_all.append(se)
-    tv_all = np.asarray(tv_all)
-    se_all = np.asarray(se_all)
+    if len(counts) != len(plans):
+        raise ValueError("need one count array per plan")
+    tv_se = np.array([tv_curve(c, p.replicates) for p, c in zip(plans, counts)])
+    tv_all, se_all = tv_se[:, 0], tv_se[:, 1]
+    curves = {f"{p.generator_label}#{p.stream}": np.column_stack(c) for p, c in zip(plans, tv_se)}
     worst = np.argmax(tv_all, axis=0)
     steps = np.arange(horizon + 1)
     dhat = tv_all[worst, steps]
     dhat_se = se_all[worst, steps]
-    threshold = (tv_all + 2.0 * se_all).max(axis=0)
-    hit = np.nonzero(threshold <= epsilon)[0]
-    converged = hit.size > 0
-    t_mix = int(hit[0]) if converged else horizon + 1
+    t_mix, converged = mixing_time((tv_all + 2.0 * se_all).max(axis=0), epsilon)
     diffs = np.diff(dhat)
     sigma = np.sqrt(dhat_se[1:] ** 2 + dhat_se[:-1] ** 2)
     monotone = bool((diffs <= 3.0 * sigma + 1e-12).all())
@@ -386,8 +363,6 @@ def mixing_scan(
     """Mixing-time estimates for a family of nested hypercube windows S_n,
     sharing one batch of trajectories per generator (sub-window counts are
     exact marginalizations of the largest window's counts)."""
-    from .lattice import hypercube
-
     window_sides = sorted(int(n) for n in window_sides)
     big = hypercube(window_sides[-1], dim)
     plans = adversarial_family(
@@ -397,15 +372,6 @@ def mixing_scan(
     out = {}
     for n in window_sides:
         sub = hypercube(n, dim)
-        counts = [
-            marginalize_counts(c, big, sub, rule.alphabet.size) for c in big_counts
-        ]
-        sub_plans = [
-            SimulationPlan(
-                p.rule, p.noise, p.sides, p.generator, p.horizon, p.replicates,
-                p.seed, sub, stream=p.stream, allow_wrap=p.allow_wrap,
-            )
-            for p in plans
-        ]
-        out[n] = estimate_mixing_time(sub_plans, epsilon, counts_by_plan=counts)
+        counts = [marginalize_counts(c, big, sub, rule.alphabet.size) for c in big_counts]
+        out[n] = estimate_mixing_time(plans, counts, epsilon)
     return out

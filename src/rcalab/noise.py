@@ -97,11 +97,6 @@ class NoiseModel:
     def kappa(self) -> float:
         return kappa(self)
 
-    @property
-    def kappa_is_derived(self) -> bool:
-        """True when kappa comes from the channel matrix rather than q itself."""
-        return self.kind == "permutation"
-
 
 def additive_noise(alphabet: Alphabet, q) -> NoiseModel:
     return NoiseModel(alphabet, "additive", q)
@@ -113,7 +108,7 @@ def permutation_noise(alphabet: Alphabet, perms, probs) -> NoiseModel:
 
 def kappa(noise: NoiseModel) -> float:
     """Uniform-mixture weight |Sigma| * min q (channel-matrix min for the
-    permutation kind, flagged derived)."""
+    permutation kind)."""
     if noise.kind == "additive":
         return noise.alphabet.size * float(noise.q.min())
     return noise.alphabet.size * float(channel_matrix(noise).min())

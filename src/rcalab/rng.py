@@ -46,9 +46,9 @@ class CounterRng:
     def block(self, lane: int, t: int = 0, index: int = 0) -> np.random.Generator:
         """Fresh generator for the (lane, t, index) stream."""
         counter = self._counter(lane, t, index)
-        return np.random.Generator(
-            np.random.Philox(key=[self.seed, self.stream], counter=counter)
-        )
+        # a uint64 array: a list holding a value >= 2^63 would pass through float64
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def seek(self, gen: np.random.Generator, lane: int, t: int = 0, index: int = 0) -> None:
         """Move gen, a generator from this CounterRng's block(), to the

@@ -32,7 +32,7 @@ def test_de_bruijn_counts():
     outs = np.zeros(4, dtype=int)
     ins = np.zeros(4, dtype=int)
     for w in range(8):
-        src, dst = auto.edge_endpoints(w)
+        src, dst = w // auto.size, w % auto.n_states
         outs[src] += 1
         ins[dst] += 1
     assert (outs == 2).all() and (ins == 2).all()

@@ -450,3 +450,40 @@ def test_verify_bounds_instance_honours_cap(tmp_path, monkeypatch, key):
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / str(cap))]) == code
         # a cap below the horizon cone fails before any t is solved
         assert bool(calls) == (code == 0)
+
+
+def test_verify_bounds_non_finite_output_is_exit_1(tmp_path):
+    # alpha e^(-beta t) n^((d-1)/2) = 1e308 * 2 overflows to inf at t = 0
+    instance = {
+        "rule": {"alphabet": [2], "neighborhood": [[0, 0], [1, 0]], "table": [0, 1, 1, 0]},
+        "noise": NOISE,
+        "window": {"hypercube": 4, "dim": 2},
+        "horizon": 0, "alpha": 1e308, "beta": 0.5,
+    }
+    doc = {
+        "kind": "verify-bounds", "seed": 1,
+        "params": {"checks": ["decay-envelope"], "decay_instance": instance},
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "verify-bounds.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "fmt, method",
+    [("csv", "table"), ("jsonl", "table"), ("csv", "json_doc"), ("csv", "json_lines")],
+)
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_writer_refuses_non_finite_before_opening(tmp_path, fmt, method, bad):
+    from rcalab.cli import OutputWriter
+
+    writer = OutputWriter(str(tmp_path), {"kind": "simulate"}, 0, fmt)
+    args = {
+        "table": (["x", "y"], [[1.0, 2], [bad, 3]]),
+        "json_doc": ({"x": {"y": [1.0, bad]}},),
+        "json_lines": ([{"x": 1.0}, {"x": bad}],),
+    }[method]
+    with pytest.raises(ValueError):
+        getattr(writer, method)("out", *args)
+    assert list(tmp_path.iterdir()) == []

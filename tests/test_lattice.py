@@ -4,7 +4,6 @@ import pytest
 from rcalab.lattice import (
     Alphabet,
     CellSet,
-    Window,
     diameter,
     hypercube,
     moore,
@@ -12,6 +11,7 @@ from rcalab.lattice import (
     translate,
     encode_patterns,
     decode_patterns,
+    marginalize_patterns,
 )
 
 
@@ -25,7 +25,6 @@ def test_alphabet_basics():
     z6 = Alphabet((2, 3))
     assert z6.size == 6
     assert z6.encode((1, 2)) == 5
-    assert z6.decode(5) == (1, 2)
     # componentwise addition
     assert z6.add(z6.encode((1, 2)), z6.encode((1, 1))) == z6.encode((0, 0))
 
@@ -105,8 +104,7 @@ def test_moore_hypercube_count():
 
 
 def test_window_and_translate():
-    w = Window((2,), 3)
-    assert w.cell_set().cells == ((2,), (3,), (4,))
+    assert hypercube(3, anchor=(2,)).cells == ((2,), (3,), (4,))
     assert hypercube(2, 2).cells == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert translate(hypercube(2), (5,)).cells == ((5,), (6,))
 
@@ -117,3 +115,25 @@ def test_pattern_codec_roundtrip():
         codes = rng.integers(0, base ** 5, size=64)
         symbols = decode_patterns(codes, 5, base)
         assert np.array_equal(encode_patterns(symbols, base), codes)
+
+
+def test_marginalize_patterns_matches_code_loop():
+    # Z3 on the 3x3 square, keeping three cells that are not a prefix
+    window, sub = hypercube(3, 2), CellSet([(0, 1), (2, 0), (2, 2)])
+    keep = [window.cells.index(c) for c in sub.cells]
+    rng = np.random.default_rng(9)
+    probs = rng.dirichlet(np.ones(3 ** 9))
+    counts = rng.integers(0, 50, size=(4, 3 ** 9))  # a leading (T+1) axis
+    expect_p, expect_c = np.zeros(27), np.zeros((4, 27), dtype=np.int64)
+    for code in range(3 ** 9):
+        digits = [code // 3 ** (8 - i) % 3 for i in range(9)]
+        sub_code = sum(digits[k] * 3 ** (2 - j) for j, k in enumerate(keep))
+        expect_p[sub_code] += probs[code]
+        expect_c[:, sub_code] += counts[:, code]
+    assert np.allclose(marginalize_patterns(probs, window, sub, 3), expect_p, rtol=1e-12, atol=0)
+    got = marginalize_patterns(counts, window, sub, 3)
+    assert got.dtype == np.int64 and np.array_equal(got, expect_c)
+    assert np.array_equal(marginalize_patterns(counts, window, window, 3), counts)
+    assert np.array_equal(marginalize_patterns(probs, window, window, 3), probs)
+    with pytest.raises(ValueError):
+        marginalize_patterns(probs, window, CellSet([(0, 1), (3, 0)]), 3)

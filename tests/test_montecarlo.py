@@ -125,21 +125,21 @@ def test_generators():
 
 def test_mixing_time_identity_is_8():
     fam = adversarial_family(IDENT, Q91, CellSet([0]), horizon=14, replicates=100_000, seed=11)
-    est = estimate_mixing_time(fam, 0.1)
+    est = estimate_mixing_time(fam, [window_pattern_counts(p) for p in fam], 0.1)
     assert est.converged and est.t_mix == 8
     assert est.monotone_within_3sigma
 
 
 def test_mixing_time_trivial_epsilon():
     fam = adversarial_family(IDENT, Q91, CellSet([0]), horizon=4, replicates=5000, seed=2)
-    est = estimate_mixing_time(fam, 0.9)
+    est = estimate_mixing_time(fam, [window_pattern_counts(p) for p in fam], 0.9)
     assert est.t_mix == 0
 
 
 def test_mixing_horizon_exhausted():
     fam = adversarial_family(IDENT, Q91, CellSet([0]), horizon=2, replicates=5000, seed=2)
-    est = estimate_mixing_time(fam, 0.01)
-    assert not est.converged and est.lower_bound_only
+    est = estimate_mixing_time(fam, [window_pattern_counts(p) for p in fam], 0.01)
+    assert not est.converged
     assert est.t_mix == 3  # lower bound horizon + 1
 
 
@@ -155,7 +155,7 @@ def test_mixing_matches_exact_rule90():
         exact_curve.append(tv_to_uniform(marg))
     t_exact = next(t for t, d in enumerate(exact_curve) if d <= eps)
     fam = adversarial_family(R90, Q91, hypercube(2), horizon=10, replicates=50_000, seed=5)
-    est = estimate_mixing_time(fam, eps)
+    est = estimate_mixing_time(fam, [window_pattern_counts(p) for p in fam], eps)
     assert abs(est.t_mix - t_exact) <= 1
 
 

@@ -103,7 +103,6 @@ def test_permutation_noise_channel():
     assert np.allclose(ch.sum(axis=1), 1.0)
     assert ch.min() > 0
     assert kappa(noise) == pytest.approx(3 * 0.1)
-    assert noise.kappa_is_derived
 
     # a permutation with probability concentrated enough to zero an entry
     with pytest.raises(ValueError):

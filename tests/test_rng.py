@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,6 @@ def _draw_some(gen, kind, n):
         gen.integers(0, 2**32, dtype=np.uint32)  # leaves has_uint32 set
 
 
-# numpy casts a key list holding a value >= 2^63 through float64 and warns;
-# seek keeps whatever key block() got, so it must still match there
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -53,3 +52,24 @@ def test_bad_addresses_are_refused(address):
         rng.block(*address)
     with pytest.raises(ValueError):
         rng.seek(gen, *address)
+
+
+def test_keys_keep_all_64_bits():
+    # seeds past 2^63 keep their low bits and no longer collide with seed 0
+    assert not np.array_equal(
+        CounterRng(2**63 + 1000).block(2).random(8), CounterRng(2**63).block(2).random(8)
+    )
+    assert not np.array_equal(
+        CounterRng(3, 2**63 + 1).block(2).random(8), CounterRng(3, 2**63).block(2).random(8)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = CounterRng(2**64 - 1).block(2).random(8)
+    assert not np.array_equal(top, CounterRng(0).block(2).random(8))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 37, 2**62])
+def test_keys_below_2_63_unchanged(seed):
+    # the key numpy builds from the plain list, for every seed the schema took before
+    old = np.random.Generator(np.random.Philox(key=[seed, 5], counter=(2 << 192) | (3 << 64)))
+    assert np.array_equal(CounterRng(seed, 5).block(2, 3).random(16), old.random(16))
