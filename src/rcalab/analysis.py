@@ -156,7 +156,7 @@ def test_injective(rule: LocalRule) -> bool:
         alive = trimmed
 
 
-def preimage_count_oracle(rule: LocalRule, w, enum_cap: int = ORACLE_ENUM_CAP) -> int:
+def preimage_count_oracle(rule: LocalRule, w) -> int:
     """Number of words of length |w| + m - 1 whose sliding image is w
     (brute-force ground truth; m is the raw contiguous span)."""
     _require_1d(rule)
@@ -164,9 +164,9 @@ def preimage_count_oracle(rule: LocalRule, w, enum_cap: int = ORACLE_ENUM_CAP) -
     _, m, table = contiguous_table(rule)
     size = rule.alphabet.size
     length = len(word) + m - 1
-    if size ** length > enum_cap:
+    if size ** length > ORACLE_ENUM_CAP:
         raise CapExceededError(
-            f"{size}^{length} words exceed the enumeration cap {enum_cap}"
+            f"{size}^{length} words exceed the enumeration cap {ORACLE_ENUM_CAP}"
         )
     codes = np.arange(size ** length, dtype=np.int64)
     slots = decode_patterns(codes, length, size)

@@ -184,7 +184,6 @@ def check_block_superadditivity(
     r: int = 0,
     t: int = 0,
     padding=None,
-    cap: int | None = None,
 ) -> BoundReport:
     """Assemble k^d independent copies of the block law at the bootstrap
     positions (padding cells iid, uniform by default) and verify the exact
@@ -196,7 +195,7 @@ def check_block_superadditivity(
     size = block.alphabet.size
     layout = bootstrap_layout(n, k, r, t, d)
     big = layout.big_window()
-    check_cap(size ** len(big), cap)
+    check_cap(size ** len(big))
     if padding is None:
         padding = np.full(size, 1.0 / size)
     padding = np.asarray(padding, dtype=np.float64)
@@ -221,7 +220,7 @@ def check_block_superadditivity(
         joint = np.multiply.outer(joint, tns)
     order = [axis_cells.index(c) for c in big.cells]
     joint = np.transpose(joint, order).reshape(-1)
-    assembled = WindowDistribution(big, block.alphabet, joint, cap=cap)
+    assembled = WindowDistribution(big, block.alphabet, joint)
 
     lhs = deficiency(assembled)
     rhs = (k ** d) * deficiency(block)
@@ -315,15 +314,10 @@ def proof_rate_constants(
     return a1, b1, c1
 
 
-def noise_lemma_suite(
-    alphabets,
-    n_instances: int,
-    seed: int,
-    joint_max: int = 3,
-    cond_states: int = 3,
-) -> list[BoundReport]:
+def noise_lemma_suite(alphabets, n_instances: int, seed: int) -> list[BoundReport]:
     """Randomized property harness over all three lemma variants: Dirichlet
-    inputs, strictly positive random q."""
+    inputs, strictly positive random q, joint laws on Sigma^n for n = 1..3
+    and conditional laws with 3 conditioning states."""
     rng = np.random.default_rng(seed)
     reports = []
     alphabets = [Alphabet(tuple(f)) for f in alphabets]
@@ -335,9 +329,9 @@ def noise_lemma_suite(
             noise = NoiseModel(alphabet, "additive", q / q.sum())
             p = rng.dirichlet(np.ones(size))
             reports.append(check_noise_lemma(p, noise, "scalar"))
-            n = int(rng.integers(1, joint_max + 1))
+            n = int(rng.integers(1, 4))
             pj = rng.dirichlet(np.ones(size ** n))
             reports.append(check_noise_lemma(pj, noise, "joint"))
-            pc = rng.dirichlet(np.ones(cond_states * size)).reshape(cond_states, size)
+            pc = rng.dirichlet(np.ones(3 * size)).reshape(3, size)
             reports.append(check_noise_lemma(pc, noise, "conditional"))
     return reports

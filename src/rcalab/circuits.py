@@ -39,6 +39,10 @@ __all__ = [
     "network_from_json",
 ]
 
+# worst_case_curve's exact/sampled threshold and its sampled initial count
+EXACT_STATES = 2 ** 20
+SAMPLED_INITIALS = 256
+
 
 @dataclass(frozen=True)
 class Translate:
@@ -184,9 +188,9 @@ class ReversibleNetwork:
         rng = CounterRng(seed).block(LANE_SCHEDULE, t)
         return int(rng.integers(len(self.layers)))
 
-    def layer_permutation(self, layer_index: int, cap: int | None = None) -> np.ndarray:
+    def layer_permutation(self, layer_index: int) -> np.ndarray:
         """Dense permutation P with state x mapping to P[x]."""
-        check_cap(self.n_states, cap)
+        check_cap(self.n_states)
         cols = decode_patterns(
             np.arange(self.n_states, dtype=np.int64), self.n_sites, self.alphabet.size
         )
@@ -240,29 +244,23 @@ def evolve_chain_exact(
     return WindowDistribution(dist.window, dist.alphabet, probs[0])
 
 
-def worst_case_curve(
-    network: ReversibleNetwork,
-    noise: NoiseModel,
-    t_max: int,
-    exact_cap: int = 2 ** 20,
-    sample_size: int = 256,
-    seed: int = 0,
-):
+def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     """Worst-case TV distance to uniform (and worst-case deficiency) for
-    t = 0..t_max.
+    t = 0..t_max, with the mode that produced them.
 
-    Exact mode maximizes over all point-mass initials; above exact_cap it
-    falls back to sampled-sup over `sample_size` random initials, which is
-    only a lower bound and is flagged in the result.  Initials are evolved in
-    chunks of at most STATE_CAP probabilities.
+    Mode "exact" maximizes over all point-mass initials; a network with more
+    than EXACT_STATES states is maximized over SAMPLED_INITIALS random
+    initials (seed 0) instead, mode "sampled-lower-bound", a lower bound on
+    the sup.  Initials are evolved in chunks of at most STATE_CAP
+    probabilities.
     """
     k_states = network.n_states
-    exact = k_states <= exact_cap
+    exact = k_states <= EXACT_STATES
     if exact:
         initials = np.arange(k_states, dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
-        initials = rng.integers(0, k_states, size=min(sample_size, k_states))
+        rng = np.random.default_rng(0)
+        initials = rng.integers(0, k_states, size=SAMPLED_INITIALS)
     channel = channel_matrix(noise)
     uniform = 1.0 / k_states
     h_max_total = network.n_sites * network.alphabet.h_max
@@ -288,12 +286,10 @@ def worst_case_curve(
     return d_curve, xi_curve, ("exact" if exact else "sampled-lower-bound")
 
 
-def worst_case_distance(
-    network: ReversibleNetwork, noise: NoiseModel, t: int, exact_cap: int = 2 ** 20
-):
+def worst_case_distance(network: ReversibleNetwork, noise: NoiseModel, t: int):
     """Max over point-mass initials of TV(law at t, uniform); returns
     (value, mode)."""
-    d_curve, _, mode = worst_case_curve(network, noise, t, exact_cap=exact_cap)
+    d_curve, _, mode = worst_case_curve(network, noise, t)
     return float(d_curve[t]), mode
 
 
@@ -311,13 +307,10 @@ def chain_mixing_time(
     noise: NoiseModel,
     epsilon: float,
     horizon: int = 512,
-    exact_cap: int = 2 ** 20,
 ) -> ChainMixing:
     """Smallest t with worst-case distance <= epsilon; when the horizon runs
     out, converged=False and t_mix holds the lower bound horizon + 1."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
-    d_curve, _, mode = worst_case_curve(network, noise, horizon, exact_cap=exact_cap)
+    d_curve, _, mode = worst_case_curve(network, noise, horizon)
     t_mix, converged = mixing_time(d_curve, epsilon)
     return ChainMixing(epsilon, t_mix, converged, mode, d_curve)
 
@@ -329,12 +322,10 @@ def finite_bound_rhs(network: ReversibleNetwork, noise: NoiseModel, t: int) -> f
     return math.sqrt(h / 2.0) * math.sqrt(n) * (1.0 - kappa(noise)) ** (t / 2.0)
 
 
-def check_finite_bound(
-    network: ReversibleNetwork, noise: NoiseModel, t: int, exact_cap: int = 2 ** 20
-) -> BoundReport:
+def check_finite_bound(network: ReversibleNetwork, noise: NoiseModel, t: int) -> BoundReport:
     """Decay bound d(t) <= sqrt(h_max/2) |A|^(1/2) (1-kappa)^(t/2), with the
     entropy form Xi(X^t) <= (1-kappa)^t |A| h_max carried in params."""
-    d_curve, xi_curve, mode = worst_case_curve(network, noise, t, exact_cap=exact_cap)
+    d_curve, xi_curve, mode = worst_case_curve(network, noise, t)
     k, n = kappa(noise), network.n_sites
     lhs, rhs = float(d_curve[t]), finite_bound_rhs(network, noise, t)
     xi_bound = (1.0 - k) ** t * n * network.alphabet.h_max

@@ -7,8 +7,8 @@ results into --out with a metadata header recording the artifact version,
 the config hash, and the seed; re-running a config reproduces the files
 byte-identically except for the timestamp line.
 
-Exit codes: 0 ok, 1 config/schema error, 2 state-space cap exceeded,
-3 bound violation in verify-bounds mode.
+Exit codes: 0 ok, 1 config/schema error or a non-finite result, 2
+state-space cap exceeded, 3 bound violation in verify-bounds mode.
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ EXIT_BOUND = 3
 
 class ConfigError(Exception):
     pass
+
+
+class NonFiniteOutputError(ValueError):
+    """A computed number bound for an output file is inf or NaN."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,13 +171,16 @@ class OutputWriter:
 
 
 def _dumps(doc, **kw) -> str:
-    return json.dumps(doc, sort_keys=True, allow_nan=False, **kw)
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False, **kw)
+    except ValueError as exc:
+        raise NonFiniteOutputError(str(exc)) from exc
 
 
 def _fmt_cell(v):
     if isinstance(v, float):
         if not math.isfinite(v):
-            raise ValueError("non-finite value in output")
+            raise NonFiniteOutputError(f"{v!r} in a table")
         return repr(v)
     return v
 
@@ -216,7 +223,7 @@ def _cone_problems(inst: dict):
     pos = {c: i for i, c in enumerate(cone.cells)}
     for t in range(horizon + 1):
         cells = dependence_cone(window, rule, t).cells
-        yield ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]], cap=cap)
+        yield ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]])
 
 
 def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
@@ -415,8 +422,8 @@ def run_circuit_mix(params: dict, seed: int, writer: OutputWriter) -> int:
     noise = noise_from_json(params["noise"])
     horizon = int(params["horizon"])
     epsilon = float(params.get("epsilon", 0.01))
-    exact_cap = int(params.get("exact_cap", 2 ** 20))
-    d_curve, xi_curve, mode = worst_case_curve(network, noise, horizon, exact_cap=exact_cap)
+    d_curve, xi_curve, mode = worst_case_curve(network, noise, horizon)
+    t_mix, converged = mixing_time(d_curve, epsilon)
     h_total = network.n_sites * network.alphabet.h_max
     rows = [
         [t, float(d_curve[t]), finite_bound_rhs(network, noise, t), float(h_total - xi_curve[t]),
@@ -425,7 +432,6 @@ def run_circuit_mix(params: dict, seed: int, writer: OutputWriter) -> int:
     ]
     writer.meta["sup-mode"] = mode
     writer.table("circuit-mix", ["t", "d_phi", "bound_rhs", "H", "Xi"], rows)
-    t_mix, converged = mixing_time(d_curve, epsilon)
     writer.table(
         "circuit-mix-summary",
         ["epsilon", "t_mix", "converged", "mode"],
@@ -477,6 +483,9 @@ def main(argv=None) -> int:
         return run_circuit_mix(params, seed, writer)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NonFiniteOutputError as exc:
+        print(f"error: non-finite result, file not written: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (KeyError, ValueError, TypeError) as exc:
         print(f"error: invalid config value: {exc}", file=sys.stderr)

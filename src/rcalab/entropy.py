@@ -43,6 +43,9 @@ class CapExceededError(Exception):
 
 
 def check_cap(n_states: int, cap: int | None = None):
+    """Refuse a state space larger than cap, STATE_CAP by default.  Engines
+    call it with no cap before they allocate; an explicit cap is the config's
+    `cap` key, checked by the CLI on an exact-law instance's horizon cone."""
     cap = STATE_CAP if cap is None else cap
     if n_states > cap:
         raise CapExceededError(f"state space of size {n_states} exceeds cap {cap}")
@@ -58,9 +61,9 @@ class WindowDistribution:
     alphabet: Alphabet
     probs: np.ndarray
 
-    def __init__(self, window, alphabet, probs, cap: int | None = None):
+    def __init__(self, window, alphabet, probs):
         n_states = alphabet.size ** len(window)
-        check_cap(n_states, cap)
+        check_cap(n_states)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (n_states,):
             raise ValueError(f"probability vector must have {n_states} entries")
@@ -81,31 +84,31 @@ class WindowDistribution:
         return self.n_cells * self.alphabet.h_max
 
     @classmethod
-    def uniform(cls, window, alphabet, cap=None):
+    def uniform(cls, window, alphabet):
         n = alphabet.size ** len(window)
-        check_cap(n, cap)
-        return cls(window, alphabet, np.full(n, 1.0 / n), cap=cap)
+        check_cap(n)
+        return cls(window, alphabet, np.full(n, 1.0 / n))
 
     @classmethod
-    def point_mass(cls, window, alphabet, pattern_code: int, cap=None):
+    def point_mass(cls, window, alphabet, pattern_code: int):
         n = alphabet.size ** len(window)
-        check_cap(n, cap)
+        check_cap(n)
         probs = np.zeros(n)
         probs[int(pattern_code)] = 1.0
-        return cls(window, alphabet, probs, cap=cap)
+        return cls(window, alphabet, probs)
 
     @classmethod
-    def product_of_cells(cls, window, alphabet, cell_laws, cap=None):
+    def product_of_cells(cls, window, alphabet, cell_laws):
         """Independent per-cell laws assembled into a joint distribution
         (cell_laws in the window's canonical cell order)."""
         cell_laws = [np.asarray(p, dtype=np.float64) for p in cell_laws]
         if len(cell_laws) != len(window):
             raise ValueError("one per-cell law per window cell required")
-        check_cap(alphabet.size ** len(window), cap)
+        check_cap(alphabet.size ** len(window))
         probs = np.ones(1)
         for p in cell_laws:
             probs = np.multiply.outer(probs, p).reshape(-1)
-        return cls(window, alphabet, probs, cap=cap)
+        return cls(window, alphabet, probs)
 
     def marginal(self, sub_window: CellSet) -> "WindowDistribution":
         """Exact marginal on a subset of the window's cells."""
@@ -181,7 +184,10 @@ def mixing_time(curve, epsilon: float) -> tuple[int, bool]:
     """First passage of a distance curve d(0..T) below epsilon: (t_mix,
     True) with t_mix the smallest t where d(t) <= epsilon, or (T + 1, False),
     a lower bound, when the curve never gets there (Levin, Peres & Wilmer,
-    Markov Chains and Mixing Times, 2nd ed., 2017, sec. 4.5)."""
+    Markov Chains and Mixing Times, 2nd ed., 2017, sec. 4.5).  epsilon must
+    lie in (0, 1)."""
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must be in (0, 1)")
     hit = np.flatnonzero(np.asarray(curve) <= epsilon)
     return (int(hit[0]), True) if hit.size else (len(curve), False)
 

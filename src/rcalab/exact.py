@@ -55,7 +55,6 @@ class ConeProblem:
     window: CellSet
     horizon: int
     initial: object
-    cap: int | None = None
 
     def __post_init__(self):
         if self.rule.alphabet.factors != self.noise.alphabet.factors:
@@ -64,8 +63,7 @@ class ConeProblem:
             raise ValueError("window dimension does not match the rule")
         if len(self.window) == 0:
             raise ValueError("window must be non-empty")
-        cone = self.cone()
-        check_cap(self.rule.alphabet.size ** len(cone), self.cap)
+        check_cap(self.rule.alphabet.size ** len(self.cone()))
 
     def cone(self) -> CellSet:
         return dependence_cone(self.window, self.rule, self.horizon)
@@ -94,7 +92,7 @@ class ConeProblem:
         if symbols is None:
             return self.initial
         code = int(symbols @ pattern_strides(len(symbols), self.rule.alphabet.size))
-        return WindowDistribution.point_mass(self.cone(), self.rule.alphabet, code, cap=self.cap)
+        return WindowDistribution.point_mass(self.cone(), self.rule.alphabet, code)
 
 
 def _neighbour_slots(source: CellSet, rule: LocalRule, target: CellSet) -> np.ndarray:

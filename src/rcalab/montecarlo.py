@@ -290,8 +290,6 @@ def estimate_mixing_time(plans, counts, epsilon: float) -> MixingEstimate:
     distance over the plan family (a certified lower-bound family for the sup
     over all initial configurations).  counts[i] are plan i's window pattern
     counts, or their marginal on a sub-window of the plans' window."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
     plans = list(plans)
     window = plans[0].window
     horizon = plans[0].horizon
@@ -328,22 +326,16 @@ def adversarial_family(
     horizon: int,
     replicates: int,
     seed: int,
-    sides=None,
     n_random: int = 8,
-    allow_wrap: bool = False,
 ) -> list[SimulationPlan]:
     """Default initial-configuration family for distance-to-uniform sups:
     all-zeros, all-ones, checkerboard, and n_random seeded-random starts,
-    each on its own stream."""
-    if sides is None:
-        need = diameter(window) + 2 * rule.radius * horizon + 1
-        sides = (max(need, 2 * rule.radius + 1),) * rule.dim
+    each on its own stream, on the smallest torus free of wrap-around."""
+    need = diameter(window) + 2 * rule.radius * horizon + 1
+    sides = (max(need, 2 * rule.radius + 1),) * rule.dim
     gens = ["all-zeros", "all-ones", "checkerboard"] + ["seeded-random"] * n_random
     return [
-        SimulationPlan(
-            rule, noise, tuple(sides), g, horizon, replicates, seed,
-            window, stream=i, allow_wrap=allow_wrap,
-        )
+        SimulationPlan(rule, noise, sides, g, horizon, replicates, seed, window, stream=i)
         for i, g in enumerate(gens)
     ]
 

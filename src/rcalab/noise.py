@@ -93,10 +93,6 @@ class NoiseModel:
             if ch.min() <= 0:
                 raise ValueError("permutation channel must have all entries positive")
 
-    @property
-    def kappa(self) -> float:
-        return kappa(self)
-
 
 def additive_noise(alphabet: Alphabet, q) -> NoiseModel:
     return NoiseModel(alphabet, "additive", q)
@@ -107,10 +103,8 @@ def permutation_noise(alphabet: Alphabet, perms, probs) -> NoiseModel:
 
 
 def kappa(noise: NoiseModel) -> float:
-    """Uniform-mixture weight |Sigma| * min q (channel-matrix min for the
-    permutation kind)."""
-    if noise.kind == "additive":
-        return noise.alphabet.size * float(noise.q.min())
+    """Uniform-mixture weight |Sigma| * min C of the channel matrix C; for
+    additive noise each entry of C is one q value, so this is |Sigma| * min q."""
     return noise.alphabet.size * float(channel_matrix(noise).min())
 
 
@@ -133,10 +127,9 @@ def decompose(noise: NoiseModel):
 def channel_matrix(noise: NoiseModel) -> np.ndarray:
     """Single-cell transition matrix C[a, b] = Pr(output=b | input=a)."""
     size = noise.alphabet.size
-    ch = np.zeros((size, size))
-    for p, w in zip(noise.perm_table, noise.q):
-        ch[np.arange(size), p] += w
-    return ch
+    # flat index a * size + b of each (z, a); bincount adds in z order from 0.0
+    idx = noise.perm_table + np.arange(0, size * size, size)
+    return np.bincount(idx.ravel(), np.repeat(noise.q, size), size * size).reshape(size, size)
 
 
 def convolve_sites(probs: np.ndarray, channel: np.ndarray, n_sites: int) -> np.ndarray:

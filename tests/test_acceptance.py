@@ -63,7 +63,7 @@ def test_criterion_1_closed_form_decay():
 def test_criterion_2_noise_lemma_suite():
     start = time.time()
     # 500 instances per alphabet x 2 alphabets = 1000 per variant
-    reports = noise_lemma_suite([[2], [3]], 500, seed=8, joint_max=3)
+    reports = noise_lemma_suite([[2], [3]], 500, seed=8)
     by_variant = {}
     for r in reports:
         by_variant.setdefault(r.claim, []).append(r)
@@ -179,11 +179,11 @@ def test_criterion_6_bootstrap_geometry_and_superadditivity():
         probs = rng.dirichlet(np.ones(2 ** len(window)))
         block = WindowDistribution(window, Z2, probs)
         padding = rng.dirichlet([2, 2]) if pad_kind == "random" else None
-        rep = check_block_superadditivity(block, k, r=r, t=t, padding=padding, cap=2 ** 20)
+        rep = check_block_superadditivity(block, k, r=r, t=t, padding=padding)
         assert rep.ok, (n, d, k, r, t)
         # point-mass block: assembled deficiency >= k^d |block| h_max
         point = WindowDistribution.point_mass(window, Z2, 0)
-        rep_pt = check_block_superadditivity(point, k, r=r, t=t, cap=2 ** 20)
+        rep_pt = check_block_superadditivity(point, k, r=r, t=t)
         assert rep_pt.ok
         assert rep_pt.lhs >= k ** d * len(window) * math.log(2) - 1e-9
     _report(6, time.time() - start, 30.0, "1000 layouts + exact superadditivity")
@@ -195,7 +195,7 @@ def test_criterion_7_finite_reversible_computer():
     t_mix = {}
     for n_bits in (2, 4, 6, 8, 10):
         network = alternating_cnot_network(n_bits)
-        d_curve, xi_curve, mode = worst_case_curve(network, Q91, 40, exact_cap=2 ** 20)
+        d_curve, xi_curve, mode = worst_case_curve(network, Q91, 40)
         assert mode == "exact"
         for t in range(41):
             rhs = math.sqrt(h / 2) * math.sqrt(n_bits) * 0.8 ** (t / 2)

@@ -259,6 +259,27 @@ def test_circuit_mix_output(tmp_path):
     assert summary[0]["converged"] == "True"
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5])
+def test_circuit_mix_epsilon_outside_unit_interval(tmp_path, epsilon):
+    doc = {
+        "kind": "circuit-mix",
+        "params": {
+            "network": {
+                "sites": 3,
+                "alphabet": [2],
+                "layers": [[{"gate": "cadd", "sites": [0, 1]}], [{"gate": "cadd", "sites": [1, 2]}]],
+            },
+            "noise": NOISE,
+            "horizon": 4,
+            "epsilon": epsilon,
+        },
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["circuit-mix", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_user_pattern_generator(tmp_path):
     doc = {
         "kind": "simulate",
@@ -452,7 +473,7 @@ def test_verify_bounds_instance_honours_cap(tmp_path, monkeypatch, key):
         assert bool(calls) == (code == 0)
 
 
-def test_verify_bounds_non_finite_output_is_exit_1(tmp_path):
+def test_verify_bounds_non_finite_output_is_exit_1(tmp_path, capsys):
     # alpha e^(-beta t) n^((d-1)/2) = 1e308 * 2 overflows to inf at t = 0
     instance = {
         "rule": {"alphabet": [2], "neighborhood": [[0, 0], [1, 0]], "table": [0, 1, 1, 0]},
@@ -468,6 +489,8 @@ def test_verify_bounds_non_finite_output_is_exit_1(tmp_path):
     out = tmp_path / "out"
     assert main(["verify-bounds", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "verify-bounds.jsonl").exists()
+    err = capsys.readouterr().err
+    assert "non-finite result" in err and "config" not in err
 
 
 @pytest.mark.parametrize(

@@ -192,7 +192,7 @@ def test_pinsker_on_exact_outputs():
 
 def test_cap_enforced():
     with pytest.raises(CapExceededError):
-        ConeProblem(R90, Q91, hypercube(2), 20, 0, cap=2 ** 16)
+        ConeProblem(R90, Q91, hypercube(2), 20, 0)
 
 
 def test_renormalization_drift():

@@ -30,6 +30,17 @@ def test_kappa_examples():
     assert kappa(additive_noise(Z3, [0.5, 0.25, 0.25])) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("factors", [(2,), (3,), (2, 2)])
+def test_kappa_additive_is_size_times_min_q(factors):
+    # each channel entry of additive noise is one q value added to 0.0
+    alphabet = Alphabet(factors)
+    rng = np.random.default_rng(len(factors) * 10 + alphabet.size)
+    for _ in range(50):
+        q = rng.dirichlet(np.ones(alphabet.size)) + 1e-3
+        noise = additive_noise(alphabet, q / q.sum())
+        assert kappa(noise) == alphabet.size * float(noise.q.min())
+
+
 def test_decompose_examples():
     k, qt = decompose(additive_noise(Z2, [0.9, 0.1]))
     assert k == pytest.approx(0.2)
