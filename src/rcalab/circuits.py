@@ -16,7 +16,7 @@ from .entropy import STATE_CAP, WindowDistribution, check_cap, entropy_rows, mix
 # not called here; kept because perfbench/tracer.py patches circuits.entropy_vec
 from .entropy import entropy_vec  # noqa: F401
 from .lattice import Alphabet, decode_patterns, encode_patterns, hypercube
-from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
+from .noise import NoiseModel, channel_matrix, convolve_sites, kappa, site_blocks
 from .rng import CounterRng, LANE_SCHEDULE
 
 __all__ = [
@@ -39,9 +39,11 @@ __all__ = [
     "network_from_json",
 ]
 
-# worst_case_curve's exact/sampled threshold and its sampled initial count
+# worst_case_curve's exact/sampled threshold, its sampled initial count, and
+# how many initials it evolves together
 EXACT_STATES = 2 ** 20
 SAMPLED_INITIALS = 256
+CHAIN_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -200,11 +202,13 @@ class ReversibleNetwork:
         return perm
 
 
-def _permute_rows(mat: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    # pushforward through x -> perm[x]: new[perm[j]] = old[j]
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    return np.take(mat, inverse, axis=-1)
+def _permute_states(probs: np.ndarray, perm: np.ndarray, out: np.ndarray | None = None):
+    """Pushforward of state-major laws through x -> perm[x]: row x of probs
+    becomes row perm[x] of out (new when not given), one contiguous row
+    scatter."""
+    out = np.empty_like(probs) if out is None else out
+    out[perm] = probs
+    return out
 
 
 def _check_chain_law(dist: WindowDistribution, network: ReversibleNetwork):
@@ -218,8 +222,7 @@ def apply_layer(
     """Push a law on hypercube(n_sites) through one bijective layer (entropy
     is exactly preserved)."""
     _check_chain_law(dist, network)
-    perm = network.layer_permutation(layer_index)
-    probs = _permute_rows(dist.probs[None, :], perm)[0]
+    probs = _permute_states(dist.probs, network.layer_permutation(layer_index))
     return WindowDistribution(dist.window, dist.alphabet, probs)
 
 
@@ -235,13 +238,12 @@ def evolve_chain_exact(
     _check_chain_law(dist, network)
     if noise.alphabet.factors != network.alphabet.factors:
         raise ValueError("noise and network alphabets differ")
-    channel = channel_matrix(noise)
-    probs = dist.probs[None, :].copy()
+    blocks = site_blocks(channel_matrix(noise), network.n_sites)
+    probs = dist.probs
     for step in range(start + 1, start + t + 1):
-        perm = network.layer_permutation(network.layer_index_at(step))
-        probs = _permute_rows(probs, perm)
-        probs = convolve_sites(probs, channel, network.n_sites)
-    return WindowDistribution(dist.window, dist.alphabet, probs[0])
+        probs = _permute_states(probs, network.layer_permutation(network.layer_index_at(step)))
+        probs = convolve_sites(probs, blocks, network.n_sites)
+    return WindowDistribution(dist.window, dist.alphabet, probs)
 
 
 def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
@@ -251,8 +253,10 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     Mode "exact" maximizes over all point-mass initials; a network with more
     than EXACT_STATES states is maximized over SAMPLED_INITIALS random
     initials (seed 0) instead, mode "sampled-lower-bound", a lower bound on
-    the sup.  Initials are evolved in chunks of at most STATE_CAP
-    probabilities.
+    the sup.  The initials run through the whole horizon in batches of
+    CHAIN_BATCH, held state-major as the columns of one (n_states, batch)
+    matrix; a batch holds at most STATE_CAP probabilities, so very large
+    networks run fewer initials at a time (at least one).
     """
     k_states = network.n_states
     exact = k_states <= EXACT_STATES
@@ -261,28 +265,30 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     else:
         rng = np.random.default_rng(0)
         initials = rng.integers(0, k_states, size=SAMPLED_INITIALS)
-    channel = channel_matrix(noise)
+    blocks = site_blocks(channel_matrix(noise), network.n_sites)
     uniform = 1.0 / k_states
     h_max_total = network.n_sites * network.alphabet.h_max
     perms = {}
     d_curve = np.zeros(t_max + 1)
     xi_curve = np.zeros(t_max + 1)
-    chunk = max(1, STATE_CAP // k_states)
-    for lo in range(0, initials.size, chunk):
-        batch_idx = initials[lo : lo + chunk]
-        mat = np.zeros((batch_idx.size, k_states))
-        mat[np.arange(batch_idx.size), batch_idx] = 1.0
-        tv0 = 0.5 * np.abs(mat - uniform).sum(axis=1).max()
-        d_curve[0] = max(d_curve[0], tv0)
-        xi_curve[0] = h_max_total
-        for t in range(1, t_max + 1):
-            li = network.layer_index_at(t)
-            if li not in perms:
-                perms[li] = network.layer_permutation(li)
-            mat = _permute_rows(mat, perms[li])
-            mat = convolve_sites(mat, channel, network.n_sites)
-            d_curve[t] = max(d_curve[t], 0.5 * np.abs(mat - uniform).sum(axis=1).max())
-            xi_curve[t] = max(xi_curve[t], h_max_total - entropy_rows(mat).min())
+    xi_curve[0] = h_max_total
+    width = max(1, min(CHAIN_BATCH, STATE_CAP // k_states))
+    for lo in range(0, initials.size, width):
+        batch_idx = initials[lo : lo + width]
+        mat = np.zeros((k_states, batch_idx.size))
+        mat[batch_idx, np.arange(batch_idx.size)] = 1.0
+        # per-batch buffers: the permuted laws and the reductions' scratch
+        moved, work = np.empty_like(mat), np.empty_like(mat)
+        for t in range(t_max + 1):
+            if t:
+                li = network.layer_index_at(t)
+                if li not in perms:
+                    perms[li] = network.layer_permutation(li)
+                _permute_states(mat, perms[li], moved)
+                mat = convolve_sites(moved, blocks, network.n_sites)
+                xi_curve[t] = max(xi_curve[t], h_max_total - entropy_rows(mat, work).min())
+            dev = np.abs(np.subtract(mat, uniform, out=work), out=work)
+            d_curve[t] = max(d_curve[t], 0.5 * dev.sum(axis=0).max())
     return d_curve, xi_curve, ("exact" if exact else "sampled-lower-bound")
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "kappa",
     "decompose",
     "channel_matrix",
+    "site_blocks",
     "convolve_sites",
     "local_kernel",
     "add_noise_index",
@@ -31,7 +32,7 @@ __all__ = [
 MIN_PROB = 1e-9
 SUM_TOL = 1e-12
 # Largest joint state count of a run of sites that convolve_sites noises in
-# one matmul.
+# one matmul (one site_blocks block).
 GROUP_STATES = 64
 
 
@@ -132,23 +133,39 @@ def channel_matrix(noise: NoiseModel) -> np.ndarray:
     return np.bincount(idx.ravel(), np.repeat(noise.q, size), size * size).reshape(size, size)
 
 
-def convolve_sites(probs: np.ndarray, channel: np.ndarray, n_sites: int) -> np.ndarray:
-    """Independent per-site noise on laws over Sigma^n_sites, held flat in the
-    last axis of probs (leading axes are a batch): runs of consecutive sites,
-    first site first, take the Kronecker power of the channel as one matmul on
-    a (pre, Sigma^g, post) view, with g the largest run of at most
-    GROUP_STATES joint states."""
+def site_blocks(channel: np.ndarray, n_sites: int) -> tuple[np.ndarray, ...]:
+    """Kronecker powers of the channel that convolve_sites applies to
+    Sigma^n_sites, one per run of consecutive sites, first site first: each
+    run is the largest with at most GROUP_STATES joint states, the last run
+    takes the remaining sites."""
     size = channel.shape[0]
     group = 1
     while size ** (group + 1) <= GROUP_STATES:
         group += 1
-    out = probs.reshape(-1, size ** n_sites)
-    rows = out.shape[0]
-    for lo in range(0, n_sites, group):
-        g = min(group, n_sites - lo)
-        block = reduce(np.kron, [channel] * g)
-        view = out.reshape(rows * size ** lo, size ** g, size ** (n_sites - lo - g))
-        out = view[..., 0] @ block if lo + g == n_sites else np.matmul(block.T, view)
+    full, rest = divmod(n_sites, group)
+    runs = [group] * full + ([rest] if rest else [])
+    return tuple(reduce(np.kron, [channel] * g) for g in runs)
+
+
+def convolve_sites(
+    probs: np.ndarray, channel: np.ndarray | tuple[np.ndarray, ...], n_sites: int
+) -> np.ndarray:
+    """Independent per-site noise on laws over Sigma^n_sites, held
+    state-major: the first axis of probs is the flat state index and any
+    trailing axes are a batch of laws.  Each block of site_blocks(channel,
+    n_sites) is one matmul on a (pre, Sigma^g, post * batch) view, so the
+    first run of sites is one GEMM over the whole batch; a lone law's last
+    run is the row-vector product view[..., 0] @ block.
+
+    channel is the single-site channel matrix or, for a caller that convolves
+    many laws with one channel, its site_blocks(channel, n_sites) built once."""
+    blocks = site_blocks(channel, n_sites) if isinstance(channel, np.ndarray) else channel
+    out = probs
+    pre = 1
+    for block in blocks:
+        view = out.reshape(pre, block.shape[0], -1)
+        out = view[..., 0] @ block if view.shape[2] == 1 else np.matmul(block.T, view)
+        pre *= block.shape[0]
     return out.reshape(probs.shape)
 
 

@@ -21,7 +21,7 @@ from rcalab.circuits import (
     worst_case_curve,
     worst_case_distance,
 )
-from rcalab.entropy import WindowDistribution, entropy
+from rcalab.entropy import WindowDistribution, entropy, entropy_vec, tv_vec
 from rcalab.lattice import Alphabet, hypercube
 from rcalab.noise import additive_noise
 
@@ -267,7 +267,7 @@ def test_worst_case_curve_chunks_by_state_cap(monkeypatch):
     convolve = circuits.convolve_sites
 
     def spy(probs, channel, n_sites):
-        batches.append(probs.shape[0])
+        batches.append(probs.shape[1])
         return convolve(probs, channel, n_sites)
 
     monkeypatch.setattr(circuits, "convolve_sites", spy)
@@ -277,3 +277,65 @@ def test_worst_case_curve_chunks_by_state_cap(monkeypatch):
     assert chunked[2] == whole[2] == "exact"
     for a, b in zip(chunked[:2], whole[:2]):
         assert np.abs(a - b).max() < 1e-12
+
+
+def _toffoli_brick_network():
+    return ReversibleNetwork(
+        6,
+        Z2,
+        (
+            tuple(ControlledAdd(i, i + 1) for i in (0, 2, 4)),
+            (Toffoli(0, 1, 2), Toffoli(3, 4, 5)),
+            (ControlledAdd(1, 2), ControlledAdd(3, 4), ControlledAdd(5, 0)),
+        ),
+    )
+
+
+def _z3_permutation_network():
+    return ReversibleNetwork(
+        3,
+        Z3,
+        (
+            (PermutationGate((0, 1), (3, 7, 0, 8, 1, 5, 2, 6, 4)), Translate(2, 1)),
+            (ControlledAdd(2, 0), Translate(1, 2)),
+            (Swap(0, 2),),
+        ),
+        ("random", 3),
+    )
+
+
+@pytest.mark.parametrize(
+    "net, noise",
+    [
+        (_toffoli_brick_network(), Q91),
+        (_z3_permutation_network(), additive_noise(Z3, [0.7, 0.2, 0.1])),
+    ],
+    ids=["z2-toffoli", "z3-permutation"],
+)
+def test_worst_case_curve_matches_per_initial_chains(net, noise):
+    # oracle: every point-mass initial evolved alone, one law at a time
+    t_max = 7
+    d_curve, xi_curve, mode = worst_case_curve(net, noise, t_max)
+    assert mode == "exact"
+    window = hypercube(net.n_sites)
+    laws = [WindowDistribution.point_mass(window, net.alphabet, x) for x in range(net.n_states)]
+    uniform = np.full(net.n_states, 1.0 / net.n_states)
+    h_max = net.n_sites * net.alphabet.h_max
+    for t in range(t_max + 1):
+        if t:
+            laws = [evolve_chain_exact(law, net, noise, 1, start=t - 1) for law in laws]
+        assert abs(d_curve[t] - max(tv_vec(law.probs, uniform) for law in laws)) < 1e-12
+        assert abs(xi_curve[t] - max(h_max - entropy_vec(law.probs) for law in laws)) < 1e-12
+
+
+def test_sampled_curve_does_not_depend_on_batch_width(monkeypatch):
+    net = _toffoli_brick_network()
+    monkeypatch.setattr(circuits, "EXACT_STATES", 32)
+    ref = worst_case_curve(net, Q91, 7)
+    assert ref[2] == "sampled-lower-bound"
+    for width in (1, 7, circuits.SAMPLED_INITIALS):
+        monkeypatch.setattr(circuits, "CHAIN_BATCH", width)
+        got = worst_case_curve(net, Q91, 7)
+        assert got[2] == ref[2]
+        for a, b in zip(got[:2], ref[:2]):
+            assert np.abs(a - b).max() < 1e-12

@@ -3,9 +3,10 @@ import dataclasses
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from rcalab import montecarlo
+from rcalab import cli, montecarlo
 from rcalab.cli import EXIT_BOUND, EXIT_CAP, EXIT_CONFIG, main
 
 NOISE = {"kind": "additive", "alphabet": [2], "q": ["0.9", "0.1"]}
@@ -52,6 +53,11 @@ def test_kind_mismatch_is_config_error(tmp_path):
 def test_schema_violation(tmp_path):
     cfg = write_config(tmp_path, {"kind": "unknown-kind"})
     assert main(["analyze-rule", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+def test_shipped_schema_is_valid():
+    # load_config relies on this instead of checking the schema on every load
+    jsonschema.Draft202012Validator.check_schema(cli._load_schema())
 
 
 def test_missing_config_file(tmp_path):
@@ -259,25 +265,43 @@ def test_circuit_mix_output(tmp_path):
     assert summary[0]["converged"] == "True"
 
 
-@pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5])
-def test_circuit_mix_epsilon_outside_unit_interval(tmp_path, epsilon):
-    doc = {
-        "kind": "circuit-mix",
-        "params": {
-            "network": {
-                "sites": 3,
-                "alphabet": [2],
-                "layers": [[{"gate": "cadd", "sites": [0, 1]}], [{"gate": "cadd", "sites": [1, 2]}]],
-            },
-            "noise": NOISE,
-            "horizon": 4,
-            "epsilon": epsilon,
+EPSILON_PARAMS = {
+    "circuit-mix": {
+        "network": {
+            "sites": 3,
+            "alphabet": [2],
+            "layers": [[{"gate": "cadd", "sites": [0, 1]}], [{"gate": "cadd", "sites": [1, 2]}]],
         },
-    }
-    cfg = write_config(tmp_path, doc)
+        "noise": NOISE,
+        "horizon": 4,
+    },
+    "mixing-scan": {
+        "rule": {"elementary": 90},
+        "noise": NOISE,
+        "windows": [1],
+        "horizon": 4,
+        "replicates": 100,
+    },
+}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, 1.5, -0.2])
+@pytest.mark.parametrize("kind", ["circuit-mix", "mixing-scan"])
+def test_bad_epsilon_refused_at_load(tmp_path, monkeypatch, capsys, kind, epsilon):
+    def engine(*args, **kwargs):
+        raise AssertionError("engine entered")
+
+    monkeypatch.setattr(cli, "worst_case_curve", engine)
+    monkeypatch.setattr(montecarlo, "window_pattern_counts", engine)
+    params = dict(EPSILON_PARAMS[kind], epsilon=epsilon)
+    cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": params})
     out = tmp_path / "out"
-    assert main(["circuit-mix", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert list(out.iterdir()) == []
+    assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "$.params.epsilon" in capsys.readouterr().err
+    # the bound is on numbers only: a string-valued epsilon still loads
+    params["epsilon"] = "0.25"
+    assert cli.load_config(write_config(tmp_path, {"kind": kind, "params": params}))
 
 
 def test_simulate_user_pattern_generator(tmp_path):

@@ -172,9 +172,9 @@ def test_entropy_rows_matches_entropy_vec():
     mat[0] = np.eye(16)[3]
     mat[1, :8] = 0.0
     mat[1] /= mat[1].sum()
-    got = entropy_rows(mat)
+    got = entropy_rows(mat.T)
     assert got.shape == (6,)
     for row, h in zip(mat, got):
         assert h == pytest.approx(entropy_vec(row), abs=1e-14)
     assert got[0] == 0.0 and not np.signbit(got[0])
-    assert entropy_rows(mat[None]).shape == (1, 6)
+    assert entropy_rows(mat.T[:, None]).shape == (1, 6)

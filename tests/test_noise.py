@@ -249,9 +249,9 @@ def test_perm_table_rows():
 
 def _convolve_per_site(probs, channel, n_sites):
     # reference: one tensordot per site axis, first site first
-    batch = probs.shape[:-1]
-    tensor = probs.reshape(batch + (channel.shape[0],) * n_sites)
-    for axis in range(len(batch), tensor.ndim):
+    batch = probs.shape[1:]
+    tensor = probs.reshape((channel.shape[0],) * n_sites + batch)
+    for axis in range(n_sites):
         tensor = np.moveaxis(np.tensordot(tensor, channel, axes=([axis], [0])), -1, axis)
     return tensor.reshape(probs.shape)
 
@@ -264,7 +264,8 @@ def _convolve_per_site(probs, channel, n_sites):
 def test_convolve_sites_matches_per_site_loop(size, n_sites, batch):
     rng = np.random.default_rng(size * 100 + n_sites)
     channel = rng.dirichlet(np.ones(size), size=size)
-    probs = rng.dirichlet(np.ones(size ** n_sites), size=batch or None)
+    # state-major: the laws' states on the first axis, the batch trailing
+    probs = np.moveaxis(rng.dirichlet(np.ones(size ** n_sites), size=batch or None), -1, 0)
     got = convolve_sites(probs, channel, n_sites)
     assert got.shape == probs.shape
     assert np.abs(got - _convolve_per_site(probs, channel, n_sites)).max() < 1e-12
