@@ -151,17 +151,21 @@ class BootstrapLayout:
 
     def packed(self) -> bool:
         """m = k (n + 2rt), there are k^d blocks, and the fattened blocks
-        moore(Q_w, rt) are pairwise disjoint inside S_m."""
+        moore(Q_w, rt) are pairwise disjoint inside S_m: one (blocks, m^d)
+        occupancy array marks each fattened block's cells once, and no cell
+        may be marked by two blocks."""
         rt = self.r * self.t
         if self.m != self.k * (self.n + 2 * rt) or len(self.blocks) != self.k ** self.d:
             return False
         ball = hypercube(2 * rt + 1, self.d, anchor=(-rt,) * self.d).as_array()
-        fat = [(q.as_array()[:, None] + ball).reshape(-1, self.d) for q in self.blocks]
-        if not all(((f >= 0) & (f < self.m)).all() for f in fat):
+        cells = [q.as_array() for q in self.blocks]
+        fat = (np.concatenate(cells)[:, None] + ball).reshape(-1, self.d)
+        if not ((fat >= 0) & (fat < self.m)).all():
             return False
-        # cells of S_m as integers; each fattened block counts each cell once
-        codes = np.concatenate([np.unique(f @ self.m ** np.arange(self.d)) for f in fat])
-        return np.unique(codes).size == codes.size
+        owner = np.repeat(np.arange(len(cells)), [len(c) * len(ball) for c in cells])
+        occupied = np.zeros((len(cells), self.m ** self.d), dtype=bool)
+        occupied[owner, fat @ self.m ** np.arange(self.d)] = True
+        return bool(occupied.sum(axis=0).max() <= 1)
 
 
 def bootstrap_layout(n: int, k: int, r: int, t: int, d: int) -> BootstrapLayout:

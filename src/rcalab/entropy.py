@@ -130,16 +130,15 @@ def entropy_vec(probs: np.ndarray) -> float:
 
 
 def entropy_rows(probs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Shannon entropy in nats of each law in a state-major stack: states on
-    the first axis, one value per entry of the trailing batch axes, with
-    entropy_vec's conventions: 0*log0 = 0 and no negative zero.  work, a
-    float64 array of probs' shape, takes the logs, so that a caller in a loop
+    """Shannon entropy in nats of each law in a state-major stack of
+    non-negative laws: states on the first axis, one value per entry of the
+    trailing batch axes, with entropy_vec's conventions: 0*log0 = 0 (a zero
+    meets log(tiny), which is finite) and no negative zero.  work, a float64
+    array of probs' shape, takes the logs, so that a caller in a loop
     allocates it once."""
     p = np.asarray(probs, dtype=np.float64)
     logs = np.empty_like(p) if work is None else work
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(p, out=logs)
-    np.copyto(logs, 0.0, where=~(p > 0))
+    np.log(np.maximum(p, np.finfo(np.float64).tiny, out=logs), out=logs)
     return -np.einsum("i...,i...->...", p, logs) + 0.0
 
 

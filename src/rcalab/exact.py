@@ -5,8 +5,8 @@ entropy-evolution bound checker.
 Per step the distribution lives on a shrinking cone: the law on moore(A, r*s)
 is contracted, one target cell at a time, against the PCA local kernel
 phi(u, b) = q(b - f(u)) onto moore(A, r*(s-1)), so the rule and the noise are
-one einsum per target cell and every source cell is summed out after its
-last use.  The same sweep serves every dimension.  A point-mass start skips
+one batched matmul per target cell and every source cell is summed out after
+its last use.  The same sweep serves every dimension.  A point-mass start skips
 the largest cone: its first step is a product of kernel rows.
 """
 
@@ -109,24 +109,35 @@ def _sweep(dist: WindowDistribution, rule: LocalRule, target: CellSet, kernel) -
     neighbourhood code, one column per output symbol) to the law on the
     source window, which must hold target + N.
 
-    The cone tensor is contracted one target cell at a time in canonical
-    order: each einsum appends the target's output axis and sums out every
-    source axis whose last user is that target; source axes no target uses
-    go with the first target.  Source axis a has einsum label a, and freed
-    labels are recycled for output axes, as labels must be < 52."""
+    Source axes no target uses are summed out first.  Then each target cell,
+    in canonical order, is one batched matmul: the cone tensor is viewed as
+    (kept, rest, done), where kept are the target's source axes that a later
+    target uses again, done those whose last user it is and rest all other
+    axes, and the kernel as (kept, done, Sigma).  The product (kept, rest,
+    Sigma) is the next tensor as it lies in memory, so the view is free
+    whenever each of the three groups is one run of memory axes, as in every
+    1D step.  Source axes are labelled by their slot and output axes by ~j in
+    a list kept in memory order.  Output axes only ever sit in rest, which
+    keeps its order, and each new one goes last, so the result comes out in
+    canonical target order."""
     size = rule.alphabet.size
     uses = _neighbour_slots(dist.window, rule, target).tolist()
-    last = dict.fromkeys(range(dist.n_cells), 0)
-    last.update((a, j) for j, axes in enumerate(uses) for a in axes)
+    last = {a: j for j, axes in enumerate(uses) for a in axes}
+    labels = [a for a in range(dist.n_cells) if a in last]
     tensor = dist.probs.reshape((size,) * dist.n_cells)
-    current, free = list(range(dist.n_cells)), list(range(51, dist.n_cells - 1, -1))
+    if len(labels) < dist.n_cells:
+        tensor = tensor.sum(axis=tuple(a for a in range(dist.n_cells) if a not in last))
     kernel = kernel.reshape((size,) * (len(rule.neighborhood) + 1))
     for j, axes in enumerate(uses):
-        done = {a for a, k in last.items() if k == j}
-        out = [lab for lab in current if lab not in done] + [free.pop()]
-        tensor = np.einsum(tensor, current, kernel, axes + out[-1:], out)
-        current = out
-        free.extend(done)
+        done = [a for a in labels if last.get(a) == j]
+        kept = [a for a in labels if a in axes and a not in done]
+        rest = [a for a in labels if a not in axes]
+        order = [labels.index(a) for a in kept + rest + done]
+        view = tensor.transpose(order).reshape(size ** len(kept), -1, size ** len(done))
+        local = [axes.index(a) for a in kept + done] + [len(axes)]
+        local = kernel.transpose(local).reshape(size ** len(kept), size ** len(done), size)
+        labels = kept + rest + [~j]
+        tensor = np.matmul(view, local).reshape((size,) * len(labels))
     return WindowDistribution(target, rule.alphabet, tensor.reshape(-1))
 
 

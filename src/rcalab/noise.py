@@ -32,8 +32,13 @@ __all__ = [
 MIN_PROB = 1e-9
 SUM_TOL = 1e-12
 # Largest joint state count of a run of sites that convolve_sites noises in
-# one matmul (one site_blocks block).
-GROUP_STATES = 64
+# one matmul (one site_blocks block).  A block of g states costs 2g flops per
+# state, so small blocks do less work, while each block is one more pass and
+# one more matmul call.  9 gives three-bit (8-state) and two-trit (9-state)
+# blocks, which ran the circuit chain faster than both 64-state and
+# single-site blocks; small GEMMs also stay under OpenBLAS's threshold for
+# using more than one thread.
+GROUP_STATES = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,19 +141,23 @@ def channel_matrix(noise: NoiseModel) -> np.ndarray:
 def site_blocks(channel: np.ndarray, n_sites: int) -> tuple[np.ndarray, ...]:
     """Kronecker powers of the channel that convolve_sites applies to
     Sigma^n_sites, one per run of consecutive sites, first site first: each
-    run is the largest with at most GROUP_STATES joint states, the last run
-    takes the remaining sites."""
+    run is the largest with at most GROUP_STATES joint states, except the
+    first, which takes the remaining sites.  A short run first is one GEMM
+    over all later sites rather than many tiny ones."""
     size = channel.shape[0]
     group = 1
     while size ** (group + 1) <= GROUP_STATES:
         group += 1
     full, rest = divmod(n_sites, group)
-    runs = [group] * full + ([rest] if rest else [])
+    runs = ([rest] if rest else []) + [group] * full
     return tuple(reduce(np.kron, [channel] * g) for g in runs)
 
 
 def convolve_sites(
-    probs: np.ndarray, channel: np.ndarray | tuple[np.ndarray, ...], n_sites: int
+    probs: np.ndarray,
+    channel: np.ndarray | tuple[np.ndarray, ...],
+    n_sites: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Independent per-site noise on laws over Sigma^n_sites, held
     state-major: the first axis of probs is the flat state index and any
@@ -158,15 +167,27 @@ def convolve_sites(
     run is the row-vector product view[..., 0] @ block.
 
     channel is the single-site channel matrix or, for a caller that convolves
-    many laws with one channel, its site_blocks(channel, n_sites) built once."""
+    many laws with one channel, its site_blocks(channel, n_sites) built once.
+
+    Without out each product is a new array.  out, a C-contiguous float64
+    array of probs' shape, makes the products alternate between out and
+    probs, which must be C-contiguous too and is overwritten, so that a
+    caller in a loop allocates nothing; the array returned, out after an odd
+    number of blocks and probs after an even one, holds the result."""
     blocks = site_blocks(channel, n_sites) if isinstance(channel, np.ndarray) else channel
-    out = probs
+    src, spare = probs, out
     pre = 1
     for block in blocks:
-        view = out.reshape(pre, block.shape[0], -1)
-        out = view[..., 0] @ block if view.shape[2] == 1 else np.matmul(block.T, view)
+        view = src.reshape(pre, block.shape[0], -1)
+        lone = view.shape[2] == 1
+        dst = None if out is None else spare.reshape(view.shape[:2] if lone else view.shape)
+        dst = np.matmul(view[..., 0], block, out=dst) if lone else np.matmul(block.T, view, out=dst)
+        if out is None:
+            src = dst
+        else:
+            src, spare = spare, src
         pre *= block.shape[0]
-    return out.reshape(probs.shape)
+    return src if out is not None else src.reshape(probs.shape)
 
 
 def local_kernel(rule: LocalRule, noise: NoiseModel) -> np.ndarray:

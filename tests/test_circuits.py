@@ -266,9 +266,9 @@ def test_worst_case_curve_chunks_by_state_cap(monkeypatch):
     batches = []
     convolve = circuits.convolve_sites
 
-    def spy(probs, channel, n_sites):
+    def spy(probs, channel, n_sites, out=None):
         batches.append(probs.shape[1])
-        return convolve(probs, channel, n_sites)
+        return convolve(probs, channel, n_sites, out=out)
 
     monkeypatch.setattr(circuits, "convolve_sites", spy)
     monkeypatch.setattr(circuits, "STATE_CAP", 10 * 64)

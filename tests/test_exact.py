@@ -6,6 +6,8 @@ import pytest
 from rcalab.entropy import CapExceededError, WindowDistribution, entropy, tv_to_uniform
 from rcalab.exact import (
     ConeProblem,
+    _neighbour_slots,
+    _sweep,
     check_evolution_bound,
     check_surjective_step_bound,
     convolve_noise,
@@ -15,7 +17,7 @@ from rcalab.exact import (
     push_deterministic,
 )
 from rcalab.lattice import Alphabet, CellSet, decode_patterns, hypercube, moore, pattern_strides
-from rcalab.noise import additive_noise, channel_matrix, permutation_noise
+from rcalab.noise import additive_noise, channel_matrix, local_kernel, permutation_noise
 from rcalab.rules import LocalRule, build_elementary, build_linear, lift_second_order
 
 Z2 = Alphabet((2,))
@@ -316,3 +318,86 @@ def test_push_deterministic_rejects_target_outside_source():
     law = WindowDistribution.uniform(hypercube(3), Z2)
     with pytest.raises(ValueError):
         push_deterministic(law, R90, hypercube(2))
+
+
+# Oracle for the matmul sweep: the einsum contraction it replaced.  Each
+# target cell is one einsum that appends the target's output axis and sums
+# out every source axis whose last user it is; source axes no target uses go
+# with the first target.  einsum labels must be < 52, so freed labels are
+# recycled for output axes.
+
+
+def _einsum_sweep(dist, rule, target, kernel):
+    size = rule.alphabet.size
+    uses = _neighbour_slots(dist.window, rule, target).tolist()
+    last = dict.fromkeys(range(dist.n_cells), 0)
+    last.update((a, j) for j, axes in enumerate(uses) for a in axes)
+    tensor = dist.probs.reshape((size,) * dist.n_cells)
+    current, free = list(range(dist.n_cells)), list(range(51, dist.n_cells - 1, -1))
+    kernel = kernel.reshape((size,) * (len(rule.neighborhood) + 1))
+    for j, axes in enumerate(uses):
+        done = {a for a, k in last.items() if k == j}
+        out = [lab for lab in current if lab not in done] + [free.pop()]
+        tensor = np.einsum(tensor, current, kernel, axes + out[-1:], out)
+        current = out
+        free.extend(done)
+    return WindowDistribution(target, rule.alphabet, tensor.reshape(-1))
+
+
+def _einsum_marginal(problem):
+    kernel = local_kernel(problem.rule, problem.noise)
+    dist = problem.initial_distribution()
+    for s in range(problem.horizon, 0, -1):
+        dist = _einsum_sweep(dist, problem.rule, dependence_cone(problem.window, problem.rule, s - 1), kernel)
+    return dist
+
+
+Z2XZ2 = Alphabet((2, 2))
+Z3_PERMS = [[0, 1, 2], [1, 0, 2], [2, 1, 0], [0, 2, 1]]
+
+# (alphabet, offsets, window, horizons, noise kind): cones stay below 2**16 states
+SWEEP_CASES = {
+    "1d-contiguous-r1": (Z2, [(-1,), (0,), (1,)], hypercube(4), (1, 2, 5)),
+    "1d-contiguous-r2": (Z2, [(o,) for o in range(-2, 3)], hypercube(3), (1, 3)),
+    "1d-sparse": (Z2, [(-2,), (0,), (2,)], hypercube(3), (1, 2, 3)),
+    "1d-one-sided-sparse": (Z2, [(0,), (3,)], CellSet([0, 2]), (1, 2)),
+    "2d-von-neumann": (Z2, VON_NEUMANN, CellSet([(0, 0), (0, 1), (1, 0)]), (1,)),
+    "2d-von-neumann-rect": (Z2, VON_NEUMANN, CellSet([(0, j) for j in range(3)]), (1,)),
+    "z3": (Z3, [(-1,), (0,), (1,)], hypercube(2), (1, 2, 3)),
+    "z2xz2": (Z2XZ2, [(-1,), (0,), (1,)], hypercube(2), (1, 2, 3)),
+}
+
+
+def _sweep_noise(name, alphabet, seed):
+    if name.startswith("z3"):
+        q = np.random.default_rng(seed).dirichlet(np.ones(len(Z3_PERMS))) * 0.8 + 0.05
+        return permutation_noise(Z3, Z3_PERMS, q)
+    return _random_noise(alphabet, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_matches_einsum_oracle(name, seed):
+    alphabet, offsets, window, horizons = SWEEP_CASES[name]
+    rule = _random_rule(alphabet, offsets, 100 + seed)
+    noise = _sweep_noise(name, alphabet, seed)
+    kernel = local_kernel(rule, noise)
+    rng = np.random.default_rng(seed)
+    size = alphabet.size
+    # one sweep from a law on a source window wider than target + N, so some
+    # source axes have no user, with the noisy and the deterministic kernel
+    source = moore(window, rule.radius + 1)
+    if size ** len(source) > 2 ** 16:
+        source = moore(window, rule.radius)
+    law = WindowDistribution(source, alphabet, rng.dirichlet(np.ones(size ** len(source))))
+    for k in (kernel, np.eye(size)[rule.table]):
+        got = _sweep(law, rule, window, k)
+        assert got.window == window
+        assert np.abs(got.probs - _einsum_sweep(law, rule, window, k).probs).max() < 1e-12
+    # whole marginals from point-mass (code and symbols) and distribution initials
+    for t in horizons:
+        for form, initial in _initials(rule, window, t, seed).items():
+            problem = ConeProblem(rule, noise, window, t, initial)
+            want = _einsum_marginal(problem)
+            got = exact_window_marginal(problem)
+            assert np.abs(got.probs - want.probs).max() < 1e-12, (name, t, form)

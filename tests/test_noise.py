@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rcalab import noise
 from rcalab.lattice import Alphabet
 from rcalab.noise import (
     MIN_PROB,
@@ -269,3 +270,23 @@ def test_convolve_sites_matches_per_site_loop(size, n_sites, batch):
     got = convolve_sites(probs, channel, n_sites)
     assert got.shape == probs.shape
     assert np.abs(got - _convolve_per_site(probs, channel, n_sites)).max() < 1e-12
+
+
+@pytest.mark.parametrize("group_states", [1, 2, 3, 4, 8, 9, 16, 27, 64, 729])
+@pytest.mark.parametrize("size, n_sites", [(2, 1), (2, 7), (2, 10), (3, 1), (3, 4), (3, 5)])
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_convolve_sites_every_group_size_with_and_without_out(monkeypatch, group_states, size, n_sites, batch):
+    monkeypatch.setattr(noise, "GROUP_STATES", group_states)
+    rng = np.random.default_rng(size * 1000 + n_sites)
+    channel = rng.dirichlet(np.ones(size), size=size)
+    probs = np.moveaxis(rng.dirichlet(np.ones(size ** n_sites), size=batch or None), -1, 0).copy()
+    want = _convolve_per_site(probs, channel, n_sites)
+    fresh = convolve_sites(probs.copy(), channel, n_sites)
+    assert np.abs(fresh - want).max() < 1e-12
+    # with out, the products alternate between out and probs, and the one
+    # holding the result is returned
+    src, out = probs.copy(), np.empty_like(probs)
+    n_blocks = len(noise.site_blocks(channel, n_sites))
+    got = convolve_sites(src, channel, n_sites, out=out)
+    assert got is (out if n_blocks % 2 else src)
+    assert np.abs(got - want).max() < 1e-12
