@@ -104,10 +104,14 @@ def _pair_graph(rule: LocalRule):
     n = auto.n_states
     labels = auto.labels.reshape(n, auto.size)  # labels[u, a] of word u * size + a
     heads = np.arange(auto.n_edges).reshape(n, auto.size) % n
-    u, v, a, b = np.nonzero(labels[:, None, :, None] == labels[None, :, None, :])
+    # flat index of (u, v, a, b) for each pair of equal-label words
+    # u * size + a and v * size + b; its pair node is u * n + v
+    edges = np.flatnonzero(labels[:, None, :, None] == labels[None, :, None, :])
+    dst = (heads[:, None, :, None] * n + heads[None, :, None, :]).reshape(-1)[edges]
+    edges //= auto.size**2
     diag = np.zeros(n * n, dtype=bool)
     diag[:: n + 1] = True
-    return u * n + v, heads[u, a] * n + heads[v, b], diag
+    return edges, dst, diag
 
 
 def _marked(nodes: np.ndarray, n_nodes: int) -> np.ndarray:

@@ -169,25 +169,30 @@ def convolve_sites(
     channel is the single-site channel matrix or, for a caller that convolves
     many laws with one channel, its site_blocks(channel, n_sites) built once.
 
-    Without out each product is a new array.  out, a C-contiguous float64
-    array of probs' shape, makes the products alternate between out and
-    probs, which must be C-contiguous too and is overwritten, so that a
-    caller in a loop allocates nothing; the array returned, out after an odd
-    number of blocks and probs after an even one, holds the result."""
+    Without out, probs is left as it is and the result is a new array.  out,
+    a C-contiguous float64 array of probs' shape, makes the products
+    alternate between out and probs, which must be C-contiguous too and is
+    overwritten, so that a caller in a loop allocates nothing; the array
+    returned, out after an odd number of blocks and probs after an even one,
+    holds the result."""
     blocks = site_blocks(channel, n_sites) if isinstance(channel, np.ndarray) else channel
+    if out is None:
+        probs = np.array(probs, dtype=float, order="C")
+        out = np.empty_like(probs)
+    elif not (probs.flags.c_contiguous and out.flags.c_contiguous):
+        # reshape would copy, and the products would land in the copy
+        raise ValueError("convolve_sites with out needs C-contiguous probs and out")
     src, spare = probs, out
     pre = 1
     for block in blocks:
         view = src.reshape(pre, block.shape[0], -1)
-        lone = view.shape[2] == 1
-        dst = None if out is None else spare.reshape(view.shape[:2] if lone else view.shape)
-        dst = np.matmul(view[..., 0], block, out=dst) if lone else np.matmul(block.T, view, out=dst)
-        if out is None:
-            src = dst
+        if view.shape[2] == 1:
+            np.matmul(view[..., 0], block, out=spare.reshape(view.shape[:2]))
         else:
-            src, spare = spare, src
+            np.matmul(block.T, view, out=spare.reshape(view.shape))
+        src, spare = spare, src
         pre *= block.shape[0]
-    return src if out is not None else src.reshape(probs.shape)
+    return src
 
 
 def local_kernel(rule: LocalRule, noise: NoiseModel) -> np.ndarray:

@@ -281,8 +281,10 @@ def test_convolve_sites_every_group_size_with_and_without_out(monkeypatch, group
     channel = rng.dirichlet(np.ones(size), size=size)
     probs = np.moveaxis(rng.dirichlet(np.ones(size ** n_sites), size=batch or None), -1, 0).copy()
     want = _convolve_per_site(probs, channel, n_sites)
-    fresh = convolve_sites(probs.copy(), channel, n_sites)
+    kept = probs.copy()
+    fresh = convolve_sites(probs, channel, n_sites)
     assert np.abs(fresh - want).max() < 1e-12
+    assert np.array_equal(probs, kept)  # without out, probs is left as it is
     # with out, the products alternate between out and probs, and the one
     # holding the result is returned
     src, out = probs.copy(), np.empty_like(probs)
@@ -290,3 +292,10 @@ def test_convolve_sites_every_group_size_with_and_without_out(monkeypatch, group
     got = convolve_sites(src, channel, n_sites, out=out)
     assert got is (out if n_blocks % 2 else src)
     assert np.abs(got - want).max() < 1e-12
+
+
+def test_convolve_sites_refuses_non_contiguous_out():
+    channel = np.array([[0.9, 0.1], [0.2, 0.8]])
+    probs = np.full((8, 4), 1.0 / 8)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        convolve_sites(probs, channel, 3, out=np.empty((4, 8)).T)
