@@ -48,7 +48,6 @@ from .exact import (
 from .montecarlo import (
     SimulationPlan,
     adversarial_family,
-    empirical_marginal,
     estimate_mixing_time,
     mixing_scan,
     sample_trajectory,
@@ -59,14 +58,12 @@ from .bounds import (
     check_block_superadditivity,
     check_noise_lemma,
     equilibrium_constants,
-    fit_decay_constants,
     main_theorem_bound,
 )
 from .circuits import (
     ReversibleNetwork,
     alternating_cnot_network,
-    chain_mixing_time,
     check_finite_bound,
     evolve_chain_exact,
-    worst_case_distance,
+    worst_case_curve,
 )

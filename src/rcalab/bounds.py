@@ -1,6 +1,7 @@
 """Constants and inequalities of the entropy argument: the noise-lemma
 harness, equilibrium-time constants, the bootstrap packing layout with its
-superadditivity check, decay-constant fitting, and the main bound evaluator.
+superadditivity check, the proof's rate constants, and the main bound
+evaluator.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "check_block_superadditivity",
     "main_theorem_bound",
     "theorem_applicable",
-    "fit_decay_constants",
-    "DecayFit",
     "proof_rate_constants",
     "hypercube_leakage",
     "noise_lemma_suite",
@@ -238,8 +237,8 @@ def check_block_superadditivity(
 
 
 def main_theorem_bound(n: int, t: float, alpha: float, beta: float, d: int) -> float:
-    """Bound value alpha e^{-beta t} n^{(d-1)/2}; alpha and beta are supplied
-    or fitted, never fabricated."""
+    """Bound value alpha e^{-beta t} n^{(d-1)/2}; alpha and beta are supplied,
+    never fabricated."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     return alpha * math.exp(-beta * t) * n ** ((d - 1) / 2.0)
@@ -248,35 +247,6 @@ def main_theorem_bound(n: int, t: float, alpha: float, beta: float, d: int) -> f
 def theorem_applicable(t: float, n: int, a: float, b: float) -> bool:
     """Companion predicate t >= a log n + b that gates the bound."""
     return t >= a * math.log(n) + b
-
-
-@dataclass
-class DecayFit:
-    alpha: float
-    beta: float
-    ok: bool
-    n_used: int
-    residual_rms: float
-
-
-def fit_decay_constants(curve) -> DecayFit:
-    """Least-squares fit of log(values) = log(alpha) - beta t; non-positive
-    values are dropped, at least 3 points must survive."""
-    pts = [(float(t), float(v)) for t, v in curve if v > 0]
-    if len(pts) < 3:
-        raise ValueError("need at least 3 positive points to fit a decay")
-    ts = np.array([p[0] for p in pts])
-    logs = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(ts, logs, 1)
-    resid = logs - (slope * ts + intercept)
-    beta = -float(slope)
-    return DecayFit(
-        alpha=float(np.exp(intercept)),
-        beta=beta,
-        ok=beta > 0,
-        n_used=len(pts),
-        residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-    )
 
 
 def proof_rate_constants(

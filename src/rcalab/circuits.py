@@ -1,7 +1,7 @@
 """Finite reversible computer under noise: a time-inhomogeneous chain on
 Sigma^A alternating bijective gate layers with per-site positive additive
-noise.  Exact distribution evolution, worst-case distance to uniform, mixing
-time, and the decay bound check.
+noise.  Exact distribution evolution, the worst-case distance to uniform
+and deficiency curves, and the decay bound check.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import SLACK, BoundReport
-from .entropy import STATE_CAP, WindowDistribution, check_cap, entropy_rows, mixing_time
+from .entropy import STATE_CAP, WindowDistribution, check_cap, entropy_rows
 # not called here; kept because perfbench/tracer.py patches circuits.entropy_vec
 from .entropy import entropy_vec  # noqa: F401
 from .lattice import Alphabet, decode_patterns, encode_patterns, hypercube
@@ -26,12 +26,8 @@ __all__ = [
     "Toffoli",
     "PermutationGate",
     "ReversibleNetwork",
-    "apply_layer",
     "evolve_chain_exact",
     "worst_case_curve",
-    "worst_case_distance",
-    "chain_mixing_time",
-    "ChainMixing",
     "finite_bound_rhs",
     "check_finite_bound",
     "alternating_cnot_network",
@@ -202,28 +198,32 @@ class ReversibleNetwork:
         return perm
 
 
-def _permute_states(probs: np.ndarray, perm: np.ndarray, out: np.ndarray | None = None):
-    """Pushforward of state-major laws through x -> perm[x]: row x of probs
-    becomes row perm[x] of out (new when not given), one contiguous row
-    scatter."""
-    out = np.empty_like(probs) if out is None else out
-    out[perm] = probs
-    return out
-
-
 def _check_chain_law(dist: WindowDistribution, network: ReversibleNetwork):
     if dist.window != hypercube(network.n_sites) or dist.alphabet != network.alphabet:
         raise ValueError("chain law must live on hypercube(n_sites) over the network's alphabet")
 
 
-def apply_layer(
-    dist: WindowDistribution, network: ReversibleNetwork, layer_index: int
-) -> WindowDistribution:
-    """Push a law on hypercube(n_sites) through one bijective layer (entropy
-    is exactly preserved)."""
-    _check_chain_law(dist, network)
-    probs = _permute_states(dist.probs, network.layer_permutation(layer_index))
-    return WindowDistribution(dist.window, dist.alphabet, probs)
+def _noise_blocks(network: ReversibleNetwork, noise: NoiseModel) -> tuple:
+    """site_blocks of the noise channel, built once per chain."""
+    if noise.alphabet.factors != network.alphabet.factors:
+        raise ValueError("noise and network alphabets differ")
+    return site_blocks(channel_matrix(noise), network.n_sites)
+
+
+def _chain_step(network, blocks, perms, step, probs, spare):
+    """One step of the chain into time `step`: the scheduled layer, then the
+    noise, on state-major laws held in two C-contiguous float64 buffers.
+    probs holds the laws and is overwritten; returns (laws, spare), the same
+    two buffers in the order of their new roles.  perms caches one dense
+    permutation per layer index for the caller's whole run."""
+    li = network.layer_index_at(step)
+    if li not in perms:
+        perms[li] = network.layer_permutation(li)
+    # pushforward through x -> perm[x]: row x of probs becomes row perm[x]
+    spare[perms[li]] = probs
+    if convolve_sites(spare, blocks, network.n_sites, out=probs) is spare:
+        return spare, probs
+    return probs, spare
 
 
 def evolve_chain_exact(
@@ -236,13 +236,11 @@ def evolve_chain_exact(
     """Law after t alternations of (scheduled layer, per-site noise), for a
     law on hypercube(n_sites) at time `start`: steps start+1..start+t."""
     _check_chain_law(dist, network)
-    if noise.alphabet.factors != network.alphabet.factors:
-        raise ValueError("noise and network alphabets differ")
-    blocks = site_blocks(channel_matrix(noise), network.n_sites)
-    probs = dist.probs
+    blocks, perms = _noise_blocks(network, noise), {}
+    probs = np.array(dist.probs, dtype=np.float64)
+    spare = np.empty_like(probs)
     for step in range(start + 1, start + t + 1):
-        probs = _permute_states(probs, network.layer_permutation(network.layer_index_at(step)))
-        probs = convolve_sites(probs, blocks, network.n_sites)
+        probs, spare = _chain_step(network, blocks, perms, step, probs, spare)
     return WindowDistribution(dist.window, dist.alphabet, probs)
 
 
@@ -256,7 +254,8 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     the sup.  The initials run through the whole horizon in batches of
     CHAIN_BATCH, held state-major as the columns of one (n_states, batch)
     matrix; a batch holds at most STATE_CAP probabilities, so very large
-    networks run fewer initials at a time (at least one).
+    networks run fewer initials at a time (at least one).  Each layer's
+    permutation is built once per call, whatever the number of batches.
     """
     k_states = network.n_states
     exact = k_states <= EXACT_STATES
@@ -265,10 +264,9 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     else:
         rng = np.random.default_rng(0)
         initials = rng.integers(0, k_states, size=SAMPLED_INITIALS)
-    blocks = site_blocks(channel_matrix(noise), network.n_sites)
+    blocks, perms = _noise_blocks(network, noise), {}
     uniform, ones = 1.0 / k_states, np.ones(k_states)
     h_max_total = network.n_sites * network.alphabet.h_max
-    perms = {}
     d_curve = np.zeros(t_max + 1)
     xi_curve = np.zeros(t_max + 1)
     xi_curve[0] = h_max_total
@@ -277,53 +275,18 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
         batch_idx = initials[lo : lo + width]
         mat = np.zeros((k_states, batch_idx.size))
         mat[batch_idx, np.arange(batch_idx.size)] = 1.0
-        # per-batch buffers: the laws and a spare, between which the
-        # permutation and the noise products alternate, and the reductions'
-        # scratch
+        # per-batch buffers: the laws and a spare for the chain step, and the
+        # reductions' scratch
         spare, work = np.empty_like(mat), np.empty_like(mat)
         for t in range(t_max + 1):
             if t:
-                li = network.layer_index_at(t)
-                if li not in perms:
-                    perms[li] = network.layer_permutation(li)
-                _permute_states(mat, perms[li], spare)
-                if convolve_sites(spare, blocks, network.n_sites, out=mat) is spare:
-                    mat, spare = spare, mat
+                mat, spare = _chain_step(network, blocks, perms, t, mat, spare)
                 xi_curve[t] = max(xi_curve[t], h_max_total - entropy_rows(mat, work).min())
             # each law sums to 1, so its TV to uniform is sum(max(p, 1/N)) - 1,
             # the column sums taken as one matrix-vector product
             tv = (ones @ np.maximum(mat, uniform, out=work)).max() - 1.0
             d_curve[t] = max(d_curve[t], tv)
     return d_curve, xi_curve, ("exact" if exact else "sampled-lower-bound")
-
-
-def worst_case_distance(network: ReversibleNetwork, noise: NoiseModel, t: int):
-    """Max over point-mass initials of TV(law at t, uniform); returns
-    (value, mode)."""
-    d_curve, _, mode = worst_case_curve(network, noise, t)
-    return float(d_curve[t]), mode
-
-
-@dataclass
-class ChainMixing:
-    epsilon: float
-    t_mix: int
-    converged: bool
-    mode: str
-    d_curve: np.ndarray
-
-
-def chain_mixing_time(
-    network: ReversibleNetwork,
-    noise: NoiseModel,
-    epsilon: float,
-    horizon: int = 512,
-) -> ChainMixing:
-    """Smallest t with worst-case distance <= epsilon; when the horizon runs
-    out, converged=False and t_mix holds the lower bound horizon + 1."""
-    d_curve, _, mode = worst_case_curve(network, noise, horizon)
-    t_mix, converged = mixing_time(d_curve, epsilon)
-    return ChainMixing(epsilon, t_mix, converged, mode, d_curve)
 
 
 def finite_bound_rhs(network: ReversibleNetwork, noise: NoiseModel, t: int) -> float:

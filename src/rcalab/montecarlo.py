@@ -1,4 +1,4 @@
-"""Trajectory sampling on tori, empirical window marginals, and mixing-time
+"""Trajectory sampling on tori, window pattern counts, and mixing-time
 estimation for windows too large for exact enumeration.
 
 Replicates are processed in fixed blocks of REPLICATE_BLOCK rows; every
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import STATE_CAP, CapExceededError, WindowDistribution, mixing_time
+from .entropy import STATE_CAP, CapExceededError, mixing_time
 from .lattice import CellSet, diameter, hypercube, marginalize_patterns, pattern_strides
 from .noise import NoiseModel, add_noise_index
 from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK
@@ -40,7 +40,6 @@ __all__ = [
     "SimulationPlan",
     "sample_trajectory",
     "window_pattern_counts",
-    "empirical_marginal",
     "tv_curve",
     "MixingEstimate",
     "estimate_mixing_time",
@@ -184,7 +183,8 @@ def sample_trajectory(plan: SimulationPlan, replicate: int) -> list[TorusConfigu
         raise ValueError("replicate index out of range")
     block, row = divmod(replicate, REPLICATE_BLOCK)
     stepper = _BlockStepper(plan)
-    data = stepper.initial(block)
+    # draws fill rows in order, so the block's first row + 1 rows step alone
+    data = stepper.initial(block)[: row + 1]
     out = [TorusConfiguration(plan.sides, data[row].astype(np.int64))]
     for t in range(1, plan.horizon + 1):
         data = _step_block(stepper, data, block, t)
@@ -234,19 +234,6 @@ def window_pattern_counts(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(worker, range(workers)))
     return sum(parts[1:], parts[0])
-
-
-def empirical_marginal(plan: SimulationPlan, t: int, threads: int = 1):
-    """Empirical window law at time t plus per-pattern binomial standard
-    errors."""
-    if not 0 <= t <= plan.horizon:
-        raise ValueError("t outside the plan horizon")
-    counts = window_pattern_counts(plan, threads=threads)[t]
-    r = plan.replicates
-    phat = counts / r
-    se = np.sqrt(phat * (1.0 - phat) / r)
-    dist = WindowDistribution(plan.window, plan.rule.alphabet, phat)
-    return dist, se
 
 
 def tv_curve(counts: np.ndarray, replicates: int):

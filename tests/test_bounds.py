@@ -10,14 +10,13 @@ from rcalab.bounds import (
     check_block_superadditivity,
     check_noise_lemma,
     equilibrium_constants,
-    fit_decay_constants,
     main_theorem_bound,
     noise_lemma_suite,
     proof_rate_constants,
     theorem_applicable,
 )
 from rcalab.entropy import WindowDistribution
-from rcalab.exact import ConeProblem, exact_window_marginal, leakage_constants
+from rcalab.exact import leakage_constants
 from rcalab.lattice import Alphabet, hypercube, moore
 from rcalab.noise import additive_noise
 from rcalab.rules import build_elementary
@@ -149,37 +148,6 @@ def test_main_theorem_bound():
         main_theorem_bound(4, 1, -1.0, 0.1, 2)
     assert theorem_applicable(10, 4, 2.0, 1.0)
     assert not theorem_applicable(2, 4, 2.0, 1.0)
-
-
-def test_fit_decay_closed_form():
-    fit = fit_decay_constants([(t, 0.8 ** t / 2) for t in range(12)])
-    assert fit.ok
-    assert fit.beta == pytest.approx(-math.log(0.8), abs=1e-9)
-    assert fit.alpha == pytest.approx(0.5, abs=1e-9)
-
-
-def test_fit_decay_constant_curve():
-    fit = fit_decay_constants([(t, 0.25) for t in range(6)])
-    assert fit.beta == pytest.approx(0.0, abs=1e-12)
-    assert not fit.ok
-
-
-def test_fit_decay_needs_points():
-    with pytest.raises(ValueError):
-        fit_decay_constants([(0, 1.0), (1, 0.0), (2, -1.0)])
-
-
-def test_fit_decay_on_exact_rule90_curve():
-    from rcalab.entropy import tv_to_uniform
-
-    curve = []
-    for t in range(1, 7):
-        marg = exact_window_marginal(
-            ConeProblem(build_elementary(90), Q91, hypercube(2), t, np.zeros(2 + 2 * t, int))
-        )
-        curve.append((t, tv_to_uniform(marg)))
-    fit = fit_decay_constants(curve)
-    assert fit.ok and fit.beta > 0
 
 
 def test_hypercube_leakage_matches_set_construction():

@@ -12,16 +12,13 @@ from rcalab.circuits import (
     Toffoli,
     Translate,
     alternating_cnot_network,
-    apply_layer,
-    chain_mixing_time,
     check_finite_bound,
     evolve_chain_exact,
     network_from_json,
     network_to_json,
     worst_case_curve,
-    worst_case_distance,
 )
-from rcalab.entropy import WindowDistribution, entropy, entropy_vec, tv_vec
+from rcalab.entropy import WindowDistribution, entropy, entropy_vec, mixing_time, tv_vec
 from rcalab.lattice import Alphabet, hypercube
 from rcalab.noise import additive_noise
 
@@ -78,18 +75,25 @@ def test_disjoint_sites_enforced():
 
 
 def test_layer_preserves_entropy():
+    # a layer is a bijection of Sigma^A, so its pushforward only reorders
+    # the probabilities
     rng = np.random.default_rng(0)
     net = alternating_cnot_network(4)
-    state = WindowDistribution(hypercube(4), Z2, rng.dirichlet(np.ones(16)))
+    probs = rng.dirichlet(np.ones(16))
     for li in (0, 1):
-        out = apply_layer(state, net, li)
-        assert entropy(out) == pytest.approx(entropy(state), abs=1e-12)
+        perm = net.layer_permutation(li)
+        assert sorted(perm.tolist()) == list(range(16))
+        pushed = np.empty_like(probs)
+        pushed[perm] = probs
+        assert entropy_vec(pushed) == pytest.approx(entropy_vec(probs), abs=1e-12)
 
 
 def test_identity_layer_noop():
-    state = WindowDistribution.point_mass(hypercube(1), Z2, 1)
-    out = apply_layer(state, single_site_identity(), 0)
-    assert np.array_equal(out.probs, state.probs)
+    net = single_site_identity()
+    assert net.layer_permutation(0).tolist() == [0, 1]
+    # with the layer a no-op, one chain step from x is the channel's row x
+    out = evolve_chain_exact(WindowDistribution.point_mass(hypercube(1), Z2, 1), net, Q91, 1)
+    assert out.probs.tolist() == [0.1, 0.9]
 
 
 def test_single_site_closed_form():
@@ -129,8 +133,6 @@ def test_chain_law_must_live_on_the_network_sites():
     ]
     for dist in wrong:
         with pytest.raises(ValueError):
-            apply_layer(dist, net, 0)
-        with pytest.raises(ValueError):
             evolve_chain_exact(dist, net, Q91, 1)
 
 
@@ -149,11 +151,9 @@ def test_evolve_chain_start_picks_the_layers():
 
 
 def test_worst_case_distance_t0():
-    for n in (1, 2, 3):
-        net = alternating_cnot_network(max(n, 2))
-        val, mode = worst_case_distance(net, Q91, 0)
-        k = 2 ** max(n, 2)
-        assert val == pytest.approx(1 - 1 / k)
+    for n in (2, 3):
+        d_curve, _, mode = worst_case_curve(alternating_cnot_network(n), Q91, 0)
+        assert d_curve[0] == pytest.approx(1 - 1 / 2 ** n)
         assert mode == "exact"
 
 
@@ -171,17 +171,14 @@ def test_distance_non_increasing():
 
 
 def test_chain_mixing_time_single_site():
-    cm = chain_mixing_time(single_site_identity(), Q91, 0.1, horizon=20)
-    assert cm.converged and cm.t_mix == 8
-    cm0 = chain_mixing_time(single_site_identity(), Q91, 0.95, horizon=20)
-    assert cm0.t_mix == 0
+    # the rule circuit-mix applies to the worst-case curve
+    d_curve = worst_case_curve(single_site_identity(), Q91, 20)[0]
+    assert mixing_time(d_curve, 0.1) == (8, True)
+    assert mixing_time(d_curve, 0.95) == (0, True)
     # mixing time non-increasing in epsilon
-    prev = None
-    for eps in (0.02, 0.05, 0.1, 0.3):
-        cm = chain_mixing_time(single_site_identity(), Q91, eps, horizon=40)
-        if prev is not None:
-            assert cm.t_mix <= prev
-        prev = cm.t_mix
+    d_curve = worst_case_curve(single_site_identity(), Q91, 40)[0]
+    t_mixes = [mixing_time(d_curve, eps)[0] for eps in (0.02, 0.05, 0.1, 0.3)]
+    assert t_mixes == sorted(t_mixes, reverse=True)
 
 
 def test_check_finite_bound_example():
@@ -227,11 +224,11 @@ def test_schedules():
 
 def test_sampled_sup_mode_flag(monkeypatch):
     net = alternating_cnot_network(8)
-    val_exact, mode_exact = worst_case_distance(net, Q91, 3)
+    d_exact, _, mode_exact = worst_case_curve(net, Q91, 3)
     monkeypatch.setattr(circuits, "EXACT_STATES", 4)
-    val_sample, mode_sample = worst_case_distance(net, Q91, 3)
+    d_sample, _, mode_sample = worst_case_curve(net, Q91, 3)
     assert mode_exact == "exact" and mode_sample == "sampled-lower-bound"
-    assert val_sample <= val_exact + 1e-12
+    assert d_sample[3] <= d_exact[3] + 1e-12
 
 
 def test_network_json_roundtrip():
@@ -339,3 +336,32 @@ def test_sampled_curve_does_not_depend_on_batch_width(monkeypatch):
         assert got[2] == ref[2]
         for a, b in zip(got[:2], ref[:2]):
             assert np.abs(a - b).max() < 1e-12
+
+
+def _count_layer_builds(monkeypatch):
+    # patched on the class, as the benchmark tracer does
+    build = ReversibleNetwork.layer_permutation
+    calls = []
+
+    def counted(self, layer_index):
+        calls.append(layer_index)
+        return build(self, layer_index)
+
+    monkeypatch.setattr(ReversibleNetwork, "layer_permutation", counted)
+    return calls
+
+
+def test_evolve_chain_builds_each_layer_once(monkeypatch):
+    net = alternating_cnot_network(6)
+    law = WindowDistribution.point_mass(hypercube(6), Z2, 0)
+    calls = _count_layer_builds(monkeypatch)
+    evolve_chain_exact(law, net, Q91, 16)
+    assert sorted(calls) == [0, 1]
+
+
+def test_worst_case_curve_builds_each_layer_once_across_batches(monkeypatch):
+    net = alternating_cnot_network(7)
+    assert net.n_states > circuits.CHAIN_BATCH
+    calls = _count_layer_builds(monkeypatch)
+    worst_case_curve(net, Q91, 7)
+    assert sorted(calls) == [0, 1]

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
@@ -302,6 +303,57 @@ def test_bad_epsilon_refused_at_load(tmp_path, monkeypatch, capsys, kind, epsilo
     assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert "$.params.epsilon" in capsys.readouterr().err
+
+
+def _without(params, key):
+    return {k: v for k, v in params.items() if k != key}
+
+
+DECAY_INSTANCE = {
+    "rule": {"elementary": 90}, "noise": NOISE,
+    "window": {"hypercube": 1}, "horizon": 2, "alpha": 2.0, "beta": 0.05,
+}
+
+
+# each of these passed load before the per-kind params schemas, and failed
+# later with no JSON path or with a traceback
+@pytest.mark.parametrize(
+    "kind, params, path",
+    [
+        ("mixing-scan", _without(dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1), "noise"), "$.params"),
+        ("mixing-scan", dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1, windows=[]), "$.params.windows"),
+        ("circuit-mix", dict(EPSILON_PARAMS["circuit-mix"], horizon=-1), "$.params.horizon"),
+        ("analyze-rule", {"rule": {"elementary": 256}}, "$.params.rule.elementary"),
+        (
+            "verify-bounds",
+            {"checks": ["decay-envelope"], "decay_instance": _without(DECAY_INSTANCE, "noise")},
+            "$.params.decay_instance",
+        ),
+    ],
+    ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
+         "decay-instance-no-noise"],
+)
+def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
+    def engine(*args, **kwargs):
+        raise AssertionError("engine entered")
+
+    monkeypatch.setattr(cli, "worst_case_curve", engine)
+    monkeypatch.setattr(cli, "exact_window_marginal", engine)
+    monkeypatch.setattr(montecarlo, "window_pattern_counts", engine)
+    cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": params})
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert f"error: config schema violation at {path}:" in capsys.readouterr().err
+
+
+def test_benchmark_configs_validate(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    validator = jsonschema.Draft202012Validator(cli._load_schema())
+    for name in workloads.WORKLOADS:
+        for step in workloads.steps(name, workloads.DEFAULT_SEED):
+            assert not list(validator.iter_errors(step.config)), (name, step.kind)
 
 
 def test_simulate_user_pattern_generator(tmp_path):
