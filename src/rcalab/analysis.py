@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CapExceededError
+from .entropy import CapExceededError, check_bytes
 from .lattice import decode_patterns, pattern_strides
 from .rules import LocalRule
 
@@ -28,9 +28,6 @@ __all__ = [
     "is_balanced",
     "analyze_rule",
 ]
-
-ORACLE_ENUM_CAP = 2 ** 20
-
 
 def _require_1d(rule: LocalRule):
     if rule.dim != 1:
@@ -168,16 +165,13 @@ def preimage_count_oracle(rule: LocalRule, w) -> int:
     _, m, table = contiguous_table(rule)
     size = rule.alphabet.size
     length = len(word) + m - 1
-    if size ** length > ORACLE_ENUM_CAP:
-        raise CapExceededError(
-            f"{size}^{length} words exceed the enumeration cap {ORACLE_ENUM_CAP}"
-        )
+    # per word: its code, a window code, that window's table entry, two masks
+    check_bytes(26 * size ** length, f"enumerating the words of length {length}")
     codes = np.arange(size ** length, dtype=np.int64)
-    slots = decode_patterns(codes, length, size)
-    strides = pattern_strides(m, size)
-    match = np.ones(len(codes), dtype=bool)
+    match = np.ones(codes.size, dtype=bool)
     for i, target in enumerate(word):
-        idx = slots[:, i : i + m] @ strides
+        idx = codes // size ** (length - m - i)  # the m-window at symbol i
+        idx %= size ** m
         match &= table[idx] == target
     return int(match.sum())
 

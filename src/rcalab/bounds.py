@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import WindowDistribution, check_cap, deficiency, entropy_vec
+from .entropy import WindowDistribution, check_bytes, deficiency, entropy_vec
 from .lattice import Alphabet, CellSet, hypercube, translate
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
 from .rules import LocalRule
@@ -198,7 +198,8 @@ def check_block_superadditivity(
     size = block.alphabet.size
     layout = bootstrap_layout(n, k, r, t, d)
     big = layout.big_window()
-    check_cap(size ** len(big))
+    # the joint law and its reordered copy, or that and its entropy's 3 arrays and mask
+    check_bytes((4 * 8 + 1) * size ** len(big), f"the joint law on {len(big)} cells")
     if padding is None:
         padding = np.full(size, 1.0 / size)
     padding = np.asarray(padding, dtype=np.float64)

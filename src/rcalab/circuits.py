@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import SLACK, BoundReport
-from .entropy import STATE_CAP, WindowDistribution, check_cap, entropy_rows
+from .entropy import WindowDistribution, check_bytes, entropy_rows
 # not called here; kept because perfbench/tracer.py patches circuits.entropy_vec
 from .entropy import entropy_vec  # noqa: F401
-from .lattice import Alphabet, decode_patterns, encode_patterns, hypercube
+from .lattice import Alphabet, decode_patterns, hypercube
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa, site_blocks
 from .rng import CounterRng, LANE_SCHEDULE
 
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # worst_case_curve's exact/sampled threshold, its sampled initial count, and
-# how many initials it evolves together
+# how many initials it evolves together at most
 EXACT_STATES = 2 ** 20
 SAMPLED_INITIALS = 256
 CHAIN_BATCH = 64
@@ -110,27 +110,26 @@ class PermutationGate:
         return self.gate_sites
 
 
-def _apply_gate_columns(gate, cols: np.ndarray, alphabet: Alphabet):
-    """Apply one gate in place to a (n_states, n_sites) symbol matrix."""
+def _gate_shifts(gate, network: ReversibleNetwork) -> np.ndarray:
+    """The gate's shift of the state code for each pattern of its sites (first most significant)."""
+    alphabet, k = network.alphabet, len(gate.sites)
+    old = decode_patterns(np.arange(alphabet.size ** k), k, alphabet.size)
+    new = old.copy()
     if isinstance(gate, Translate):
-        cols[:, gate.site] = alphabet.add(cols[:, gate.site], gate.amount)
+        new[:, 0] = alphabet.add(old[:, 0], gate.amount)
     elif isinstance(gate, ControlledAdd):
-        cols[:, gate.target] = alphabet.add(cols[:, gate.target], cols[:, gate.control])
+        new[:, 1] = alphabet.add(old[:, 1], old[:, 0])
     elif isinstance(gate, Swap):
-        cols[:, [gate.a, gate.b]] = cols[:, [gate.b, gate.a]]
+        new = old[:, ::-1]
     elif isinstance(gate, Toffoli):
         if len(alphabet.factors) != 1:
             raise ValueError("Toffoli-style gates need a single cyclic factor")
-        prod = (cols[:, gate.control1] * cols[:, gate.control2]) % alphabet.size
-        cols[:, gate.target] = alphabet.add(cols[:, gate.target], prod)
+        new[:, 2] = alphabet.add(old[:, 2], old[:, 0] * old[:, 1] % alphabet.size)
     elif isinstance(gate, PermutationGate):
-        sub = encode_patterns(cols[:, list(gate.gate_sites)], alphabet.size)
-        mapped = np.asarray(gate.table, dtype=np.int64)[sub]
-        cols[:, list(gate.gate_sites)] = decode_patterns(
-            mapped, len(gate.gate_sites), alphabet.size
-        )
+        new = decode_patterns(np.asarray(gate.table), k, alphabet.size)
     else:
         raise TypeError(f"unknown gate {gate!r}")
+    return (new - old) @ alphabet.size ** (network.n_sites - 1 - np.asarray(gate.sites))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,14 +186,16 @@ class ReversibleNetwork:
         return int(rng.integers(len(self.layers)))
 
     def layer_permutation(self, layer_index: int) -> np.ndarray:
-        """Dense permutation P with state x mapping to P[x]."""
-        check_cap(self.n_states)
-        cols = decode_patterns(
-            np.arange(self.n_states, dtype=np.int64), self.n_sites, self.alphabet.size
-        )
+        """Dense permutation P, x -> P[x]: a layer's gates act on disjoint sites, so each
+        reads its sites' pattern off P as built and adds its shift (four arrays at most)."""
+        check_bytes(32 * self.n_states, f"a layer permutation on {self.n_states} states")
+        size, perm = self.alphabet.size, np.arange(self.n_states, dtype=np.int64)
         for gate in self.layers[layer_index]:
-            _apply_gate_columns(gate, cols, self.alphabet)
-        perm = encode_patterns(cols, self.alphabet.size)
+            sub = np.zeros_like(perm)
+            for s in gate.sites:
+                sub *= size
+                sub += perm // size ** (self.n_sites - 1 - s) % size
+            perm += _gate_shifts(gate, self)[sub]
         return perm
 
 
@@ -236,6 +237,8 @@ def evolve_chain_exact(
     """Law after t alternations of (scheduled layer, per-site noise), for a
     law on hypercube(n_sites) at time `start`: steps start+1..start+t."""
     _check_chain_law(dist, network)
+    # the law, its spare, and a permutation per layer used, the last while built
+    check_bytes(8 * network.n_states * (min(len(network.layers), t) + 5), "the chain")
     blocks, perms = _noise_blocks(network, noise), {}
     probs = np.array(dist.probs, dtype=np.float64)
     spare = np.empty_like(probs)
@@ -251,28 +254,27 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     Mode "exact" maximizes over all point-mass initials; a network with more
     than EXACT_STATES states is maximized over SAMPLED_INITIALS random
     initials (seed 0) instead, mode "sampled-lower-bound", a lower bound on
-    the sup.  The initials run through the whole horizon in batches of
-    CHAIN_BATCH, held state-major as the columns of one (n_states, batch)
-    matrix; a batch holds at most STATE_CAP probabilities, so very large
-    networks run fewer initials at a time (at least one).  Each layer's
+    the sup.  The initials run through the whole horizon in batches, held
+    state-major as the columns of one (n_states, batch) matrix: as many as
+    fit in MEMORY_CAP, at least one, at most CHAIN_BATCH.  Each layer's
     permutation is built once per call, whatever the number of batches.
     """
+    if t_max < 0:
+        raise ValueError("t_max must be non-negative")
     k_states = network.n_states
+    # ones, a permutation per layer used (the last while built), 3 arrays per batch column
+    fixed, column = 8 * k_states * (min(len(network.layers), t_max) + 4), 24 * k_states
+    width = min(CHAIN_BATCH, 1 + check_bytes(fixed + column, f"the chain on {k_states} states") // column)
     exact = k_states <= EXACT_STATES
-    if exact:
-        initials = np.arange(k_states, dtype=np.int64)
-    else:
-        rng = np.random.default_rng(0)
-        initials = rng.integers(0, k_states, size=SAMPLED_INITIALS)
+    initials = range(k_states) if exact else np.random.default_rng(0).integers(0, k_states, SAMPLED_INITIALS)
     blocks, perms = _noise_blocks(network, noise), {}
     uniform, ones = 1.0 / k_states, np.ones(k_states)
     h_max_total = network.n_sites * network.alphabet.h_max
     d_curve = np.zeros(t_max + 1)
     xi_curve = np.zeros(t_max + 1)
     xi_curve[0] = h_max_total
-    width = max(1, min(CHAIN_BATCH, STATE_CAP // k_states))
-    for lo in range(0, initials.size, width):
-        batch_idx = initials[lo : lo + width]
+    for lo in range(0, len(initials), width):
+        batch_idx = np.asarray(initials[lo : lo + width])
         mat = np.zeros((k_states, batch_idx.size))
         mat[batch_idx, np.arange(batch_idx.size)] = 1.0
         # per-batch buffers: the laws and a spare for the chain step, and the
@@ -286,6 +288,7 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
             # the column sums taken as one matrix-vector product
             tv = (ones @ np.maximum(mat, uniform, out=work)).max() - 1.0
             d_curve[t] = max(d_curve[t], tv)
+        del mat, spare, work  # before the next batch allocates its own
     return d_curve, xi_curve, ("exact" if exact else "sampled-lower-bound")
 
 

@@ -8,7 +8,7 @@ the config hash, and the seed; re-running a config reproduces the files
 byte-identically except for the timestamp line.
 
 Exit codes: 0 ok, 1 config/schema error or a non-finite result, 2
-state-space cap exceeded, 3 bound violation in verify-bounds mode.
+memory budget (MEMORY_CAP) exceeded, 3 bound violation in verify-bounds mode.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .circuits import finite_bound_rhs, network_from_json, worst_case_curve
 from .entropy import (
     CapExceededError,
     WindowDistribution,
-    check_cap,
     deficiency,
     entropy,
     estimate_entropy,
@@ -196,16 +195,15 @@ def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
     return 0
 
 
-def _cone_problems(inst: dict):
+def _cone_problems(inst: dict) -> list[ConeProblem]:
     """One ConeProblem per t = 0..horizon of an exact-law instance (rule,
-    noise, window, horizon, initial, cap).  The initial is given once on the
+    noise, window, horizon, initial).  The initial is given once on the
     horizon's cone moore(A, rT); each t takes its restriction to moore(A, rt).
-    The cap is checked on the horizon's cone before the first problem."""
+    Each problem checks its bytes as it is made, before any t is solved."""
     rule = rule_from_json(inst["rule"])
     noise = noise_from_json(inst["noise"])
     window = _parse_window(inst["window"], rule.dim)
     horizon = int(inst["horizon"])
-    cap = int(inst["cap"]) if "cap" in inst else None
     cone = dependence_cone(window, rule, horizon)
     kind = inst.get("initial", "all-zeros")
     if kind == "all-zeros":
@@ -221,11 +219,9 @@ def _cone_problems(inst: dict):
             )
     else:
         raise ConfigError(f"unknown initial {kind!r}")
-    check_cap(rule.alphabet.size ** len(cone), cap)
     pos = {c: i for i, c in enumerate(cone.cells)}
-    for t in range(horizon + 1):
-        cells = dependence_cone(window, rule, t).cells
-        yield ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]])
+    cones = [dependence_cone(window, rule, t).cells for t in range(horizon + 1)]
+    return [ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]]) for t, cells in enumerate(cones)]
 
 
 def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:

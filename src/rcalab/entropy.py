@@ -15,8 +15,9 @@ import numpy as np
 from .lattice import Alphabet, CellSet, marginalize_patterns
 
 __all__ = [
-    "STATE_CAP",
+    "MEMORY_CAP",
     "CapExceededError",
+    "check_bytes",
     "WindowDistribution",
     "entropy",
     "entropy_vec",
@@ -31,24 +32,21 @@ __all__ = [
     "mixing_time",
 ]
 
-# Largest dense probability vector an exact engine will build (2**24 doubles);
-# operations reject bigger requests rather than silently approximating.
-STATE_CAP = 2 ** 24
+# Most bytes an engine may hold at its peak (512 MiB), counted and checked before it allocates
+MEMORY_CAP = 2 ** 29
 
 SUM_TOL = 1e-10
 
 
 class CapExceededError(Exception):
-    """A request would exceed the configured exact state-space cap."""
+    """A request would hold more bytes than MEMORY_CAP."""
 
 
-def check_cap(n_states: int, cap: int | None = None):
-    """Refuse a state space larger than cap, STATE_CAP by default.  Engines
-    call it with no cap before they allocate; an explicit cap is the config's
-    `cap` key, checked by the CLI on an exact-law instance's horizon cone."""
-    cap = STATE_CAP if cap is None else cap
-    if n_states > cap:
-        raise CapExceededError(f"state space of size {n_states} exceeds cap {cap}")
+def check_bytes(n_bytes: int, what: str) -> int:
+    """Refuse n_bytes for `what` over MEMORY_CAP (read per call); return the bytes left."""
+    if n_bytes > MEMORY_CAP:
+        raise CapExceededError(f"{what} needs {n_bytes} bytes, over the budget of {MEMORY_CAP} bytes")
+    return MEMORY_CAP - n_bytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +61,7 @@ class WindowDistribution:
 
     def __init__(self, window, alphabet, probs):
         n_states = alphabet.size ** len(window)
-        check_cap(n_states)
+        check_bytes(8 * n_states, "a window law")
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (n_states,):
             raise ValueError(f"probability vector must have {n_states} entries")
@@ -86,13 +84,13 @@ class WindowDistribution:
     @classmethod
     def uniform(cls, window, alphabet):
         n = alphabet.size ** len(window)
-        check_cap(n)
+        check_bytes(8 * n, "a window law")
         return cls(window, alphabet, np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, window, alphabet, pattern_code: int):
         n = alphabet.size ** len(window)
-        check_cap(n)
+        check_bytes(8 * n, "a window law")
         probs = np.zeros(n)
         probs[int(pattern_code)] = 1.0
         return cls(window, alphabet, probs)
@@ -104,7 +102,7 @@ class WindowDistribution:
         cell_laws = [np.asarray(p, dtype=np.float64) for p in cell_laws]
         if len(cell_laws) != len(window):
             raise ValueError("one per-cell law per window cell required")
-        check_cap(alphabet.size ** len(window))
+        check_bytes(8 * alphabet.size ** len(window), "a window law")
         probs = np.ones(1)
         for p in cell_laws:
             probs = np.multiply.outer(probs, p).reshape(-1)

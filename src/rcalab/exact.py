@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import SLACK, BoundReport
-from .entropy import WindowDistribution, check_cap, entropy
+from .entropy import WindowDistribution, check_bytes, entropy
 from .lattice import CellSet, decode_patterns, moore, moore_boundary, pattern_strides
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa, local_kernel
 from .rules import LocalRule
@@ -63,7 +63,11 @@ class ConeProblem:
             raise ValueError("window dimension does not match the rule")
         if len(self.window) == 0:
             raise ValueError("window must be non-empty")
-        check_cap(self.rule.alphabet.size ** len(self.cone()))
+        # four laws on the largest cone (from a point mass, the first step builds cone(t - 1)) and two kernels
+        t = self.horizon if isinstance(self.initial, WindowDistribution) else max(self.horizon - 1, 0)
+        size, cells = self.rule.alphabet.size, len(dependence_cone(self.window, self.rule, t))
+        n_bytes = 8 * (4 * size ** cells + 2 * size ** (len(self.rule.neighborhood) + 1))
+        check_bytes(n_bytes, f"the kernel sweep over a {cells}-cell cone")
 
     def cone(self) -> CellSet:
         return dependence_cone(self.window, self.rule, self.horizon)

@@ -25,7 +25,6 @@ __all__ = [
     "diameter",
     "translate",
     "pattern_strides",
-    "encode_patterns",
     "decode_patterns",
     "marginalize_patterns",
 ]
@@ -223,12 +222,6 @@ def pattern_strides(n_cells: int, base: int) -> np.ndarray:
     """Mixed-radix strides for patterns over n_cells cells (first cell most
     significant)."""
     return base ** np.arange(n_cells - 1, -1, -1, dtype=np.int64)
-
-
-def encode_patterns(symbols: np.ndarray, base: int) -> np.ndarray:
-    """Encode rows of per-cell symbols into dense pattern codes."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    return symbols @ pattern_strides(symbols.shape[-1], base)
 
 
 def decode_patterns(codes: np.ndarray, n_cells: int, base: int) -> np.ndarray:

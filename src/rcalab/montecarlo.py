@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import STATE_CAP, CapExceededError, mixing_time
+from .entropy import check_bytes, mixing_time
 from .lattice import CellSet, diameter, hypercube, marginalize_patterns, pattern_strides
 from .noise import NoiseModel, add_noise_index
 from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK
@@ -204,23 +204,30 @@ def _block_counts(stepper: _BlockStepper, block: int, counts: np.ndarray) -> Non
         counts[t] += np.bincount(codes, minlength=counts.shape[1])
 
 
+def _count_bytes(plan: SimulationPlan, threads: int) -> int:
+    """Per worker: an accumulator, a bincount row and a block-step (per cell a uniform, a
+    fused-table index, the state and two padded copies); and the workers' sum."""
+    workers = max(min(threads, -(-plan.replicates // REPLICATE_BLOCK)), 1)
+    counts = 8 * (plan.horizon + 1) * plan.rule.alphabet.size ** len(plan.window)
+    index = np.min_scalar_type(plan.noise.perm_table.shape[0] * plan.rule.table.size - 1).itemsize
+    padded = np.prod(np.add(plan.sides, 2 * plan.rule.radius)) / np.prod(plan.sides)
+    cell = 8 + index + plan.rule.alphabet.state_dtype.itemsize * (1 + 2 * padded)
+    block = min(plan.replicates, REPLICATE_BLOCK) * np.prod(plan.sides) * cell
+    return int(workers * (counts + counts // (plan.horizon + 1) + block) + (workers > 1) * counts)
+
+
 def window_pattern_counts(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     """Pattern counts over the window, shape (horizon+1, |Sigma|^|A|).
 
     Each worker adds its blocks into one int64 accumulator of its own; the
     sums are integers, so the reduction is exact and thread-count-independent,
-    and memory does not grow with the number of blocks.  The accumulators'
-    bytes are checked against 8 * STATE_CAP before any is allocated.
+    and memory does not grow with the number of blocks.  What the workers
+    hold is checked against MEMORY_CAP before any of it is allocated.
     """
+    check_bytes(_count_bytes(plan, threads), "counting window patterns")
     n_patterns = plan.rule.alphabet.size ** len(plan.window)
     n_blocks = -(-plan.replicates // REPLICATE_BLOCK)
     workers = max(min(threads, n_blocks), 1)
-    n_bytes = (plan.horizon + 1) * n_patterns * 8 * workers
-    if n_bytes > 8 * STATE_CAP:
-        raise CapExceededError(
-            f"{workers} count accumulator(s) of {plan.horizon + 1} x {n_patterns} int64"
-            f" need {n_bytes} bytes, over the cap of {8 * STATE_CAP}"
-        )
 
     def worker(first: int) -> np.ndarray:
         stepper = _BlockStepper(plan)
@@ -347,10 +354,14 @@ def mixing_scan(
     plans = adversarial_family(
         rule, noise, big, horizon, replicates, seed, n_random=n_random
     )
+    # a run, all counts and their marginals on one window, tv_curve's 4 arrays
+    plan_bytes = 8 * (horizon + 1) * rule.alphabet.size ** len(big)
+    check_bytes(_count_bytes(plans[0], threads) + (2 * len(plans) + 4) * plan_bytes, "the mixing scan")
     big_counts = [window_pattern_counts(p, threads=threads) for p in plans]
     out = {}
     for n in window_sides:
         sub = hypercube(n, dim)
-        counts = [marginalize_counts(c, big, sub, rule.alphabet.size) for c in big_counts]
-        out[n] = estimate_mixing_time(plans, counts, epsilon)
+        out[n] = estimate_mixing_time(
+            plans, [marginalize_counts(c, big, sub, rule.alphabet.size) for c in big_counts], epsilon
+        )
     return out

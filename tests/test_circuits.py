@@ -18,7 +18,7 @@ from rcalab.circuits import (
     network_to_json,
     worst_case_curve,
 )
-from rcalab.entropy import WindowDistribution, entropy, entropy_vec, mixing_time, tv_vec
+from rcalab.entropy import CapExceededError, WindowDistribution, entropy, entropy_vec, mixing_time, tv_vec
 from rcalab.lattice import Alphabet, hypercube
 from rcalab.noise import additive_noise
 
@@ -192,6 +192,17 @@ def test_check_finite_bound_example():
     assert rep0.rhs >= 1.0 and rep0.ok
 
 
+def test_negative_horizon_refused_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chain started")
+
+    monkeypatch.setattr(circuits, "_noise_blocks", refuse)
+    net = alternating_cnot_network(3)
+    for call in (worst_case_curve, check_finite_bound):
+        with pytest.raises(ValueError, match="non-negative"):
+            call(net, Q91, -1)
+
+
 def test_uniform_noise_mixes_in_one_step():
     uniform_noise = additive_noise(Z2, [0.5, 0.5])
     net = alternating_cnot_network(2)
@@ -249,7 +260,7 @@ def test_network_json_roundtrip():
         assert np.array_equal(net.layer_permutation(li), back.layer_permutation(li))
 
 
-def test_worst_case_curve_chunks_by_state_cap(monkeypatch):
+def test_worst_case_curve_chunks_by_state_cap(monkeypatch, memory_cap, declared):
     net = ReversibleNetwork(
         6,
         Z2,
@@ -268,9 +279,14 @@ def test_worst_case_curve_chunks_by_state_cap(monkeypatch):
         return convolve(probs, channel, n_sites, out=out)
 
     monkeypatch.setattr(circuits, "convolve_sites", spy)
-    monkeypatch.setattr(circuits, "STATE_CAP", 10 * 64)
+    # the chain asks for room for one batch column, three float64 arrays of
+    # the states; a budget with room for nine more runs ten at a time
+    memory_cap(declared[0] + 9 * 3 * 8 * 64)
     chunked = worst_case_curve(net, Q91, 7)
     assert max(batches) == 10 and sum(batches) == 7 * 64
+    memory_cap(declared[0] - 1)
+    with pytest.raises(CapExceededError):
+        worst_case_curve(net, Q91, 7)
     assert chunked[2] == whole[2] == "exact"
     for a, b in zip(chunked[:2], whole[:2]):
         assert np.abs(a - b).max() < 1e-12

@@ -103,12 +103,12 @@ def test_evolve_exact_output(tmp_path):
 
 
 def test_evolve_exact_cap_exit(tmp_path):
+    # the sweep of the horizon-30 cone needs far more than MEMORY_CAP
     doc = {
         "kind": "evolve-exact",
         "params": {
             "rule": {"elementary": 90}, "noise": NOISE,
             "window": {"hypercube": 4}, "horizon": 30, "initial": "all-zeros",
-            "cap": 4096,
         },
     }
     cfg = write_config(tmp_path, doc)
@@ -309,14 +309,18 @@ def _without(params, key):
     return {k: v for k, v in params.items() if k != key}
 
 
-DECAY_INSTANCE = {
-    "rule": {"elementary": 90}, "noise": NOISE,
-    "window": {"hypercube": 1}, "horizon": 2, "alpha": 2.0, "beta": 0.05,
+CONE_INSTANCE = {"rule": {"elementary": 90}, "noise": NOISE, "window": {"hypercube": 1}, "horizon": 2}
+DECAY_INSTANCE = dict(CONE_INSTANCE, alpha=2.0, beta=0.05)
+SIMULATE_PARAMS = {
+    "rule": {"elementary": 90}, "noise": NOISE, "sides": [12],
+    "window": {"hypercube": 1}, "horizon": 2, "replicates": 100,
 }
+PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [1, 0]], "q": [0.9, 0.1]}
 
 
 # each of these passed load before the per-kind params schemas, and failed
-# later with no JSON path or with a traceback
+# later with no JSON path or with a traceback; a cone instance's cap key, once
+# a state limit, would otherwise be dropped without a word
 @pytest.mark.parametrize(
     "kind, params, path",
     [
@@ -329,9 +333,14 @@ DECAY_INSTANCE = {
             {"checks": ["decay-envelope"], "decay_instance": _without(DECAY_INSTANCE, "noise")},
             "$.params.decay_instance",
         ),
+        ("simulate", dict(SIMULATE_PARAMS, noise=_without(PERMUTATION_NOISE, "perms")), "$.params.noise"),
+        ("mixing-scan", dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1, replicates=0), "$.params.replicates"),
+        ("simulate", dict(SIMULATE_PARAMS, replicates=2.5), "$.params.replicates"),
+        ("evolve-exact", dict(CONE_INSTANCE, cap=4096), "$.params.cap"),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
-         "decay-instance-no-noise"],
+         "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
+         "simulate-fractional-replicates", "cone-instance-cap"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):
@@ -345,6 +354,27 @@ def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params,
     assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
     assert f"error: config schema violation at {path}:" in capsys.readouterr().err
+
+
+# one config per kind that runs an engine with a byte count
+BUDGETED_RUNS = {
+    "evolve-exact": CONE_INSTANCE,
+    "simulate": SIMULATE_PARAMS,
+    "mixing-scan": dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1),
+    "verify-bounds": {"checks": ["evolution"], "evolution_instance": CONE_INSTANCE},
+    "circuit-mix": EPSILON_PARAMS["circuit-mix"],
+}
+
+
+@pytest.mark.parametrize("kind", BUDGETED_RUNS)
+def test_budget_exceeded_is_exit_2(tmp_path, capsys, memory_cap, kind):
+    memory_cap(64)
+    cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": BUDGETED_RUNS[kind]})
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CAP
+    assert not list(out.glob("*"))
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bytes, over the budget of 64 bytes" in err
 
 
 def test_benchmark_configs_validate(monkeypatch):
@@ -525,27 +555,27 @@ def test_evolve_exact_pattern_initial_on_horizon_cone(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["evolution_instance", "decay_instance"])
-def test_verify_bounds_instance_honours_cap(tmp_path, monkeypatch, key):
+def test_verify_bounds_instance_honours_cap(tmp_path, monkeypatch, memory_cap, declared, key):
     from rcalab import cli
 
     solve = cli.exact_window_marginal
     calls = []
     monkeypatch.setattr(cli, "exact_window_marginal", lambda p: calls.append(p) or solve(p))
-    # the horizon cone moore(S_2, 3) has 8 cells, 256 states
     instance = {
         "rule": {"elementary": 90}, "noise": NOISE,
         "window": {"hypercube": 2}, "horizon": 3, "alpha": 2.0, "beta": 0.05,
     }
     check = {"evolution_instance": "evolution", "decay_instance": "decay-envelope"}[key]
-    for cap, code in ((256, 0), (255, EXIT_CAP)):
-        doc = {
-            "kind": "verify-bounds", "seed": 1,
-            "params": {"checks": [check], key: dict(instance, cap=cap)},
-        }
-        cfg = write_config(tmp_path, doc, f"cap{cap}.json")
+    doc = {"kind": "verify-bounds", "seed": 1, "params": {"checks": [check], key: instance}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "free")]) == 0
+    # the t = 3 problem's sweep holds the most
+    need = max(declared)
+    for cap, code in ((need, 0), (need - 1, EXIT_CAP)):
+        memory_cap(cap)
         calls.clear()
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / str(cap))]) == code
-        # a cap below the horizon cone fails before any t is solved
+        # a budget below the largest sweep fails before any t is solved
         assert bool(calls) == (code == 0)
 
 

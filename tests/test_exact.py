@@ -303,6 +303,21 @@ def test_marginal_agrees_with_enumeration_permutation_noise():
             assert np.abs(got - _einsum_marginal(problem).probs).max() < 1e-12
 
 
+def test_moore_s2_at_t2_sweeps_only_the_t1_cone():
+    # the horizon cone has 36 cells, 2^36 states; from a point mass the sweep
+    # builds at most the 16-cell cone at t = 1, and its law there, pushed one
+    # step by enumeration, is the window law at t = 2
+    rule, window = _random_rule(Z2, MOORE_2D, 8), hypercube(2, 2)
+    noise = _random_noise(Z2, 9)
+    symbols = np.random.default_rng(10).integers(0, 2, size=36)
+    cone1, cone2 = (dependence_cone(window, rule, t) for t in (1, 2))
+    at_t1 = exact_window_marginal(ConeProblem(rule, noise, cone1, 1, symbols))
+    assert len(cone2) == 36 and len(cone1) == 16
+    got = exact_window_marginal(ConeProblem(rule, noise, window, 2, symbols)).probs
+    want = _enumerate_marginal(ConeProblem(rule, noise, window, 1, at_t1)).probs
+    assert np.abs(got - want).max() < 1e-12
+
+
 @pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
 def test_push_deterministic_agrees_with_enumeration(name):
     rule, window, _ = AGREEMENT_CASES[name]

@@ -350,13 +350,16 @@ def test_count_accumulators_capped_in_bytes(monkeypatch):
         window_pattern_counts(plan)
 
 
-def test_count_cap_counts_every_worker(monkeypatch):
-    # two workers' 4 x 4 int64 accumulators are 256 bytes
+def test_count_cap_counts_every_worker(memory_cap, declared):
+    # two workers hold two accumulators, their sum and two blocks' working
+    # sets; one worker holds less
     plan = SimulationPlan(R90, Q91, (9,), "all-zeros", 3, 2048, 1, hypercube(2))
-    monkeypatch.setattr(montecarlo, "STATE_CAP", 32)
     assert window_pattern_counts(plan, threads=2).sum() == 4 * 2048
-    monkeypatch.setattr(montecarlo, "STATE_CAP", 31)
+    two_workers = declared[-1]
+    memory_cap(two_workers)
+    assert window_pattern_counts(plan, threads=2).sum() == 4 * 2048
+    memory_cap(two_workers - 1)
     with pytest.raises(CapExceededError):
         window_pattern_counts(plan, threads=2)
-    monkeypatch.setattr(montecarlo, "STATE_CAP", 16)
     assert window_pattern_counts(plan, threads=1).sum() == 4 * 2048
+    assert declared[-1] <= two_workers // 2
