@@ -22,10 +22,10 @@ from .rules import (
     lift_second_order,
 )
 from .noise import NoiseModel, additive_noise, apply_noise, decompose, kappa, local_kernel
+# the function entropy is not re-exported: it would shadow the module
 from .entropy import (
     WindowDistribution,
     deficiency,
-    entropy,
     estimate_entropy,
     pinsker_bound,
     tv_distance,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import WindowDistribution, check_bytes, deficiency, entropy_vec
+from .entropy import WindowDistribution, check_bytes, deficiency, entropy_rows, entropy_vec
 from .lattice import Alphabet, CellSet, hypercube, translate
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
 from .rules import LocalRule
@@ -92,16 +92,10 @@ def check_noise_lemma(p, noise: NoiseModel, variant: str = "scalar") -> BoundRep
         if p.ndim != 2 or p.shape[1] != size:
             raise ValueError("conditional variant needs a joint (C, A) matrix")
         pc = p.sum(axis=1)
-        h_cond = sum(
-            pc[i] * entropy_vec(p[i] / pc[i]) for i in range(p.shape[0]) if pc[i] > 0
-        )
-        h_cond_noisy = sum(
-            pc[i] * entropy_vec((p[i] / pc[i]) @ channel)
-            for i in range(p.shape[0])
-            if pc[i] > 0
-        )
-        lhs = h_cond_noisy
-        rhs = k * h_max + (1.0 - k) * h_cond
+        seen = pc > 0
+        rows = p[seen] / pc[seen, None]  # the laws of A given each C with p_C > 0
+        lhs = pc[seen] @ entropy_rows((rows @ channel).T)
+        rhs = k * h_max + (1.0 - k) * (pc[seen] @ entropy_rows(rows.T))
         n = 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -198,8 +192,8 @@ def check_block_superadditivity(
     size = block.alphabet.size
     layout = bootstrap_layout(n, k, r, t, d)
     big = layout.big_window()
-    # the joint law and its reordered copy, or that and its entropy's 3 arrays and mask
-    check_bytes((4 * 8 + 1) * size ** len(big), f"the joint law on {len(big)} cells")
+    # the joint law and its reordered copy, or that and its entropy's logs
+    check_bytes(2 * 8 * size ** len(big), f"the joint law on {len(big)} cells")
     if padding is None:
         padding = np.full(size, 1.0 / size)
     padding = np.asarray(padding, dtype=np.float64)

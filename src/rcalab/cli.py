@@ -268,7 +268,7 @@ def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) ->
     n = diameter(window)
     rows = [
         [n, t, plan.generator_label, float(tv[t]), float(se[t]),
-         _entropy_from_counts(counts[t], estimator), estimator, plan.replicates, seed]
+         estimate_entropy(counts[t], estimator), estimator, plan.replicates, seed]
         for t in range(plan.horizon + 1)
     ]
     writer.meta["wrap-contaminated"] = plan.wrap_contaminated
@@ -278,11 +278,6 @@ def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) ->
         rows,
     )
     return 0
-
-
-def _entropy_from_counts(counts: np.ndarray, estimator: str) -> float:
-    codes = np.repeat(np.arange(counts.size), counts)
-    return estimate_entropy(codes, method=estimator)
 
 
 def run_mixing_scan(params: dict, seed: int, writer: OutputWriter, threads: int) -> int:

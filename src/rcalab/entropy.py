@@ -1,6 +1,6 @@
 """Exact and estimated information functionals on window distributions:
 entropy, deficiency, total variation, KL divergence, the Pinsker bound, and
-plug-in / Miller-Madow sample estimators.
+plug-in / Miller-Madow estimators from pattern counts.
 
 All entropies are in nats.
 """
@@ -65,10 +65,13 @@ class WindowDistribution:
         probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (n_states,):
             raise ValueError(f"probability vector must have {n_states} entries")
-        if probs.min() < -SUM_TOL:
+        lowest = probs.min()
+        if lowest < -SUM_TOL:
             raise ValueError("probabilities must be non-negative")
         if abs(float(probs.sum()) - 1.0) > SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-10")
+        if lowest < 0:  # an admitted rounding error is stored as 0
+            probs = np.maximum(probs, 0.0)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
@@ -121,22 +124,22 @@ def _as_probs(p) -> np.ndarray:
 
 
 def entropy_vec(probs: np.ndarray) -> float:
-    """Shannon entropy of a probability vector in nats, 0*log0 = 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum()) + 0.0
+    """Shannon entropy of a non-negative probability vector in nats."""
+    return float(entropy_rows(probs))
 
 
 def entropy_rows(probs: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Shannon entropy in nats of each law in a state-major stack of
     non-negative laws: states on the first axis, one value per entry of the
-    trailing batch axes, with entropy_vec's conventions: 0*log0 = 0 (a zero
-    meets log(tiny), which is finite) and no negative zero.  work, a float64
-    array of probs' shape, takes the logs, so that a caller in a loop
-    allocates it once."""
+    trailing batch axes (one value for a lone law).  0*log0 = 0, as a
+    zero meets log(tiny), which is finite, and no value is a negative zero.
+    work, a float64 array of probs' shape, takes the logs, so that a caller
+    in a loop allocates it once."""
     p = np.asarray(probs, dtype=np.float64)
     logs = np.empty_like(p) if work is None else work
     np.log(np.maximum(p, np.finfo(np.float64).tiny, out=logs), out=logs)
+    if p.ndim == 1:
+        return -(logs @ p) + 0.0
     return -np.einsum("i...,i...->...", p, logs) + 0.0
 
 
@@ -163,7 +166,7 @@ def tv_distance(p: WindowDistribution, q: WindowDistribution) -> float:
 
 
 def tv_to_uniform(p: WindowDistribution) -> float:
-    return tv_vec(p.probs, np.full(p.probs.shape, 1.0 / p.probs.size))
+    return tv_vec(p.probs, 1.0 / p.probs.size)
 
 
 def kl_divergence(p, q) -> float:
@@ -194,22 +197,23 @@ def mixing_time(curve, epsilon: float) -> tuple[int, bool]:
     return (int(hit[0]), True) if hit.size else (len(curve), False)
 
 
-def estimate_entropy(samples, method: str = "plugin") -> float:
-    """Entropy estimate from observed pattern codes.
+def estimate_entropy(counts, method: str = "plugin") -> float:
+    """Entropy estimate from the observed count of each pattern (patterns
+    never seen may be listed with count 0).
 
     "plugin" is the empirical-distribution entropy; "miller-madow" adds the
-    (K_hat - 1) / (2N) bias correction with K_hat the number of observed
-    patterns.
+    (K_hat - 1) / (2N) bias correction with N the number of samples and
+    K_hat the number of observed patterns.
     """
-    samples = np.asarray(samples, dtype=np.int64)
-    if samples.size == 0:
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 0).any():
+        raise ValueError("pattern counts must be non-negative")
+    n = int(counts.sum())
+    if n == 0:
         raise ValueError("need at least one sample")
-    _, counts = np.unique(samples, return_counts=True)
-    n = samples.size
-    freq = counts / n
-    h = entropy_vec(freq)
+    h = entropy_vec(counts / n)
     if method == "plugin":
         return h
     if method == "miller-madow":
-        return h + (len(counts) - 1) / (2.0 * n)
+        return h + (int(np.count_nonzero(counts)) - 1) / (2.0 * n)
     raise ValueError(f"unknown estimator {method!r}")

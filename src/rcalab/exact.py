@@ -142,6 +142,7 @@ def _sweep(dist: WindowDistribution, rule: LocalRule, target: CellSet, kernel) -
         local = kernel.transpose(local).reshape(size ** len(kept), size ** len(done), size)
         labels = kept + rest + [~j]
         tensor = np.matmul(view, local).reshape((size,) * len(labels))
+        del view, local  # the next reordered copy is made without this one
     return WindowDistribution(target, rule.alphabet, tensor.reshape(-1))
 
 

@@ -1,7 +1,8 @@
-import importlib
 import re
 
 import pytest
+
+import rcalab.entropy as ENTROPY
 
 
 def pytest_runtest_logreport(report):
@@ -12,11 +13,6 @@ def pytest_runtest_logreport(report):
     match = re.search(r"test_acceptance\.py::test_criterion_(\d+)", report.nodeid)
     if match:
         print(f"\nCRITERION {match.group(1)}: FAIL ({report.duration:.2f}s)")
-
-
-# The package attribute rcalab.entropy is the entropy function, so the module
-# that holds the byte budget is looked up by name.
-ENTROPY = importlib.import_module("rcalab.entropy")
 
 
 @pytest.fixture

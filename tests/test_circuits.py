@@ -18,7 +18,15 @@ from rcalab.circuits import (
     network_to_json,
     worst_case_curve,
 )
-from rcalab.entropy import CapExceededError, WindowDistribution, entropy, entropy_vec, mixing_time, tv_vec
+from rcalab.entropy import (
+    CapExceededError,
+    WindowDistribution,
+    entropy,
+    entropy_vec,
+    kl_divergence,
+    mixing_time,
+    tv_vec,
+)
 from rcalab.lattice import Alphabet, hypercube
 from rcalab.noise import additive_noise
 
@@ -333,12 +341,12 @@ def test_worst_case_curve_matches_per_initial_chains(net, noise):
     window = hypercube(net.n_sites)
     laws = [WindowDistribution.point_mass(window, net.alphabet, x) for x in range(net.n_states)]
     uniform = np.full(net.n_states, 1.0 / net.n_states)
-    h_max = net.n_sites * net.alphabet.h_max
     for t in range(t_max + 1):
         if t:
             laws = [evolve_chain_exact(law, net, noise, 1, start=t - 1) for law in laws]
         assert abs(d_curve[t] - max(tv_vec(law.probs, uniform) for law in laws)) < 1e-12
-        assert abs(xi_curve[t] - max(h_max - entropy_vec(law.probs) for law in laws)) < 1e-12
+        # Xi = |A| h_max - H = log N - H, the KL divergence to uniform
+        assert abs(xi_curve[t] - max(kl_divergence(law.probs, uniform) for law in laws)) < 1e-12
 
 
 def test_sampled_curve_does_not_depend_on_batch_width(monkeypatch):

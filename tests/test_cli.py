@@ -337,10 +337,11 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
         ("mixing-scan", dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1, replicates=0), "$.params.replicates"),
         ("simulate", dict(SIMULATE_PARAMS, replicates=2.5), "$.params.replicates"),
         ("evolve-exact", dict(CONE_INSTANCE, cap=4096), "$.params.cap"),
+        ("simulate", dict(SIMULATE_PARAMS, estimator="millermadow"), "$.params.estimator"),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
-         "simulate-fractional-replicates", "cone-instance-cap"],
+         "simulate-fractional-replicates", "cone-instance-cap", "simulate-unknown-estimator"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):
@@ -349,6 +350,7 @@ def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params,
     monkeypatch.setattr(cli, "worst_case_curve", engine)
     monkeypatch.setattr(cli, "exact_window_marginal", engine)
     monkeypatch.setattr(montecarlo, "window_pattern_counts", engine)
+    monkeypatch.setattr(cli, "window_pattern_counts", engine)
     cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": params})
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG

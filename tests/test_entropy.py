@@ -131,9 +131,9 @@ def test_validation():
 
 
 def test_estimate_entropy_examples():
-    samples = np.zeros(100, dtype=int)
-    assert estimate_entropy(samples, "plugin") == 0.0
-    assert estimate_entropy(samples, "miller-madow") == 0.0
+    counts = np.bincount(np.zeros(100, dtype=int))
+    assert estimate_entropy(counts, "plugin") == 0.0
+    assert estimate_entropy(counts, "miller-madow") == 0.0
 
 
 def test_estimate_entropy_consistency():
@@ -141,7 +141,7 @@ def test_estimate_entropy_consistency():
     n = 1_000_000
     samples = (rng.random(n) < 0.1).astype(int)
     h_true = 0.3250829733914482
-    est = estimate_entropy(samples, "plugin")
+    est = estimate_entropy(np.bincount(samples), "plugin")
     # bootstrap-free 3-sigma envelope via the delta method on H-hat
     p_hat = samples.mean()
     var = (math.log(p_hat / (1 - p_hat))) ** 2 * p_hat * (1 - p_hat) / n
@@ -156,14 +156,43 @@ def test_plugin_negative_bias():
     ests = []
     for _ in range(1000):
         s = rng.choice(4, size=40, p=truth)
-        ests.append(estimate_entropy(s, "plugin"))
+        ests.append(estimate_entropy(np.bincount(s, minlength=4), "plugin"))
     assert np.mean(ests) < h_true
     # Miller-Madow moves the estimate up by (K-1)/(2N)
     s = rng.choice(4, size=40, p=truth)
     k_hat = len(np.unique(s))
-    assert estimate_entropy(s, "miller-madow") == pytest.approx(
-        estimate_entropy(s, "plugin") + (k_hat - 1) / 80.0
+    counts = np.bincount(s, minlength=4)
+    assert estimate_entropy(counts, "miller-madow") == pytest.approx(
+        estimate_entropy(counts, "plugin") + (k_hat - 1) / 80.0
     )
+
+
+def _masked_entropy(p):
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def test_counts_estimator_matches_samples_path():
+    # the samples path it replaced: the empirical law of the observed codes
+    rng = np.random.default_rng(8)
+    for size in (1, 7, 200, 5000):
+        samples = rng.integers(0, 16, size) ** 2 % 13  # some codes never drawn
+        _, seen = np.unique(samples, return_counts=True)
+        plugin = _masked_entropy(seen / size)
+        counts = np.bincount(samples, minlength=16)
+        assert estimate_entropy(counts, "plugin") == pytest.approx(plugin, abs=1e-14)
+        assert estimate_entropy(counts, "miller-madow") == pytest.approx(
+            plugin + (seen.size - 1) / (2.0 * size), abs=1e-14
+        )
+        assert type(estimate_entropy(counts, "miller-madow")) is float
+
+
+def test_estimate_entropy_refuses_bad_counts():
+    for counts in ([], [0, 0], [3, -1, 2]):
+        with pytest.raises(ValueError):
+            estimate_entropy(counts)
+    with pytest.raises(ValueError, match="unknown estimator"):
+        estimate_entropy([1, 2], "millermadow")
 
 
 def test_entropy_rows_matches_entropy_vec():
@@ -178,3 +207,26 @@ def test_entropy_rows_matches_entropy_vec():
         assert h == pytest.approx(entropy_vec(row), abs=1e-14)
     assert got[0] == 0.0 and not np.signbit(got[0])
     assert entropy_rows(mat.T[:, None]).shape == (1, 6)
+
+
+def test_entropy_rows_is_log_n_minus_kl_to_uniform():
+    # KL keeps its own masked path, so it is an independent oracle
+    rng = np.random.default_rng(9)
+    mat = rng.dirichlet(np.full(32, 0.3), size=5)
+    mat[2, ::3] = 0.0
+    mat[2] /= mat[2].sum()
+    uniform = np.full(32, 1 / 32)
+    want = [math.log(32) - kl_divergence(row, uniform) for row in mat]
+    assert entropy_rows(mat.T) == pytest.approx(want, abs=1e-14)
+    for row, h in zip(mat, want):
+        assert entropy_rows(row) == pytest.approx(h, abs=1e-14)
+
+
+def test_admitted_negative_entry_is_stored_as_zero():
+    probs = np.array([0.5, 0.0, -1e-12, 0.5 + 1e-12])
+    law = WindowDistribution(hypercube(2), Z2, probs)
+    assert law.probs.min() == 0.0 and probs[2] == -1e-12
+    # the entropy the masked form gave such a law
+    assert entropy(law) == pytest.approx(_masked_entropy(probs), abs=1e-14)
+    clean = np.array([0.25, 0.0, 0.25, 0.5])
+    assert WindowDistribution(hypercube(2), Z2, clean).probs is clean

@@ -156,3 +156,17 @@ def test_24_site_network_refused_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < OBJECTS
+
+
+def test_2d_sweep_holds_at_most_three_and_a_half_laws():
+    # each reordered copy of the cone tensor is freed before the next is made
+    run = lambda: _from_zeros(MOORE, hypercube(2, 2), 2)
+    run()
+    law_bytes = 8 * 2 ** len(dependence_cone(hypercube(2, 2), MOORE, 1))
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * law_bytes
