@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import WindowDistribution, check_bytes, deficiency, entropy_rows, entropy_vec
-from .lattice import Alphabet, CellSet, hypercube, translate
-from .noise import NoiseModel, channel_matrix, convolve_sites, kappa
+from .entropy import WindowDistribution, check_bytes, deficiency, entropy_rows
+# not called here; kept because perfbench/tracer.py patches bounds.entropy_vec
+from .entropy import entropy_vec  # noqa: F401
+from .lattice import Alphabet, CellSet, box_offsets, hypercube, translate
+from .noise import NoiseModel, channel_matrix, kappa
 from .rules import LocalRule
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "proof_rate_constants",
     "hypercube_leakage",
     "noise_lemma_suite",
+    "noise_lemma_sides",
 ]
 
 SLACK = 1e-9
@@ -71,40 +74,60 @@ def check_noise_lemma(p, noise: NoiseModel, variant: str = "scalar") -> BoundRep
     conditional: p a joint (c, a) matrix, H(A+N|C) >= kappa h_max + (1-kappa) H(A|C)
     """
     size = noise.alphabet.size
-    h_max = noise.alphabet.h_max
-    k = kappa(noise)
-    channel = channel_matrix(noise)
     p = np.asarray(p, dtype=np.float64)
+    n = 1
     if variant == "scalar":
         if p.shape != (size,):
             raise ValueError("scalar variant needs a distribution over Sigma")
-        lhs = entropy_vec(p @ channel)
-        rhs = k * h_max + (1.0 - k) * entropy_vec(p)
-        n = 1
     elif variant == "joint":
         n = round(math.log(p.size, size))
         if size ** n != p.size or p.ndim != 1:
             raise ValueError("joint variant needs a flat distribution over Sigma^n")
-        noisy = convolve_sites(p, channel, n)
-        lhs = entropy_vec(noisy)
-        rhs = n * k * h_max + (1.0 - k) * entropy_vec(p)
     elif variant == "conditional":
         if p.ndim != 2 or p.shape[1] != size:
             raise ValueError("conditional variant needs a joint (C, A) matrix")
-        pc = p.sum(axis=1)
-        seen = pc > 0
-        rows = p[seen] / pc[seen, None]  # the laws of A given each C with p_C > 0
-        lhs = pc[seen] @ entropy_rows((rows @ channel).T)
-        rhs = k * h_max + (1.0 - k) * (pc[seen] @ entropy_rows(rows.T))
-        n = 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    k = kappa(noise)
+    lhs, rhs = noise_lemma_sides(p[None], channel_matrix(noise)[None], np.array([k]), variant)
+    return _lemma_report(variant, lhs[0], rhs[0], k, noise.alphabet, n)
+
+
+def noise_lemma_sides(p, channels, kappas, variant: str):
+    """The two sides of the noise lemma (see check_noise_lemma) for a batch
+    of instances, as two arrays: p stacks the laws, batch first (flat laws
+    over Sigma^n for joint, (C, A) matrices for conditional), channels the
+    per-instance channel matrices and kappas their kappa values.  Callers
+    check the shapes."""
+    size = channels.shape[-1]
+    n = 1
+    if variant == "scalar":
+        noisy = np.matmul(p[:, None], channels)[:, 0]
+    elif variant == "joint":
+        n = round(math.log(p.shape[1], size))
+        noisy = p
+        for site in range(n):  # each instance's channel on one site axis at a time
+            view = noisy.reshape(len(p), size ** site, size, -1)
+            noisy = np.einsum("bxay,bac->bxcy", view, channels).reshape(len(p), -1)
+    else:
+        # the law of A given each C; a p_C = 0 row stays 0 and gets weight 0
+        pc = p.sum(axis=2)
+        p = p / np.where(pc > 0, pc, 1.0)[..., None]
+        noisy = np.matmul(p, channels)
+    entropies = [entropy_rows(np.moveaxis(laws, -1, 0)) for laws in (noisy, p)]
+    if variant == "conditional":
+        entropies = [np.einsum("bc,bc->b", pc, h) for h in entropies]
+    lhs, h = entropies
+    return lhs, n * kappas * math.log(size) + (1.0 - kappas) * h
+
+
+def _lemma_report(variant: str, lhs, rhs, k: float, alphabet: Alphabet, n: int) -> BoundReport:
     return BoundReport(
         claim=f"noise-lemma/{variant}",
         lhs=lhs,
         rhs=rhs,
         ok=lhs >= rhs - SLACK,
-        params={"kappa": k, "alphabet": list(noise.alphabet.factors), "n": n},
+        params={"kappa": k, "alphabet": list(alphabet.factors), "n": n},
     )
 
 
@@ -144,21 +167,22 @@ class BootstrapLayout:
 
     def packed(self) -> bool:
         """m = k (n + 2rt), there are k^d blocks, and the fattened blocks
-        moore(Q_w, rt) are pairwise disjoint inside S_m: one (blocks, m^d)
-        occupancy array marks each fattened block's cells once, and no cell
-        may be marked by two blocks."""
+        moore(Q_w, rt) are pairwise disjoint inside S_m: no cell of S_m may
+        lie in two of them."""
         rt = self.r * self.t
         if self.m != self.k * (self.n + 2 * rt) or len(self.blocks) != self.k ** self.d:
             return False
-        ball = hypercube(2 * rt + 1, self.d, anchor=(-rt,) * self.d).as_array()
         cells = [q.as_array() for q in self.blocks]
-        fat = (np.concatenate(cells)[:, None] + ball).reshape(-1, self.d)
-        if not ((fat >= 0) & (fat < self.m)).all():
+        stacked = np.concatenate(cells)
+        # the ball spans [-rt, rt]^d, so the fattened blocks stay in S_m iff
+        # every block cell lies rt or more inside it
+        if stacked.min() < rt or stacked.max() >= self.m - rt:
             return False
-        owner = np.repeat(np.arange(len(cells)), [len(c) * len(ball) for c in cells])
-        occupied = np.zeros((len(cells), self.m ** self.d), dtype=bool)
-        occupied[owner, fat @ self.m ** np.arange(self.d)] = True
-        return bool(occupied.sum(axis=0).max() <= 1)
+        strides = self.m ** np.arange(self.d)
+        ball = (box_offsets(2 * rt + 1, self.d) - rt) @ strides
+        # the flat index of each fattened block's cells, each cell once
+        fat = [np.unique(((c @ strides)[:, None] + ball).ravel()) for c in cells]
+        return bool(np.bincount(np.concatenate(fat)).max() <= 1)
 
 
 def bootstrap_layout(n: int, k: int, r: int, t: int, d: int) -> BootstrapLayout:
@@ -286,21 +310,42 @@ def proof_rate_constants(
 def noise_lemma_suite(alphabets, n_instances: int, seed: int) -> list[BoundReport]:
     """Randomized property harness over all three lemma variants: Dirichlet
     inputs, strictly positive random q, joint laws on Sigma^n for n = 1..3
-    and conditional laws with 3 conditioning states."""
+    and conditional laws with 3 conditioning states.
+
+    Every instance of an alphabet is drawn first; each variant is then one
+    noise_lemma_sides call (joint laws in one call per n), and the reports
+    come out per instance: scalar, joint, conditional."""
     rng = np.random.default_rng(seed)
     reports = []
-    alphabets = [Alphabet(tuple(f)) for f in alphabets]
-    for alphabet in alphabets:
+    if n_instances < 1:
+        return reports
+    for factors in alphabets:
+        alphabet = Alphabet(tuple(factors))
         size = alphabet.size
-        for _ in range(n_instances):
+        channels, kappas = np.empty((n_instances, size, size)), np.empty(n_instances)
+        scalar, conditional = np.empty((n_instances, size)), np.empty((n_instances, 3, size))
+        ns, joint = [], []
+        for i in range(n_instances):
             q = rng.dirichlet(np.ones(size))
             q = (q + 1e-6) / (1.0 + size * 1e-6)  # keep strictly positive
             noise = NoiseModel(alphabet, "additive", q / q.sum())
-            p = rng.dirichlet(np.ones(size))
-            reports.append(check_noise_lemma(p, noise, "scalar"))
-            n = int(rng.integers(1, 4))
-            pj = rng.dirichlet(np.ones(size ** n))
-            reports.append(check_noise_lemma(pj, noise, "joint"))
-            pc = rng.dirichlet(np.ones(3 * size)).reshape(3, size)
-            reports.append(check_noise_lemma(pc, noise, "conditional"))
+            channels[i], kappas[i] = channel_matrix(noise), kappa(noise)
+            scalar[i] = rng.dirichlet(np.ones(size))
+            ns.append(int(rng.integers(1, 4)))
+            joint.append(rng.dirichlet(np.ones(size ** ns[-1])))
+            conditional[i] = rng.dirichlet(np.ones(3 * size)).reshape(3, size)
+        joint_sides = np.empty((2, n_instances))
+        for n in set(ns):
+            group = [i for i, m in enumerate(ns) if m == n]
+            laws = np.stack([joint[i] for i in group])
+            joint_sides[:, group] = noise_lemma_sides(laws, channels[group], kappas[group], "joint")
+        sides = {
+            "scalar": noise_lemma_sides(scalar, channels, kappas, "scalar"),
+            "joint": joint_sides,
+            "conditional": noise_lemma_sides(conditional, channels, kappas, "conditional"),
+        }
+        for i, k in enumerate(kappas.tolist()):
+            for variant, (lhs, rhs) in sides.items():
+                n = ns[i] if variant == "joint" else 1
+                reports.append(_lemma_report(variant, lhs[i], rhs[i], k, alphabet, n))
     return reports

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iterproduct
 
 import numpy as np
 
@@ -24,6 +23,7 @@ __all__ = [
     "moore_boundary",
     "diameter",
     "translate",
+    "box_offsets",
     "pattern_strides",
     "decode_patterns",
     "marginalize_patterns",
@@ -127,21 +127,23 @@ class CellSet:
     """Finite set of integer d-vectors, stored sorted lexicographically.
 
     The canonical order makes set equality and pattern indexing deterministic;
-    bare ints are accepted as d=1 cells.
+    bare ints are accepted as d=1 cells, and an (N, d) integer array as N
+    cells of dimension d.
     """
 
     dim: int
     cells: tuple[tuple[int, ...], ...]
 
     def __init__(self, cells, dim: int | None = None):
-        norm = []
-        for c in cells:
-            c = _normalize_cell(c)
-            norm.append(c)
-        if norm:
+        if isinstance(cells, np.ndarray) and cells.ndim == 2 and cells.dtype.kind in "iu":
+            norm = list(map(tuple, cells.tolist()))
+            dims = {cells.shape[1]}
+        else:
+            norm = [_normalize_cell(c) for c in cells]
             dims = {len(c) for c in norm}
-            if len(dims) != 1:
-                raise ValueError("cells have inconsistent dimensions")
+        if len(dims) > 1:
+            raise ValueError("cells have inconsistent dimensions")
+        if dims:
             inferred = dims.pop()
             if dim is not None and dim != inferred:
                 raise ValueError("explicit dim does not match cells")
@@ -173,21 +175,24 @@ class CellSet:
         return CellSet([c for c in self.cells if c not in rhs], dim=self.dim)
 
 
+def box_offsets(side: int, dim: int) -> np.ndarray:
+    """The cells of [0, side-1]^dim as a (side^dim, dim) array, in
+    lexicographic order."""
+    return np.indices((side,) * dim, dtype=np.int64).reshape(dim, side ** dim).T
+
+
 def hypercube(side: int, dim: int = 1, anchor=None) -> CellSet:
     """The window S_side = [0, side-1]^dim (optionally shifted to anchor)."""
     anchor = _normalize_cell((0,) * dim if anchor is None else anchor)
     if int(side) < 0:
         raise ValueError("window side must be non-negative")
-    cells = [
-        tuple(a + v for a, v in zip(anchor, offs))
-        for offs in iterproduct(range(int(side)), repeat=len(anchor))
-    ]
+    cells = box_offsets(int(side), len(anchor)) + np.array(anchor, dtype=np.int64)
     return CellSet(cells, dim=len(anchor))
 
 
 def translate(J: CellSet, vector) -> CellSet:
-    v = _normalize_cell(vector, J.dim)
-    return CellSet([tuple(c + w for c, w in zip(cell, v)) for cell in J], dim=J.dim)
+    v = np.array(_normalize_cell(vector, J.dim), dtype=np.int64)
+    return CellSet(J.as_array() + v, dim=J.dim)
 
 
 def moore(J: CellSet, r: int) -> CellSet:
@@ -197,12 +202,8 @@ def moore(J: CellSet, r: int) -> CellSet:
         raise ValueError("radius must be non-negative")
     if r == 0 or len(J) == 0:
         return J
-    offsets = np.array(
-        list(iterproduct(range(-r, r + 1), repeat=J.dim)), dtype=np.int64
-    )
-    fat = (J.as_array()[:, None, :] + offsets[None, :, :]).reshape(-1, J.dim)
-    fat = np.unique(fat, axis=0)
-    return CellSet([tuple(row) for row in fat.tolist()], dim=J.dim)
+    fat = J.as_array()[:, None, :] + (box_offsets(2 * r + 1, J.dim) - r)
+    return CellSet(fat.reshape(-1, J.dim), dim=J.dim)
 
 
 def moore_boundary(J: CellSet, r: int) -> CellSet:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,14 +13,15 @@ from rcalab.bounds import (
     check_noise_lemma,
     equilibrium_constants,
     main_theorem_bound,
+    noise_lemma_sides,
     noise_lemma_suite,
     proof_rate_constants,
     theorem_applicable,
 )
 from rcalab.entropy import WindowDistribution
 from rcalab.exact import leakage_constants
-from rcalab.lattice import Alphabet, hypercube, moore
-from rcalab.noise import additive_noise
+from rcalab.lattice import Alphabet, hypercube, moore, translate
+from rcalab.noise import NoiseModel, additive_noise, channel_matrix, kappa
 from rcalab.rules import build_elementary
 
 Z2 = Alphabet((2,))
@@ -64,6 +67,59 @@ def test_noise_lemma_suite_small():
     assert all(r.ok for r in reports)
 
 
+def test_noise_lemma_suite_matches_per_instance_loop():
+    # the same draws, in the same Generator order, checked one at a time; the
+    # product alphabet's channels come from Alphabet.add through NoiseModel
+    factors_list, n_instances, seed = [[2], [3], [2, 2]], 40, 5
+    rng = np.random.default_rng(seed)
+    expected = []
+    for factors in factors_list:
+        alphabet = Alphabet(tuple(factors))
+        size = alphabet.size
+        for _ in range(n_instances):
+            q = rng.dirichlet(np.ones(size))
+            q = (q + 1e-6) / (1.0 + size * 1e-6)
+            noise = NoiseModel(alphabet, "additive", q / q.sum())
+            expected.append(check_noise_lemma(rng.dirichlet(np.ones(size)), noise, "scalar"))
+            n = int(rng.integers(1, 4))
+            expected.append(check_noise_lemma(rng.dirichlet(np.ones(size ** n)), noise, "joint"))
+            pc = rng.dirichlet(np.ones(3 * size)).reshape(3, size)
+            expected.append(check_noise_lemma(pc, noise, "conditional"))
+    got = noise_lemma_suite(factors_list, n_instances, seed)
+    assert len(got) == len(expected) == 3 * 3 * n_instances
+    assert {r.params["n"] for r in got if r.claim == "noise-lemma/joint"} == {1, 2, 3}
+    for g, e in zip(got, expected):
+        assert (g.claim, g.ok, g.params, g.caveat) == (e.claim, e.ok, e.params, e.caveat)
+        assert g.lhs == pytest.approx(e.lhs, rel=1e-12, abs=0)
+        assert g.rhs == pytest.approx(e.rhs, rel=1e-12, abs=0)
+
+
+def test_noise_lemma_conditional_zero_probability_row():
+    # a conditioning state of probability 0 has no law of A: it weighs 0, and
+    # the sides equal those of the matrix without that row
+    rng = np.random.default_rng(3)
+    noise = additive_noise(Z3, [0.6, 0.3, 0.1])
+    kept = rng.dirichlet(np.ones(6)).reshape(2, 3)
+    joint = np.insert(kept, 1, 0.0, axis=0)
+    want = check_noise_lemma(kept, noise, "conditional")
+    rep = check_noise_lemma(joint, noise, "conditional")
+    assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs) and rep.ok
+    assert rep.lhs == pytest.approx(want.lhs, rel=1e-12, abs=0)
+    assert rep.rhs == pytest.approx(want.rhs, rel=1e-12, abs=0)
+    # inside a batch, next to a law with no zero row
+    other = rng.dirichlet(np.ones(9)).reshape(3, 3)
+    other_noise = additive_noise(Z3, [0.2, 0.5, 0.3])
+    channels = np.stack([channel_matrix(noise), channel_matrix(other_noise)])
+    kappas = np.array([kappa(noise), kappa(other_noise)])
+    lhs, rhs = noise_lemma_sides(np.stack([joint, other]), channels, kappas, "conditional")
+    assert np.isfinite(lhs).all() and np.isfinite(rhs).all()
+    assert lhs[0] == pytest.approx(want.lhs, rel=1e-12, abs=0)
+    assert rhs[0] == pytest.approx(want.rhs, rel=1e-12, abs=0)
+    alone = check_noise_lemma(other, other_noise, "conditional")
+    assert lhs[1] == pytest.approx(alone.lhs, rel=1e-12, abs=0)
+    assert rhs[1] == pytest.approx(alone.rhs, rel=1e-12, abs=0)
+
+
 def test_equilibrium_constants():
     a0, b0 = equilibrium_constants(Q91)
     assert a0 == pytest.approx(4.481420117724551, abs=1e-12)
@@ -103,6 +159,26 @@ def test_bootstrap_layout_random_sweep():
         lay = bootstrap_layout(n, k, r, t, d)  # raises on any violation
         assert lay.m == k * (n + 2 * r * t)
         assert len(lay.blocks) == k ** d
+        # Q_w = (n + 2rt) w + [rt, rt + n - 1]^d, w in lexicographic order
+        pitch = n + 2 * r * t
+        expected = [
+            tuple(tuple(r * t + pitch * wi + o for wi, o in zip(w, offs)) for offs in product(range(n), repeat=d))
+            for w in product(range(k), repeat=d)
+        ]
+        assert [q.cells for q in lay.blocks] == expected
+
+
+def test_bootstrap_packed_refuses_blocks_leaving_s_m():
+    # every block moved one cell along one axis: the outermost fattened
+    # block then pokes one cell out of S_m, while the blocks stay disjoint
+    for n, k, r, t, d in ((2, 2, 1, 3, 1), (1, 2, 1, 1, 2), (2, 3, 2, 0, 1), (3, 1, 1, 2, 2)):
+        lay = bootstrap_layout(n, k, r, t, d)
+        assert lay.packed()
+        for axis in range(d):
+            for step in (-1, 1):
+                shift = tuple(step if i == axis else 0 for i in range(d))
+                moved = dataclasses.replace(lay, blocks=tuple(translate(q, shift) for q in lay.blocks))
+                assert not moved.packed(), (n, k, r, t, d, shift)
 
 
 def test_superadditivity_product_equality():

@@ -320,7 +320,8 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
 
 # each of these passed load before the per-kind params schemas, and failed
 # later with no JSON path or with a traceback; a cone instance's cap key, once
-# a state limit, would otherwise be dropped without a word
+# a state limit, would otherwise be dropped without a word, and a misspelt
+# verify-bounds check or a bad count ran nothing or truncated without a word
 @pytest.mark.parametrize(
     "kind, params, path",
     [
@@ -338,10 +339,20 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
         ("simulate", dict(SIMULATE_PARAMS, replicates=2.5), "$.params.replicates"),
         ("evolve-exact", dict(CONE_INSTANCE, cap=4096), "$.params.cap"),
         ("simulate", dict(SIMULATE_PARAMS, estimator="millermadow"), "$.params.estimator"),
+        ("verify-bounds", {"checks": ["noise_lemma"]}, "$.params.checks[0]"),
+        ("verify-bounds", {"checks": []}, "$.params.checks"),
+        ("verify-bounds", {"instances": -3}, "$.params.instances"),
+        ("verify-bounds", {"layout_tuples": 2.5}, "$.params.layout_tuples"),
+        ("verify-bounds", {"superadditivity_instances": 0}, "$.params.superadditivity_instances"),
+        ("verify-bounds", {"alphabets": []}, "$.params.alphabets"),
+        ("verify-bounds", {"alphabets": [3]}, "$.params.alphabets[0]"),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
-         "simulate-fractional-replicates", "cone-instance-cap", "simulate-unknown-estimator"],
+         "simulate-fractional-replicates", "cone-instance-cap", "simulate-unknown-estimator",
+         "bounds-misspelt-check", "bounds-no-checks", "bounds-negative-instances",
+         "bounds-fractional-layout-tuples", "bounds-no-superadditivity-instances",
+         "bounds-no-alphabets", "bounds-alphabet-not-factors"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):

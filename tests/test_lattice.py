@@ -109,6 +109,40 @@ def test_window_and_translate():
     assert translate(hypercube(2), (5,)).cells == ((5,), (6,))
 
 
+def test_cellset_array_path_matches_tuple_path():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        d = int(rng.integers(1, 4))
+        arr = rng.integers(-3, 4, size=(int(rng.integers(1, 30)), d))  # repeats likely
+        from_array = CellSet(arr)
+        from_tuples = CellSet([tuple(int(v) for v in row) for row in arr])
+        assert from_array == from_tuples and from_array.dim == from_tuples.dim == d
+        assert from_array.cells == tuple(sorted(set(from_array.cells)))
+        assert all(type(v) is int for c in from_array.cells for v in c)
+        assert CellSet(arr.astype(np.int32), dim=d) == from_tuples
+    with pytest.raises(ValueError):
+        CellSet(np.zeros((3, 2), dtype=np.int64), dim=3)
+    empty = CellSet(np.zeros((0, 2), dtype=np.int64), dim=2)
+    assert empty.cells == () and empty.dim == 2 and empty == CellSet([], dim=2)
+
+
+def test_hypercube_and_translate_match_tuple_construction():
+    from itertools import product
+
+    rng = np.random.default_rng(6)
+    for _ in range(60):
+        side, d = int(rng.integers(0, 5)), int(rng.integers(1, 4))
+        anchor = tuple(int(a) for a in rng.integers(-6, 6, size=d))
+        cells = [tuple(a + o for a, o in zip(anchor, offs)) for offs in product(range(side), repeat=d)]
+        cube = hypercube(side, d, anchor=anchor)
+        assert cube == CellSet(cells, dim=d) and cube.cells == tuple(cells)
+        v = tuple(int(x) for x in rng.integers(-9, 9, size=d))
+        moved = [tuple(c + w for c, w in zip(cell, v)) for cell in cells]
+        assert translate(cube, v) == CellSet(moved, dim=d)
+    with pytest.raises(ValueError):
+        translate(hypercube(2, 2), (1,))
+
+
 def test_pattern_codec_roundtrip():
     rng = np.random.default_rng(2)
     for base in (2, 3, 4):
