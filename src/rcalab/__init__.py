@@ -16,19 +16,17 @@ from .lattice import (
 from .rules import (
     LocalRule,
     TorusConfiguration,
-    apply_rule,
     build_elementary,
     build_linear,
     lift_second_order,
 )
-from .noise import NoiseModel, additive_noise, apply_noise, decompose, kappa, local_kernel
+from .noise import NoiseModel, additive_noise, apply_noise, kappa, local_kernel
 # the function entropy is not re-exported: it would shadow the module
 from .entropy import (
     WindowDistribution,
     deficiency,
     estimate_entropy,
     pinsker_bound,
-    tv_distance,
     tv_to_uniform,
 )
 from .analysis import (

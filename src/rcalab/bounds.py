@@ -151,8 +151,8 @@ def hypercube_leakage(n: int, d: int, r: int, h_max: float, k: float):
 @dataclass(frozen=True)
 class BootstrapLayout:
     """Packing of k^d blocks Q_w = (n+2rt) w + [rt, rt+n-1]^d inside S_m with
-    m = k (n + 2rt); the Moore extensions moore(Q_w, rt) are pairwise disjoint
-    and contained in S_m (asserted at construction)."""
+    m = k (n + 2rt); packed() checks that the Moore extensions moore(Q_w, rt)
+    are pairwise disjoint and contained in S_m."""
 
     n: int
     k: int
@@ -186,6 +186,8 @@ class BootstrapLayout:
 
 
 def bootstrap_layout(n: int, k: int, r: int, t: int, d: int) -> BootstrapLayout:
+    """The layout of k^d blocks of side n for radius r and time t; callers
+    check layout.packed() where the packing matters."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     if r < 0 or t < 0:
@@ -193,10 +195,7 @@ def bootstrap_layout(n: int, k: int, r: int, t: int, d: int) -> BootstrapLayout:
     pitch = n + 2 * r * t
     base = hypercube(n, d, anchor=(r * t,) * d)
     blocks = tuple(translate(base, tuple(pitch * wi for wi in w)) for w in hypercube(k, d).cells)
-    layout = BootstrapLayout(n, k, r, t, d, k * pitch, blocks)
-    if not layout.packed():
-        raise AssertionError("moore(Q_w, rt) blocks leave S_m or overlap")
-    return layout
+    return BootstrapLayout(n, k, r, t, d, k * pitch, blocks)
 
 
 def check_block_superadditivity(
@@ -215,6 +214,8 @@ def check_block_superadditivity(
         raise ValueError("block law must live on a hypercube S_n anchored at 0")
     size = block.alphabet.size
     layout = bootstrap_layout(n, k, r, t, d)
+    if not layout.packed():
+        raise AssertionError("moore(Q_w, rt) blocks leave S_m or overlap")
     big = layout.big_window()
     # the joint law and its reordered copy, or that and its entropy's logs
     check_bytes(2 * 8 * size ** len(big), f"the joint law on {len(big)} cells")

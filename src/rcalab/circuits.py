@@ -1,7 +1,7 @@
 """Finite reversible computer under noise: a time-inhomogeneous chain on
 Sigma^A alternating bijective gate layers with per-site positive additive
 noise.  Exact distribution evolution, the worst-case distance to uniform
-and deficiency curves, and the decay bound check.
+and deficiency curves, and the decay bound check on those curves.
 """
 
 from __future__ import annotations
@@ -28,10 +28,8 @@ __all__ = [
     "ReversibleNetwork",
     "evolve_chain_exact",
     "worst_case_curve",
-    "finite_bound_rhs",
     "check_finite_bound",
     "alternating_cnot_network",
-    "network_to_json",
     "network_from_json",
 ]
 
@@ -292,35 +290,20 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     return d_curve, xi_curve, ("exact" if exact else "sampled-lower-bound")
 
 
-def finite_bound_rhs(network: ReversibleNetwork, noise: NoiseModel, t: int) -> float:
-    """Right side sqrt(h_max/2) |A|^(1/2) (1-kappa)^(t/2) of the decay bound
-    on the worst-case distance d(t)."""
-    h, n = network.alphabet.h_max, network.n_sites
-    return math.sqrt(h / 2.0) * math.sqrt(n) * (1.0 - kappa(noise)) ** (t / 2.0)
-
-
-def check_finite_bound(network: ReversibleNetwork, noise: NoiseModel, t: int) -> BoundReport:
-    """Decay bound d(t) <= sqrt(h_max/2) |A|^(1/2) (1-kappa)^(t/2), with the
-    entropy form Xi(X^t) <= (1-kappa)^t |A| h_max carried in params."""
-    d_curve, xi_curve, mode = worst_case_curve(network, noise, t)
-    k, n = kappa(noise), network.n_sites
-    lhs, rhs = float(d_curve[t]), finite_bound_rhs(network, noise, t)
-    xi_bound = (1.0 - k) ** t * n * network.alphabet.h_max
-    return BoundReport(
-        claim="finite-computer/decay",
-        lhs=lhs,
-        rhs=rhs,
-        ok=lhs <= rhs + SLACK,
-        params={
-            "n_sites": n,
-            "t": t,
-            "kappa": k,
-            "mode": mode,
-            "xi_max": float(xi_curve[t]),
-            "xi_bound": xi_bound,
-            "xi_ok": bool(xi_curve[t] <= xi_bound + SLACK),
-        },
-    )
+def check_finite_bound(network: ReversibleNetwork, noise: NoiseModel, curves) -> list[BoundReport]:
+    """Decay bound d(t) <= sqrt(h_max/2) |A|^(1/2) (1-kappa)^(t/2), one report
+    per t of curves, the (d_curve, xi_curve, mode) of worst_case_curve, with
+    the entropy form Xi(X^t) <= (1-kappa)^t |A| h_max carried in params."""
+    d_curve, xi_curve, mode = curves
+    k, n, h = kappa(noise), network.n_sites, network.alphabet.h_max
+    reports = []
+    for t, (lhs, xi) in enumerate(zip(d_curve.tolist(), xi_curve.tolist())):
+        rhs = math.sqrt(h / 2.0) * math.sqrt(n) * (1.0 - k) ** (t / 2.0)
+        xi_bound = (1.0 - k) ** t * n * h
+        params = {"n_sites": n, "t": t, "kappa": k, "mode": mode, "xi_max": xi, "xi_bound": xi_bound,
+                  "xi_ok": xi <= xi_bound + SLACK}
+        reports.append(BoundReport("finite-computer/decay", lhs, rhs, lhs <= rhs + SLACK, params))
+    return reports
 
 
 def alternating_cnot_network(n_bits: int, alphabet: Alphabet | None = None) -> ReversibleNetwork:
@@ -334,33 +317,6 @@ def alternating_cnot_network(n_bits: int, alphabet: Alphabet | None = None) -> R
     if n_bits % 2 == 0:
         layer_b.append(ControlledAdd(n_bits - 1, 0))
     return ReversibleNetwork(n_bits, alphabet, (tuple(layer_a), tuple(layer_b)), "cycle")
-
-
-def network_to_json(network: ReversibleNetwork) -> dict:
-    layers = []
-    for layer in network.layers:
-        items = []
-        for gate in layer:
-            if isinstance(gate, Translate):
-                items.append({"gate": "translate", "sites": [gate.site], "params": {"amount": gate.amount}})
-            elif isinstance(gate, ControlledAdd):
-                items.append({"gate": "cadd", "sites": [gate.control, gate.target]})
-            elif isinstance(gate, Swap):
-                items.append({"gate": "swap", "sites": [gate.a, gate.b]})
-            elif isinstance(gate, Toffoli):
-                items.append({"gate": "toffoli", "sites": [gate.control1, gate.control2, gate.target]})
-            else:
-                items.append({"gate": "permutation", "sites": list(gate.gate_sites), "params": {"table": list(gate.table)}})
-        layers.append(items)
-    schedule = network.schedule
-    if isinstance(schedule, tuple):
-        schedule = list(schedule)
-    return {
-        "sites": network.n_sites,
-        "alphabet": list(network.alphabet.factors),
-        "layers": layers,
-        "schedule": schedule,
-    }
 
 
 def network_from_json(doc: dict) -> ReversibleNetwork:

@@ -23,7 +23,6 @@ __all__ = [
     "entropy_vec",
     "entropy_rows",
     "deficiency",
-    "tv_distance",
     "tv_vec",
     "tv_to_uniform",
     "kl_divergence",
@@ -153,16 +152,10 @@ def deficiency(p: WindowDistribution) -> float:
 
 
 def tv_vec(p, q) -> float:
+    """Total variation distance (half L1) between two probability vectors."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     return 0.5 * float(np.abs(p - q).sum())
-
-
-def tv_distance(p: WindowDistribution, q: WindowDistribution) -> float:
-    """Total variation distance (half L1) between two laws on one window."""
-    if p.window != q.window or p.alphabet.factors != q.alphabet.factors:
-        raise ValueError("distributions live on different windows")
-    return tv_vec(p.probs, q.probs)
 
 
 def tv_to_uniform(p: WindowDistribution) -> float:

@@ -1,6 +1,5 @@
 """Noise channels on the alphabet group: additive noise with its kappa
-constant and mixture decomposition, the permutation-noise extension, and the
-induced PCA local kernel.
+constant, the permutation-noise extension, and the induced PCA local kernel.
 """
 
 from __future__ import annotations
@@ -18,14 +17,12 @@ __all__ = [
     "additive_noise",
     "permutation_noise",
     "kappa",
-    "decompose",
     "channel_matrix",
     "site_blocks",
     "convolve_sites",
     "local_kernel",
     "add_noise_index",
     "apply_noise",
-    "noise_to_json",
     "noise_from_json",
 ]
 
@@ -112,22 +109,6 @@ def kappa(noise: NoiseModel) -> float:
     """Uniform-mixture weight |Sigma| * min C of the channel matrix C; for
     additive noise each entry of C is one q value, so this is |Sigma| * min q."""
     return noise.alphabet.size * float(channel_matrix(noise).min())
-
-
-def decompose(noise: NoiseModel):
-    """Split q = kappa * uniform + (1 - kappa) * q_tilde.
-
-    Uniform q (kappa = 1) returns q_tilde = uniform by convention.
-    """
-    if noise.kind != "additive":
-        raise ValueError("decompose applies to additive noise")
-    size = noise.alphabet.size
-    k = kappa(noise)
-    if k >= 1.0:
-        return 1.0, np.full(size, 1.0 / size)
-    q_tilde = (noise.q - k / size) / (1.0 - k)
-    q_tilde = np.clip(q_tilde, 0.0, None)
-    return k, q_tilde
 
 
 def channel_matrix(noise: NoiseModel) -> np.ndarray:
@@ -235,19 +216,6 @@ def apply_noise(x, noise: NoiseModel, rng: np.random.Generator):
     if x.size and (x.min() < 0 or x.max() >= noise.alphabet.size):
         raise ValueError("symbols outside the alphabet")
     return noise.perm_table[sample_noise_symbols(noise, x.shape, rng), x].astype(np.int64)
-
-
-def noise_to_json(noise: NoiseModel) -> dict:
-    # Probabilities as decimal strings so configs round-trip without
-    # binary-float drift.
-    doc = {
-        "kind": noise.kind,
-        "alphabet": list(noise.alphabet.factors),
-        "q": [repr(float(v)) for v in noise.q],
-    }
-    if noise.kind == "permutation":
-        doc["perms"] = noise.perms.tolist()
-    return doc
 
 
 def noise_from_json(doc: dict) -> NoiseModel:

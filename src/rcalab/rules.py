@@ -18,7 +18,6 @@ from .lattice import Alphabet, _normalize_cell, decode_patterns, pattern_strides
 __all__ = [
     "LocalRule",
     "TorusConfiguration",
-    "apply_rule",
     "build_elementary",
     "build_linear",
     "lift_second_order",
@@ -169,13 +168,6 @@ def apply_table(data: np.ndarray, rule: LocalRule, batch_dims: int = 0) -> np.nd
     neighbourhood_codes."""
     codes = neighbourhood_codes(data, rule, batch_dims)
     return rule.table.astype(data.dtype, copy=False).take(codes)
-
-
-def apply_rule(x: TorusConfiguration, rule: LocalRule) -> TorusConfiguration:
-    """One deterministic global-map step with periodic indexing."""
-    if x.dim != rule.dim:
-        raise ValueError("configuration and rule dimensions differ")
-    return TorusConfiguration(x.sides, apply_table(x.data, rule))
 
 
 def build_elementary(code: int) -> LocalRule:

@@ -16,7 +16,7 @@ from rcalab.bounds import (
     check_block_superadditivity,
     noise_lemma_suite,
 )
-from rcalab.circuits import alternating_cnot_network, worst_case_curve
+from rcalab.circuits import alternating_cnot_network, check_finite_bound, worst_case_curve
 from rcalab.entropy import WindowDistribution, pinsker_bound, tv_to_uniform
 from rcalab.exact import (
     ConeProblem,
@@ -158,7 +158,8 @@ def test_criterion_6_bootstrap_geometry_and_superadditivity():
         r = int(rng.integers(0, 3))
         t = int(rng.integers(0, 5))
         d = int(rng.integers(1, 3))
-        layout = bootstrap_layout(n, k, r, t, d)  # asserts disjoint + contained
+        layout = bootstrap_layout(n, k, r, t, d)
+        assert layout.packed()  # disjoint + contained
         assert layout.m == k * (n + 2 * r * t)
     # exact superadditivity on feasible instances (state cap 2^20)
     feasible = [
@@ -191,16 +192,16 @@ def test_criterion_6_bootstrap_geometry_and_superadditivity():
 
 def test_criterion_7_finite_reversible_computer():
     start = time.time()
-    h = math.log(2)
     t_mix = {}
     for n_bits in (2, 4, 6, 8, 10):
         network = alternating_cnot_network(n_bits)
-        d_curve, xi_curve, mode = worst_case_curve(network, Q91, 40)
+        curves = worst_case_curve(network, Q91, 40)
+        d_curve, _, mode = curves
         assert mode == "exact"
-        for t in range(41):
-            rhs = math.sqrt(h / 2) * math.sqrt(n_bits) * 0.8 ** (t / 2)
-            assert d_curve[t] <= rhs + 1e-9, (n_bits, t)
-            assert xi_curve[t] <= 0.8 ** t * n_bits * h + 1e-9, (n_bits, t)
+        reports = check_finite_bound(network, Q91, curves)
+        assert len(reports) == 41
+        for rep in reports:
+            assert rep.ok and rep.params["xi_ok"], (n_bits, rep.params["t"])
         hits = np.nonzero(d_curve <= 0.01)[0]
         assert hits.size, f"epsilon=0.01 not reached for |A|={n_bits}"
         t_mix[n_bits] = int(hits[0])

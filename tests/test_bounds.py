@@ -156,7 +156,8 @@ def test_bootstrap_layout_random_sweep():
         r = int(rng.integers(0, 3))
         t = int(rng.integers(0, 5))
         d = int(rng.integers(1, 3))
-        lay = bootstrap_layout(n, k, r, t, d)  # raises on any violation
+        lay = bootstrap_layout(n, k, r, t, d)
+        assert lay.packed()
         assert lay.m == k * (n + 2 * r * t)
         assert len(lay.blocks) == k ** d
         # Q_w = (n + 2rt) w + [rt, rt + n - 1]^d, w in lexicographic order
@@ -204,6 +205,20 @@ def test_superadditivity_random_with_uniform_padding():
         assert rep.ok
         # uniform padding contributes zero extra deficiency
         assert rep.lhs == pytest.approx(rep.rhs, abs=1e-9)
+
+
+def test_superadditivity_refuses_an_unpacked_layout(monkeypatch):
+    from rcalab import bounds
+
+    def stacked(n, k, r, t, d):
+        # every block on the first one: the fattened blocks overlap
+        layout = bootstrap_layout(n, k, r, t, d)
+        return dataclasses.replace(layout, blocks=(layout.blocks[0],) * len(layout.blocks))
+
+    monkeypatch.setattr(bounds, "bootstrap_layout", stacked)
+    block = WindowDistribution(hypercube(1), Z2, [0.7, 0.3])
+    with pytest.raises(AssertionError, match="overlap"):
+        check_block_superadditivity(block, 2, r=1, t=1)
 
 
 def test_superadditivity_2d():

@@ -15,7 +15,6 @@ from rcalab.circuits import (
     check_finite_bound,
     evolve_chain_exact,
     network_from_json,
-    network_to_json,
     worst_case_curve,
 )
 from rcalab.entropy import (
@@ -191,13 +190,27 @@ def test_chain_mixing_time_single_site():
 
 def test_check_finite_bound_example():
     net = alternating_cnot_network(4)
-    rep = check_finite_bound(net, Q91, 10)
-    assert rep.ok
+    curves = worst_case_curve(net, Q91, 10)
+    reports = check_finite_bound(net, Q91, curves)
+    assert [rep.params["t"] for rep in reports] == list(range(11))
+    assert all(rep.ok and rep.params["xi_ok"] for rep in reports)
+    rep = reports[10]
     assert rep.rhs == pytest.approx(math.sqrt(math.log(2) / 2) * 2 * 0.8 ** 5, abs=1e-12)
-    assert rep.params["xi_ok"]
+    assert rep.params["xi_bound"] == pytest.approx(0.8 ** 10 * 4 * math.log(2), abs=1e-12)
+    assert (rep.lhs, rep.params["xi_max"], rep.params["mode"]) == (curves[0][10], curves[1][10], "exact")
     # t=0 vacuous for |A| >= 3
-    rep0 = check_finite_bound(alternating_cnot_network(4), Q91, 0)
-    assert rep0.rhs >= 1.0 and rep0.ok
+    assert reports[0].rhs >= 1.0 and reports[0].ok
+
+
+def test_check_finite_bound_flags_each_side():
+    net = alternating_cnot_network(2)
+    d_curve, xi_curve, mode = worst_case_curve(net, Q91, 3)
+    over = [r.rhs + 1e-6 for r in check_finite_bound(net, Q91, (d_curve, xi_curve, mode))]
+    reports = check_finite_bound(net, Q91, (np.array(over), xi_curve, mode))
+    assert not any(r.ok for r in reports) and all(r.params["xi_ok"] for r in reports)
+    xi_over = np.array([r.params["xi_bound"] + 1e-6 for r in reports])
+    reports = check_finite_bound(net, Q91, (d_curve, xi_over, mode))
+    assert all(r.ok for r in reports) and not any(r.params["xi_ok"] for r in reports)
 
 
 def test_negative_horizon_refused_before_any_work(monkeypatch):
@@ -205,10 +218,8 @@ def test_negative_horizon_refused_before_any_work(monkeypatch):
         raise AssertionError("the chain started")
 
     monkeypatch.setattr(circuits, "_noise_blocks", refuse)
-    net = alternating_cnot_network(3)
-    for call in (worst_case_curve, check_finite_bound):
-        with pytest.raises(ValueError, match="non-negative"):
-            call(net, Q91, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        worst_case_curve(alternating_cnot_network(3), Q91, -1)
 
 
 def test_uniform_noise_mixes_in_one_step():
@@ -250,22 +261,40 @@ def test_sampled_sup_mode_flag(monkeypatch):
     assert d_sample[3] <= d_exact[3] + 1e-12
 
 
-def test_network_json_roundtrip():
-    net = ReversibleNetwork(
-        3,
-        Z2,
-        (
-            (Translate(0, 1), Swap(1, 2)),
-            (Toffoli(0, 1, 2),),
-            (PermutationGate((0, 1), (1, 0, 2, 3)),),
-        ),
-        ("random", 5),
+@pytest.mark.parametrize("schedule", ["cycle", "fixed", ["random", 5]], ids=["cycle", "fixed", "random"])
+def test_network_from_json(schedule):
+    doc = {
+        "sites": 3,
+        "alphabet": [3],
+        "layers": [
+            [{"gate": "translate", "sites": [0], "params": {"amount": 2}}, {"gate": "swap", "sites": [1, 2]}],
+            [{"gate": "cadd", "sites": [2, 0]}],
+            [{"gate": "toffoli", "sites": [0, 1, 2]}],
+            [{"gate": "permutation", "sites": [1, 0], "params": {"table": [3, 0, 1, 2, 4, 5, 6, 8, 7]}}],
+        ],
+        "schedule": schedule,
+    }
+    layers = (
+        (Translate(0, 2), Swap(1, 2)),
+        (ControlledAdd(2, 0),),
+        (Toffoli(0, 1, 2),),
+        (PermutationGate((1, 0), (3, 0, 1, 2, 4, 5, 6, 8, 7)),),
     )
-    doc = network_to_json(net)
+    net = ReversibleNetwork(3, Z3, layers, tuple(schedule) if isinstance(schedule, list) else schedule)
     back = network_from_json(doc)
-    assert network_to_json(back) == doc
-    for li in range(3):
-        assert np.array_equal(net.layer_permutation(li), back.layer_permutation(li))
+    assert (back.n_sites, back.alphabet.factors, back.schedule) == (3, (3,), net.schedule)
+    assert [[type(g) for g in layer] for layer in back.layers] == [[type(g) for g in layer] for layer in layers]
+    for li in range(len(layers)):
+        assert np.array_equal(back.layer_permutation(li), net.layer_permutation(li)), li
+    assert [back.layer_index_at(t) for t in range(1, 5)] == [net.layer_index_at(t) for t in range(1, 5)]
+
+
+def test_network_from_json_defaults_to_cycle_and_refuses_unknown_gates():
+    doc = {"sites": 2, "alphabet": [2], "layers": [[{"gate": "cadd", "sites": [0, 1]}]]}
+    assert network_from_json(doc).schedule == "cycle"
+    doc["layers"][0][0]["gate"] = "cnot"
+    with pytest.raises(ValueError, match="unknown gate kind 'cnot'"):
+        network_from_json(doc)
 
 
 def test_worst_case_curve_chunks_by_state_cap(monkeypatch, memory_cap, declared):

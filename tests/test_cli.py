@@ -346,13 +346,17 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
         ("verify-bounds", {"superadditivity_instances": 0}, "$.params.superadditivity_instances"),
         ("verify-bounds", {"alphabets": []}, "$.params.alphabets"),
         ("verify-bounds", {"alphabets": [3]}, "$.params.alphabets[0]"),
+        ("verify-bounds", {"checks": ["pinsker"]}, "$.params"),
+        ("verify-bounds", {"checks": ["noise-lemma", "evolution"]}, "$.params"),
+        ("verify-bounds", {"checks": ["decay-envelope"], "evolution_instance": CONE_INSTANCE}, "$.params"),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
          "simulate-fractional-replicates", "cone-instance-cap", "simulate-unknown-estimator",
          "bounds-misspelt-check", "bounds-no-checks", "bounds-negative-instances",
          "bounds-fractional-layout-tuples", "bounds-no-superadditivity-instances",
-         "bounds-no-alphabets", "bounds-alphabet-not-factors"],
+         "bounds-no-alphabets", "bounds-alphabet-not-factors", "bounds-pinsker-no-instance",
+         "bounds-evolution-no-instance", "bounds-decay-no-instance"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):
@@ -535,6 +539,46 @@ def test_verify_bounds_bootstrap_rows_are_checks(tmp_path, monkeypatch):
     failed = rows(tmp_path / "broken")
     assert len(failed) == 12 and not any(r["ok"] for r in failed)
     assert all("overlap" in r["params"]["error"] for r in failed)
+
+
+@pytest.mark.parametrize(
+    "rule, checks, claims",
+    [
+        # rule 128 is not surjective: a Pinsker-only run must not reach the
+        # evolution bound, which refuses such a rule
+        ({"elementary": 128}, ["pinsker"], ["pinsker/tv-vs-deficiency"]),
+        ({"elementary": 90}, ["evolution"], ["evolution/entropy-floor"]),
+        ({"elementary": 90}, ["pinsker", "evolution"], ["evolution/entropy-floor", "pinsker/tv-vs-deficiency"]),
+    ],
+    ids=["pinsker", "evolution", "both"],
+)
+def test_verify_bounds_writes_the_exact_rows_listed(tmp_path, monkeypatch, rule, checks, claims):
+    if "evolution" not in checks:
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolution bound checked")
+
+        monkeypatch.setattr(cli, "check_evolution_bound", refuse)
+    instance = dict(CONE_INSTANCE, rule=rule)
+    doc = {"kind": "verify-bounds", "seed": 1, "params": {"checks": checks, "evolution_instance": instance}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--config", cfg, "--out", str(out)]) == 0
+    rows = [json.loads(line) for line in (out / "verify-bounds.jsonl").read_text().splitlines()[1:]]
+    assert [(r["claim"], r["params"]["t"]) for r in rows] == [(c, t) for t in range(3) for c in claims]
+
+
+def test_verify_bounds_checks_each_layout_once(tmp_path, monkeypatch):
+    # the bootstrap row's packed() is the check, and the superadditivity
+    # instance checks its own layout: one call per layout
+    from rcalab import bounds
+
+    packed = bounds.BootstrapLayout.packed
+    calls = []
+    monkeypatch.setattr(bounds.BootstrapLayout, "packed", lambda self: calls.append(self) or packed(self))
+    params = {"checks": ["bootstrap", "superadditivity"], "layout_tuples": 200, "superadditivity_instances": 40}
+    cfg = write_config(tmp_path, {"kind": "verify-bounds", "seed": 1, "params": params})
+    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 240
 
 
 def test_evolve_exact_pattern_initial_on_horizon_cone(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import rcalab
 
@@ -17,3 +19,50 @@ def test_no_package_attribute_shadows_a_submodule():
     assert hasattr(module, "MEMORY_CAP")
     for info in pkgutil.iter_modules(rcalab.__path__):
         assert getattr(rcalab, info.name) is importlib.import_module(f"rcalab.{info.name}"), info.name
+
+
+# Exports that nothing in src/rcalab or perfbench/ uses, each kept for a
+# reason; every other export must have a caller or go.
+UNCALLED_EXPORTS = {
+    "analysis.preimage_count_oracle": "test oracle: brute-force preimage counts for the decision procedures",
+    "bounds.check_noise_lemma": "test oracle: one noise-lemma instance, against the batched noise_lemma_sides",
+    "entropy.kl_divergence": "test oracle: deficiency(p) == KL(p || uniform) by an independent path",
+    "montecarlo.sample_trajectory": "test oracle: whole torus trajectories for the Monte Carlo engine",
+    "circuits.evolve_chain_exact": "the one-initial chain path that circuit-mix will use for affine networks",
+    "bounds.proof_rate_constants": "the proof's rate constants, for the sup-over-initials gate and the sharp contraction",
+    "circuits.alternating_cnot_network": "the acceptance suite's reference brick-wall network",
+    "exact.check_surjective_step_bound": "the one-step lemma, for a future verify-bounds check name",
+}
+
+
+def _referenced(path: Path, strings: bool) -> set:
+    """Names a file uses (Name ids and attribute names; string constants too
+    if strings, as perfbench/tracer.py patches by attribute name).  Import
+    statements bind names without using them, so they do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_export_has_a_caller_or_a_reason():
+    src = Path(rcalab.__file__).resolve().parent
+    used = set()
+    for path in src.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _referenced(path, strings=False)
+    for path in (Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"):
+        used |= _referenced(path, strings=True)
+    uncalled = {
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(rcalab.__path__)
+        for name in getattr(importlib.import_module(f"rcalab.{info.name}"), "__all__", ())
+        if name not in used
+    }
+    # a new export without a caller, or an allowlisted one that now has one
+    assert uncalled == set(UNCALLED_EXPORTS)

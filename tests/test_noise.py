@@ -11,11 +11,9 @@ from rcalab.noise import (
     apply_noise,
     channel_matrix,
     convolve_sites,
-    decompose,
     kappa,
     local_kernel,
     noise_from_json,
-    noise_to_json,
     permutation_noise,
     sample_noise_symbols,
 )
@@ -40,31 +38,6 @@ def test_kappa_additive_is_size_times_min_q(factors):
         q = rng.dirichlet(np.ones(alphabet.size)) + 1e-3
         noise = additive_noise(alphabet, q / q.sum())
         assert kappa(noise) == alphabet.size * float(noise.q.min())
-
-
-def test_decompose_examples():
-    k, qt = decompose(additive_noise(Z2, [0.9, 0.1]))
-    assert k == pytest.approx(0.2)
-    assert np.allclose(qt, [1.0, 0.0])
-
-    k, qt = decompose(additive_noise(Z3, [0.5, 0.3, 0.2]))
-    assert k == pytest.approx(0.6)
-    assert np.allclose(qt, [0.75, 0.25, 0.0])
-
-    k, qt = decompose(additive_noise(Z2, [0.5, 0.5]))
-    assert k == pytest.approx(1.0)
-    assert np.allclose(qt, [0.5, 0.5])
-
-
-def test_recomposition_property():
-    rng = np.random.default_rng(0)
-    for alphabet in (Z2, Z3, Alphabet((2, 2))):
-        for _ in range(50):
-            q = rng.dirichlet(np.ones(alphabet.size))
-            q = (q + 1e-4) / (1 + alphabet.size * 1e-4)
-            noise = additive_noise(alphabet, q / q.sum())
-            k, qt = decompose(noise)
-            assert np.abs(k / alphabet.size + (1 - k) * qt - noise.q).max() < 1e-12
 
 
 def test_validation():
@@ -163,17 +136,21 @@ def test_permutation_apply():
         apply_noise(np.array([0, 2, 1]), noise, rng)
 
 
-def test_noise_json_roundtrip():
-    noise = additive_noise(Z2, [0.9, 0.1])
-    doc = noise_to_json(noise)
-    assert doc["q"] == ["0.9", "0.1"]
-    back = noise_from_json(doc)
-    assert np.array_equal(back.q, noise.q)
-    assert back.alphabet.factors == noise.alphabet.factors
+def test_noise_from_json():
+    # q as decimal strings, the form configs use, or as numbers
+    for q in (["0.5", "0.25", "0.25"], [0.5, 0.25, 0.25]):
+        back = noise_from_json({"kind": "additive", "alphabet": [3], "q": q})
+        noise = additive_noise(Z3, [0.5, 0.25, 0.25])
+        assert (back.kind, back.alphabet.factors, back.perms) == ("additive", (3,), None)
+        assert np.array_equal(back.q, noise.q)
+        assert np.array_equal(back.perm_table, noise.perm_table)
 
+    doc = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [1, 0]], "q": ["0.85", "0.15"]}
+    back = noise_from_json(doc)
     pn = permutation_noise(Z2, [[0, 1], [1, 0]], [0.85, 0.15])
-    back = noise_from_json(noise_to_json(pn))
-    assert np.array_equal(back.perms, pn.perms)
+    assert (back.kind, back.alphabet.factors) == ("permutation", (2,))
+    assert np.array_equal(back.q, pn.q) and np.array_equal(back.perms, pn.perms)
+    assert np.array_equal(channel_matrix(back), channel_matrix(pn))
 
 
 class _FixedUniforms:

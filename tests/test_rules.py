@@ -7,8 +7,6 @@ import pytest
 from rcalab.lattice import Alphabet
 from rcalab.rules import (
     LocalRule,
-    TorusConfiguration,
-    apply_rule,
     apply_table,
     build_elementary,
     build_linear,
@@ -51,15 +49,16 @@ def test_elementary_bad_code():
 
 
 def test_apply_rule_examples():
-    x = TorusConfiguration((5,), [0, 0, 1, 0, 0])
-    assert apply_rule(x, build_elementary(90)).data.tolist() == [0, 1, 0, 1, 0]
-    assert apply_rule(x, build_elementary(102)).data.tolist() == [0, 1, 1, 0, 0]
-    assert apply_rule(x, build_elementary(204)).data.tolist() == x.data.tolist()
+    x = np.array([0, 0, 1, 0, 0], dtype=np.uint8)
+    assert apply_table(x, build_elementary(90)).tolist() == [0, 1, 0, 1, 0]
+    assert apply_table(x, build_elementary(102)).tolist() == [0, 1, 1, 0, 0]
+    assert apply_table(x, build_elementary(204)).tolist() == x.tolist()
+    assert apply_table(x, build_elementary(90)).dtype == np.uint8
 
 
 def test_apply_rule_torus_too_small():
     with pytest.raises(ValueError):
-        apply_rule(TorusConfiguration((2,), [0, 1]), build_elementary(90))
+        apply_table(np.array([0, 1]), build_elementary(90))
 
 
 def test_linear_matches_elementary():
