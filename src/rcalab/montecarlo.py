@@ -2,22 +2,31 @@
 estimation for windows too large for exact enumeration.
 
 Replicates are processed in fixed blocks of REPLICATE_BLOCK rows; every
-uniform draw comes from a Philox stream addressed by (seed, stream, lane,
-time, block), so each replicate's trajectory is a pure function of
+draw comes from a Philox stream addressed by (seed, stream, lane, time,
+block), so each replicate's trajectory is a pure function of
 (seed, replicate-index) no matter how many replicates run or on how many
 threads.  Each worker builds one generator per plan and moves it to each
 draw's address with CounterRng.seek, which draws exactly what a generator
 built there would.
 
-The state of a block is held in the alphabet's smallest unsigned dtype.  The
-rule and the noise are fused into one table, step_table[code * |Z| + z] =
-perm_table[z, rule.table[code]], built once per plan and worker: a
-block-step is one uniform draw, the neighbourhood codes scaled by |Z| plus
-the comparison-sum noise index (noise.add_noise_index), and one lookup.
+A block-step draws one 64-bit word per cell of the whole torus, as the
+address fixes, but steps only the cells whose state can still reach the
+window: on a wrap-free plan the block is held on the window's light cone,
+a box that shrinks by the rule's radius on every side at each step.  The
+block is held cell-major, shape (*box, rows), in the alphabet's smallest
+unsigned dtype, so every neighbour of the box is a plain slice made of
+whole runs of rows.
+
+The rule and the noise are fused into one table, step_table[z * |T| + code]
+= perm_table[z, rule.table[code]] over the rule's |T| neighbourhood codes,
+built once per plan and worker: the noise index z (noise.add_noise_index,
+which compares the words with word thresholds), the neighbourhood codes
+appended to it as low digits (rules.box_codes), and one lookup.
 """
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,8 +35,8 @@ import numpy as np
 from .entropy import check_bytes, mixing_time
 from .lattice import CellSet, diameter, hypercube, marginalize_patterns, pattern_strides
 from .noise import NoiseModel, add_noise_index
-from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK
-from .rules import LocalRule, TorusConfiguration, neighbourhood_codes
+from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK, draw_words
+from .rules import LocalRule, TorusConfiguration, box_codes, wrap_pad
 
 # not called here since the block-step fuses rule and noise into one lookup;
 # kept because perfbench/tracer.py patches montecarlo.apply_table and
@@ -113,82 +122,150 @@ class SimulationPlan:
             return self.generator
         return "pattern"
 
-    def _window_flat_index(self) -> np.ndarray:
-        cols = []
-        for cell in self.window.cells:
-            wrapped = tuple(c % s for c, s in zip(cell, self.sides))
-            cols.append(np.ravel_multi_index(wrapped, self.sides))
-        return np.asarray(cols, dtype=np.int64)
+
+def _cyclic_pieces(start: int, width: int, side: int) -> list[tuple[slice, slice]]:
+    """The run [start, start + width) of a periodic axis (width <= side) as
+    one or two (run slice, torus slice) pairs of plain slices."""
+    a = start % side
+    head = min(width, side - a)
+    pieces = [(slice(0, head), slice(a, a + head))]
+    if head < width:
+        pieces.append((slice(head, width), slice(0, width - head)))
+    return pieces
 
 
 class _BlockStepper:
-    """One worker's run of a plan: the fused step table and the window
-    columns, built once, and the one generator that every draw of the plan
-    moves by CounterRng.seek.
+    """One worker's run of a plan: the fused step table, the box of cells
+    stepped at each time with the window's place in it, built once, and the
+    one generator that every draw of the plan moves by CounterRng.seek.
+
+    A block is held cell-major, shape (*box, rows), so that every slice of it
+    is a run of whole rows.  On a wrap-free plan, unless whole_torus, the box
+    at time t is the light cone of the window: its bounding box widened by
+    radius * (horizon - t) on every axis, so the box at t - 1 holds exactly
+    the neighbours of the box at t, and no cell outside the cone is stepped.
+    Otherwise the box is the whole torus at every time, wrap-padded at each
+    step.  The torus never wraps onto a cone box (wrap-free sides exceed its
+    width), so the two give the same window patterns.
 
     Draws fill rows in order, so the rows of a partial last block draw only
     their own prefix of the block's stream.
     """
 
-    def __init__(self, plan: SimulationPlan):
+    def __init__(self, plan: SimulationPlan, whole_torus: bool = False):
         perm_table = plan.noise.perm_table
         self.plan = plan
-        self.n_noise = perm_table.shape[0]
-        self.step_table = np.ascontiguousarray(perm_table[:, plan.rule.table].T).ravel()
+        self.step_table = perm_table[:, plan.rule.table].ravel()
         self.code_dtype = np.min_scalar_type(self.step_table.size - 1)
-        self.cols = plan._window_flat_index()
-        self.strides = pattern_strides(len(self.cols), plan.rule.alphabet.size)
+        self.index_dtype = np.min_scalar_type(perm_table.shape[0] - 1)
+        self.state_dtype = plan.rule.alphabet.state_dtype
+        self.n_cells = int(np.prod(plan.sides))
+        n_patterns = plan.rule.alphabet.size ** len(plan.window)
+        # the smallest dtype for the window codes: einsum sums in it
+        self.strides = pattern_strides(len(plan.window), plan.rule.alphabet.size).astype(
+            np.min_scalar_type(n_patterns - 1)
+        )
+        self.whole_torus = whole_torus or plan.wrap_contaminated
+        cells = plan.window.as_array()
+        r, horizon = plan.rule.radius, plan.horizon
+        if self.whole_torus:
+            starts = [np.zeros(len(plan.sides), dtype=np.int64)] * (horizon + 1)
+            self.boxes = [plan.sides] * (horizon + 1)
+            cells = cells % plan.sides
+        else:
+            # the window's bounding box, widened by the cone's reach at t
+            lo, span = cells.min(axis=0), np.ptp(cells, axis=0) + 1
+            reach = [r * (horizon - t) for t in range(horizon + 1)]
+            starts = [lo - g for g in reach]
+            self.boxes = [tuple((span + 2 * g).tolist()) for g in reach]
+        self.box_cells = [int(np.prod(box)) for box in self.boxes]
+        # per time: the window's flat index in the box, and the box's pieces
+        # of the torus as (box slice, torus slice) pairs
+        self.cols = [np.ravel_multi_index((cells - a).T, box) for a, box in zip(starts, self.boxes)]
+        self.pieces = [
+            [tuple(zip(*p)) for p in itertools.product(*map(_cyclic_pieces, a, box, plan.sides))]
+            for a, box in zip(starts, self.boxes)
+        ]
         self.rng = CounterRng(plan.seed, plan.stream)
         self.gen = self.rng.block(LANE_NOISE)
 
+    def buffer(self, rows: int, dtype, t: int) -> np.ndarray:
+        """An uninitialised (*box, rows) array for time t, the prefix of a
+        whole-torus allocation.  Every per-step array is allocated at the
+        size it had before the light cone: glibc raises its mmap threshold
+        to the largest block freed, and smaller cone-sized temporaries would
+        then stay resident in the worker threads' malloc arenas."""
+        box = self.boxes[t]
+        return np.empty(rows * self.n_cells, dtype=dtype)[: rows * self.box_cells[t]].reshape(box + (rows,))
+
+    def to_box(self, torus: np.ndarray, out: np.ndarray, t: int) -> np.ndarray:
+        """Copy time t's box of torus, row-major (rows, *sides), into out,
+        cell-major (*box, rows)."""
+        rows_last = tuple(range(1, torus.ndim)) + (0,)
+        for box_sl, torus_sl in self.pieces[t]:
+            out[box_sl] = torus[(slice(None),) + torus_sl].transpose(rows_last)
+        return out
+
     def initial(self, block: int) -> np.ndarray:
-        """X^0 of the block's rows."""
+        """X^0 of the block's rows on the time-0 box, cell-major."""
         plan = self.plan
         rows = min(plan.replicates - block * REPLICATE_BLOCK, REPLICATE_BLOCK)
         shape = (rows,) + plan.sides
-        dtype = plan.rule.alphabet.state_dtype
+        dtype = self.state_dtype
         if isinstance(plan.generator, np.ndarray):
-            return np.broadcast_to(plan.generator.astype(dtype), shape).copy()
-        if plan.generator == "all-zeros":
-            return np.zeros(shape, dtype=dtype)
-        if plan.generator == "all-ones":
-            return np.ones(shape, dtype=dtype)
-        if plan.generator == "checkerboard":
+            torus = np.broadcast_to(plan.generator.astype(dtype), shape)
+        elif plan.generator == "all-zeros":
+            torus = np.broadcast_to(np.zeros((), dtype=dtype), shape)
+        elif plan.generator == "all-ones":
+            torus = np.broadcast_to(np.ones((), dtype=dtype), shape)
+        elif plan.generator == "checkerboard":
             grids = np.meshgrid(*[np.arange(s) for s in plan.sides], indexing="ij")
-            board = sum(grids) % 2
-            return np.broadcast_to(board.astype(dtype), shape).copy()
-        self.rng.seek(self.gen, LANE_INIT, 0, block)
-        return self.gen.integers(0, plan.rule.alphabet.size, size=shape).astype(dtype)
+            torus = np.broadcast_to((sum(grids) % 2).astype(dtype), shape)
+        else:
+            self.rng.seek(self.gen, LANE_INIT, 0, block)
+            torus = self.gen.integers(0, plan.rule.alphabet.size, size=shape).astype(dtype)
+        return self.to_box(torus, self.buffer(rows, dtype, 0), 0)
 
 
 def _step_block(stepper: _BlockStepper, data: np.ndarray, block: int, t: int) -> np.ndarray:
-    """X^t of a block from X^(t-1): one draw and one fused lookup."""
-    # Draw before building the codes, and free the uniforms before take()
-    # widens the codes to intp (8 bytes a cell each): in this order the
-    # worker threads' malloc arenas do not keep the freed block temporaries,
-    # which otherwise raised lab-mix's peak RSS from 53.7 to 58.8 MB.
+    """X^t of a block on time t's box from X^(t-1) on time t-1's, both
+    cell-major: one draw of words, the noise index, the neighbourhood codes
+    after it as low digits, and one fused lookup."""
+    plan = stepper.plan
+    rows = data.shape[-1]
     stepper.rng.seek(stepper.gen, LANE_NOISE, t, block)
-    u = stepper.gen.random(data.shape)
-    code = neighbourhood_codes(data, stepper.plan.rule, batch_dims=1, dtype=stepper.code_dtype)
-    code *= stepper.n_noise
-    add_noise_index(stepper.plan.noise, u, code)
-    del u
-    return stepper.step_table.take(code)
+    words = draw_words(stepper.gen, (rows,) + plan.sides)
+    index = add_noise_index(plan.noise, words, np.zeros(words.shape, dtype=stepper.index_dtype))
+    code = stepper.to_box(index, stepper.buffer(rows, stepper.code_dtype, t), t)
+    del index
+    if stepper.whole_torus:
+        data = wrap_pad(data, plan.rule.radius, range(plan.rule.dim))
+    box_codes(data, plan.rule, code)
+    del data
+    # take() would widen the codes to a new intp array; the spent words hold
+    # it.  Every code is in range, and mode="clip", unlike "raise", writes
+    # straight into out without a buffer of its size.
+    flat = words.reshape(-1).view(np.intp)[: code.size]
+    np.copyto(flat, code.reshape(-1))
+    del code
+    out = stepper.buffer(rows, stepper.state_dtype, t)
+    stepper.step_table.take(flat, out=out.reshape(-1), mode="clip")
+    return out
 
 
 def sample_trajectory(plan: SimulationPlan, replicate: int) -> list[TorusConfiguration]:
     """Full trajectory X^0..X^T of one replicate (identical to the row this
-    replicate occupies in a batched run)."""
+    replicate occupies in a batched run), stepped on the whole torus."""
     if not 0 <= replicate < plan.replicates:
         raise ValueError("replicate index out of range")
     block, row = divmod(replicate, REPLICATE_BLOCK)
-    stepper = _BlockStepper(plan)
+    stepper = _BlockStepper(plan, whole_torus=True)
     # draws fill rows in order, so the block's first row + 1 rows step alone
-    data = stepper.initial(block)[: row + 1]
-    out = [TorusConfiguration(plan.sides, data[row].astype(np.int64))]
+    data = np.ascontiguousarray(stepper.initial(block)[..., : row + 1])
+    out = [TorusConfiguration(plan.sides, data[..., row].astype(np.int64))]
     for t in range(1, plan.horizon + 1):
         data = _step_block(stepper, data, block, t)
-        out.append(TorusConfiguration(plan.sides, data[row].astype(np.int64)))
+        out.append(TorusConfiguration(plan.sides, data[..., row].astype(np.int64)))
     return out
 
 
@@ -196,22 +273,33 @@ def _block_counts(stepper: _BlockStepper, block: int, counts: np.ndarray) -> Non
     """Add one block's window pattern counts into counts (shape (horizon+1,
     |Sigma|^|A|))."""
     data = stepper.initial(block)
+    rows = data.shape[-1]
     for t in range(stepper.plan.horizon + 1):
         if t:
             data = _step_block(stepper, data, block, t)
-        window = data.reshape(data.shape[0], -1)[:, stepper.cols]
-        codes = np.einsum("ij,j->i", window, stepper.strides)
+        window = data.reshape(-1, rows)[stepper.cols[t]]
+        codes = np.einsum("ji,j->i", window, stepper.strides)
         counts[t] += np.bincount(codes, minlength=counts.shape[1])
 
 
 def _count_bytes(plan: SimulationPlan, threads: int) -> int:
-    """Per worker: an accumulator, a bincount row and a block-step (per cell a uniform, a
-    fused-table index, the state and two padded copies); and the workers' sum."""
+    """Per worker: an accumulator, a bincount row and a block-step; and the
+    workers' sum.
+
+    A block-step's arrays are all whole-torus sized.  Per cell it holds the
+    draw's word (8 bytes) and the previous state throughout, and in turn the
+    noise index with the comparison mask, the index with the code, and the
+    code with the new state; the mask (one byte) is never larger than the
+    code.  A whole-torus step also holds two wrap-padded copies of the state
+    while it pads."""
     workers = max(min(threads, -(-plan.replicates // REPLICATE_BLOCK)), 1)
     counts = 8 * (plan.horizon + 1) * plan.rule.alphabet.size ** len(plan.window)
-    index = np.min_scalar_type(plan.noise.perm_table.shape[0] * plan.rule.table.size - 1).itemsize
+    n_noise = plan.noise.perm_table.shape[0]
+    code = np.min_scalar_type(n_noise * plan.rule.table.size - 1).itemsize
+    index = np.min_scalar_type(n_noise - 1).itemsize
+    state = plan.rule.alphabet.state_dtype.itemsize
     padded = np.prod(np.add(plan.sides, 2 * plan.rule.radius)) / np.prod(plan.sides)
-    cell = 8 + index + plan.rule.alphabet.state_dtype.itemsize * (1 + 2 * padded)
+    cell = 8 + state + code + max(index, state) + plan.wrap_contaminated * 2 * padded * state
     block = min(plan.replicates, REPLICATE_BLOCK) * np.prod(plan.sides) * cell
     return int(workers * (counts + counts // (plan.horizon + 1) + block) + (workers > 1) * counts)
 

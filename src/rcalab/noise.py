@@ -10,6 +10,7 @@ from functools import reduce
 import numpy as np
 
 from .lattice import Alphabet
+from .rng import draw_words, word_threshold
 from .rules import LocalRule, TorusConfiguration
 
 __all__ = [
@@ -49,8 +50,10 @@ class NoiseModel:
     permutations of Sigma and q the law over them; the induced channel matrix
     must be doubly stochastic with all entries positive.  The permutation kind
     is an extension; bound validation in this lab is additive-only.
-    thresholds is the read-only cumsum(q)[:-1] that add_noise_index compares
-    uniforms with.
+    thresholds is the read-only uint64 array word_threshold(cumsum(q)[:-1])
+    that add_noise_index compares 64-bit words with: a word is >= its k-th
+    entry exactly when the uniform Generator.random makes of it is >= the
+    k-th cumulative probability.
     """
 
     alphabet: Alphabet
@@ -88,7 +91,7 @@ class NoiseModel:
         if kind == "additive":
             perms = alphabet.add(alphabet.symbols()[:, None], alphabet.symbols())
         object.__setattr__(self, "perm_table", perms.astype(alphabet.state_dtype))
-        object.__setattr__(self, "thresholds", np.cumsum(q)[:-1])
+        object.__setattr__(self, "thresholds", word_threshold(np.cumsum(q)[:-1]))
         self.perm_table.setflags(write=False)
         self.thresholds.setflags(write=False)
         if kind == "permutation":
@@ -184,24 +187,26 @@ def local_kernel(rule: LocalRule, noise: NoiseModel) -> np.ndarray:
     return channel_matrix(noise)[rule.table]
 
 
-def add_noise_index(noise: NoiseModel, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add to out the row of perm_table that each uniform u selects by
-    inverse CDF: sum_k [u >= cum_k] over cum[:-1] (noise.thresholds) equals
+def add_noise_index(noise: NoiseModel, words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add to out the row of perm_table that each 64-bit word selects by
+    inverse CDF: with u the word's uniform, sum_k [u >= cum_k] over
+    cum[:-1], taken as sum_k [word >= noise.thresholds[k]], equals
     searchsorted(cum, u, side="right") as u < cum[-1] = 1.
 
     This makes |q| - 1 passes over the block, so it pays off only for small
-    alphabets: on a 1024 x 33 block it beats searchsorted up to |q| = 64 and
-    is level with it at |q| = 256."""
-    for c in noise.thresholds:
-        out += u >= c
+    alphabets: on a 1024 x 33 block of uniforms it beat searchsorted up to
+    |q| = 64 and was level with it at |q| = 256."""
+    for k in noise.thresholds:
+        # a bool is the byte 0 or 1: added as uint8 it needs no cast buffer
+        out += (words >= k).view(np.uint8)
     return out
 
 
 def sample_noise_symbols(noise: NoiseModel, shape, rng: np.random.Generator) -> np.ndarray:
-    """Draw iid rows Z ~ q of perm_table."""
-    u = rng.random(shape)
-    z = np.zeros(u.shape, dtype=np.min_scalar_type(noise.perm_table.size - 1))
-    return add_noise_index(noise, u, z)
+    """Draw iid rows Z ~ q of perm_table, one 64-bit word each."""
+    words = draw_words(rng, shape)
+    z = np.zeros(words.shape, dtype=np.min_scalar_type(noise.perm_table.size - 1))
+    return add_noise_index(noise, words, z)
 
 
 def apply_noise(x, noise: NoiseModel, rng: np.random.Generator):

@@ -11,13 +11,28 @@ replicates run alongside it.
 block() builds a generator at an address; seek() moves an existing one to
 another address, where it draws the same values, so a loop over many
 addresses needs only one generator.
+
+The address fixes which 64-bit Philox words are drawn, not how they become
+noise.  numpy's Generator.random turns word w into the double
+(w >> 11) * 2^-53, so a comparison u >= c of a uniform with a threshold is
+the comparison w >= word_threshold(c) of the word it came from: samplers
+draw_words and compare those, which skips the conversion and gives the same
+integers as comparing the uniforms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CounterRng", "REPLICATE_BLOCK", "LANE_INIT", "LANE_NOISE", "LANE_SCHEDULE"]
+__all__ = [
+    "CounterRng",
+    "REPLICATE_BLOCK",
+    "LANE_INIT",
+    "LANE_NOISE",
+    "LANE_SCHEDULE",
+    "draw_words",
+    "word_threshold",
+]
 
 REPLICATE_BLOCK = 1024
 
@@ -26,6 +41,24 @@ LANE_NOISE = 2
 LANE_SCHEDULE = 3
 
 _MASK64 = (1 << 64) - 1
+
+
+def draw_words(gen: np.random.Generator, shape) -> np.ndarray:
+    """The next 64-bit words of gen's stream, one per element of shape: on
+    the full uint64 range Generator.integers returns the words unchanged,
+    the ones Generator.random would have turned into uniforms."""
+    return gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+
+
+def word_threshold(c) -> np.ndarray:
+    """Least 64-bit word w whose uniform (w >> 11) * 2^-53 is >= c, for c
+    (a float or an array of them) in [0, 1).  (w >> 11) * 2^-53 >= c holds
+    iff w >> 11 >= ceil(c * 2^53), scaling by 2^53 being exact; and c <= 1 -
+    2^-53, the largest double below 1, keeps the shifted ceiling below 2^64."""
+    c = np.asarray(c, dtype=np.float64)
+    if not ((c >= 0) & (c < 1)).all():
+        raise ValueError("word thresholds are defined for c in [0, 1)")
+    return np.ceil(np.ldexp(c, 53)).astype(np.uint64) << np.uint64(11)
 
 
 class CounterRng:

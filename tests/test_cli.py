@@ -531,15 +531,6 @@ def test_verify_bounds_bootstrap_rows_are_checks(tmp_path, monkeypatch):
     assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "shrunk")]) == EXIT_BOUND
     assert [r["ok"] for r in rows(tmp_path / "shrunk")] == [r["params"]["r"] * r["params"]["t"] == 0 for r in good]
 
-    def broken(n, k, r, t, d):
-        raise AssertionError("moore(Q_w, rt) blocks leave S_m or overlap")
-
-    monkeypatch.setattr(cli, "bootstrap_layout", broken)
-    assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "broken")]) == EXIT_BOUND
-    failed = rows(tmp_path / "broken")
-    assert len(failed) == 12 and not any(r["ok"] for r in failed)
-    assert all("overlap" in r["params"]["error"] for r in failed)
-
 
 @pytest.mark.parametrize(
     "rule, checks, claims",

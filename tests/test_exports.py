@@ -28,6 +28,7 @@ UNCALLED_EXPORTS = {
     "bounds.check_noise_lemma": "test oracle: one noise-lemma instance, against the batched noise_lemma_sides",
     "entropy.kl_divergence": "test oracle: deficiency(p) == KL(p || uniform) by an independent path",
     "montecarlo.sample_trajectory": "test oracle: whole torus trajectories for the Monte Carlo engine",
+    "noise.apply_noise": "test oracle: per-cell noise on a whole configuration",
     "circuits.evolve_chain_exact": "the one-initial chain path that circuit-mix will use for affine networks",
     "bounds.proof_rate_constants": "the proof's rate constants, for the sup-over-initials gate and the sharp contraction",
     "circuits.alternating_cnot_network": "the acceptance suite's reference brick-wall network",
@@ -38,15 +39,27 @@ UNCALLED_EXPORTS = {
 def _referenced(path: Path, strings: bool) -> set:
     """Names a file uses (Name ids and attribute names; string constants too
     if strings, as perfbench/tracer.py patches by attribute name).  Import
-    statements bind names without using them, so they do not count."""
+    statements bind names without using them, and a function or class
+    naming itself in its own body (a recursive call) does not use itself,
+    so neither counts."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        used = None
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            used = node.id
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            used = node.attr
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)
+            used = node.value
+        if used is not None and used not in own:
+            found.add(used)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     return found
 
 

@@ -337,6 +337,66 @@ def test_trajectories_match_batch_rows_seeded_wrapped_threaded():
     assert np.array_equal(counts, recount)
 
 
+def cone_plans():
+    """name -> (plan, threads, cells looked up): wrap-free plans, whose
+    counts step only the window's light cone; the cells looked up are
+    sum over t >= 1 of |box_t| * rows, with box_t the window's bounding box
+    widened by radius * (horizon - t) on every axis."""
+    radius4 = LocalRule(
+        Z2, [(o,) for o in range(-4, 5)], np.random.default_rng(31).integers(0, 2, size=512)
+    )
+    z22 = Alphabet((2, 2))
+    moore = LocalRule(
+        z22, [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)],
+        np.random.default_rng(32).integers(0, 4, size=4 ** 9),
+    )
+    return {
+        # boxes 11, 3 of 28 cells
+        "radius4": (SimulationPlan(
+            radius4, additive_noise(Z2, [0.85, 0.15]), (28,), "seeded-random", 2, 300, 33,
+            hypercube(3)), 1, (11 + 3) * 300),
+        # boxes 4 x 4, 2 x 2 of 8 x 8 cells
+        "z2xz2-moore-2d": (SimulationPlan(
+            moore, additive_noise(z22, [0.7, 0.1, 0.15, 0.05]), (8, 8), "checkerboard", 2, 200,
+            34, hypercube(2, 2)), 1, (16 + 4) * 200),
+        # boxes 9, 7, 5, 3 of 13 cells, none across the torus' end
+        "anchored": (SimulationPlan(
+            R90, Q91, (13,), "seeded-random", 4, 250, 35, hypercube(3, anchor=(5,))), 1,
+            (9 + 7 + 5 + 3) * 250),
+        # a window with gaps: boxes 12, 10, 8 of 16 cells
+        "non-box": (SimulationPlan(
+            lift_second_order(R90), additive_noise(Alphabet((2, 2)), [0.7, 0.1, 0.1, 0.1]), (16,),
+            "seeded-random", 3, 200, 36, CellSet([-3, 0, 4])), 1, (12 + 10 + 8) * 200),
+        # two workers, a full block and a partial last block of 76 rows
+        "partial-block-threads2": (SimulationPlan(
+            R90, Q91, (11,), "seeded-random", 3, 1100, 37, hypercube(4)), 2, (8 + 6 + 4) * 1100),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(cone_plans()))
+def test_cone_counts_match_trajectory_recount(monkeypatch, name):
+    plan, threads, cells = cone_plans()[name]
+    assert not plan.wrap_contaminated
+    looked_up = []
+    step = montecarlo._step_block
+
+    def counting(*args):
+        out = step(*args)
+        looked_up.append(out.size)
+        return out
+
+    monkeypatch.setattr(montecarlo, "_step_block", counting)
+    counts = window_pattern_counts(plan, threads=threads)
+    assert sum(looked_up) == cells
+    # sample_trajectory steps the whole torus
+    strides = plan.rule.alphabet.size ** np.arange(len(plan.window) - 1, -1, -1)
+    recount = np.zeros_like(counts)
+    for rep in range(plan.replicates):
+        for t, cfg in enumerate(sample_trajectory(plan, rep)):
+            recount[t, sum(s * cfg.get(c) for s, c in zip(strides, plan.window))] += 1
+    assert np.array_equal(counts, recount)
+
+
 def _refuse_to_count(*args):
     raise AssertionError("blocks were counted past the accumulator byte cap")
 

@@ -153,14 +153,14 @@ def test_noise_from_json():
     assert np.array_equal(channel_matrix(back), channel_matrix(pn))
 
 
-class _FixedUniforms:
-    """Stand-in generator whose random() returns prescribed uniforms."""
+class _FixedWords:
+    """Stand-in generator whose integers() returns prescribed 64-bit words."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
 
-    def random(self, shape):
-        return self.u.reshape(shape)
+    def integers(self, low, high, size, dtype):
+        return self.words.reshape(size)
 
 
 @pytest.mark.parametrize(
@@ -174,15 +174,27 @@ class _FixedUniforms:
     ],
 )
 def test_noise_index_matches_searchsorted(q):
-    # the comparison-sum inverse CDF gives searchsorted(side="right")'s
-    # integers, also for u on a cumulative value, u = 0 and u just below 1
+    # the comparison-sum inverse CDF on words gives searchsorted(side="right")'s
+    # integers on the words' uniforms (w >> 11) * 2^-53, also for a uniform on
+    # a cumulative value, either side of it, 0 and just below 1
     noise = additive_noise(Alphabet((len(q),)), q)
     cum = np.cumsum(noise.q)
     cum[-1] = 1.0
-    edges = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0), np.nextafter(cum[:-1], 1)])
+    # the last uniform at or below each cumulative value (the value itself
+    # when it lies on the 2^-53 grid, as every one >= 0.5 does), the first
+    # at or above it, and the uniforms either side of that one
+    below = np.floor(np.ldexp(cum[:-1], 53)).astype(np.uint64) << np.uint64(11)
+    edges = np.concatenate(
+        [below, noise.thresholds, noise.thresholds - np.uint64(1), noise.thresholds + np.uint64(2048)]
+    )
     rng = np.random.default_rng(len(q))
-    u = np.concatenate([[0.0, np.nextafter(1.0, 0)], edges, rng.random(4000)])
-    got = sample_noise_symbols(noise, u.shape, _FixedUniforms(u))
+    words = np.concatenate(
+        [np.array([0, 2**64 - 1], dtype=np.uint64), edges, rng.integers(0, 2**64, 4000, dtype=np.uint64)]
+    )
+    u = (words >> np.uint64(11)) * 2.0**-53
+    assert u.max() == np.nextafter(1.0, 0)
+    assert np.isin(cum[:-1][cum[:-1] >= 0.5], u).all()
+    got = sample_noise_symbols(noise, words.shape, _FixedWords(words))
     assert np.array_equal(got, np.searchsorted(cum, u, side="right"))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcalab.rng import CounterRng
+from rcalab.rng import CounterRng, word_threshold
 
 ADDRESS = st.tuples(st.integers(0, 7), st.integers(0, 2**63), st.integers(0, 2**63))
 
@@ -73,3 +73,30 @@ def test_keys_below_2_63_unchanged(seed):
     # the key numpy builds from the plain list, for every seed the schema took before
     old = np.random.Generator(np.random.Philox(key=[seed, 5], counter=(2 << 192) | (3 << 64)))
     assert np.array_equal(CounterRng(seed, 5).block(2, 3).random(16), old.random(16))
+
+
+EDGE_C = [np.nextafter(0.0, 1), 2.0**-53, 0.1, 0.5, np.nextafter(0.5, 0), np.nextafter(1.0, 0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(EDGE_C),
+    word=st.integers(0, 2**64 - 1),
+    near=st.sampled_from([None, -1, 0, 1]),
+)
+def test_word_threshold_decides_the_uniform_comparison(c, word, near):
+    # numpy's Philox double is (w >> 11) * 2^-53; near picks a word at or
+    # either side of the threshold K, and 0 and 2^64 - 1 are always checked
+    k = int(word_threshold(c))
+    assert 0 <= k < 2**64
+    words = [0, 2**64 - 1, word]
+    if near is not None:
+        words.append(min(max(k + near, 0), 2**64 - 1))
+    for w in words:
+        assert (w >= k) == ((w >> 11) * 2.0**-53 >= c), (c, w, k)
+
+
+def test_word_threshold_refuses_c_outside_the_unit_interval():
+    for c in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ValueError):
+            word_threshold(c)
