@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import importlib.resources
 import io
 import json
 import math
@@ -25,7 +24,6 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -55,6 +53,7 @@ from .lattice import Alphabet, CellSet, diameter, hypercube
 from .montecarlo import SimulationPlan, mixing_scan, tv_curve, window_pattern_counts
 from .noise import noise_from_json
 from .rules import rule_from_json
+from .schema import first_error
 
 KINDS = (
     "analyze-rule",
@@ -85,8 +84,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_schema() -> dict:
-    ref = importlib.resources.files("rcalab") / "schemas" / "experiment-config.schema.json"
-    return json.loads(ref.read_text())
+    path = Path(__file__).parent / "schemas" / "experiment-config.schema.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def load_config(path: str) -> dict:
@@ -96,11 +95,10 @@ def load_config(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     # The shipped schema is checked against its metaschema by the tests, not
-    # on every load: that check costs about a hundred times the validation.
-    validator = jsonschema.Draft202012Validator(_load_schema())
-    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    # on every load, and so is first_error against jsonschema.
+    error = first_error(_load_schema(), config)
     if error is not None:
-        raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
+        raise ConfigError("config schema violation at {}: {}".format(*error))
     return config
 
 

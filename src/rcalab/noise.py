@@ -63,6 +63,9 @@ class NoiseModel:
 
     def __init__(self, alphabet, kind, q, perms=None):
         q = np.asarray(q, dtype=np.float64)
+        # NaN would pass both comparisons below
+        if not np.isfinite(q).all():
+            raise ValueError("probabilities must be finite")
         if abs(float(q.sum()) - 1.0) > SUM_TOL:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         if q.min() < MIN_PROB:

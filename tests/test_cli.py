@@ -9,6 +9,7 @@ import pytest
 
 from rcalab import cli, montecarlo
 from rcalab.cli import EXIT_BOUND, EXIT_CAP, EXIT_CONFIG, main
+from rcalab.schema import first_error
 
 NOISE = {"kind": "additive", "alphabet": [2], "q": ["0.9", "0.1"]}
 
@@ -286,9 +287,14 @@ EPSILON_PARAMS = {
 }
 
 
-# epsilon must be a JSON number in (0, 1): a string is refused, in range or not
+# epsilon must be a JSON number in (0, 1): a string is refused, in range or
+# not, and so are NaN and Infinity, which json.load reads
 @pytest.mark.parametrize(
-    "epsilon", [0.0, 1.0, 1.5, -0.2, pytest.param("1.5", id="str-1.5"), pytest.param("0.25", id="str-0.25")]
+    "epsilon",
+    [
+        0.0, 1.0, 1.5, -0.2, pytest.param("1.5", id="str-1.5"), pytest.param("0.25", id="str-0.25"),
+        pytest.param(float("nan"), id="nan"), pytest.param(float("inf"), id="inf"),
+    ],
 )
 @pytest.mark.parametrize("kind", ["circuit-mix", "mixing-scan"])
 def test_bad_epsilon_refused_at_load(tmp_path, monkeypatch, capsys, kind, epsilon):
@@ -349,6 +355,7 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
         ("verify-bounds", {"checks": ["pinsker"]}, "$.params"),
         ("verify-bounds", {"checks": ["noise-lemma", "evolution"]}, "$.params"),
         ("verify-bounds", {"checks": ["decay-envelope"], "evolution_instance": CONE_INSTANCE}, "$.params"),
+        ("simulate", dict(SIMULATE_PARAMS, noise=dict(NOISE, q=[float("nan"), "0.1"])), "$.params.noise.q[0]"),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
@@ -356,7 +363,7 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
          "bounds-misspelt-check", "bounds-no-checks", "bounds-negative-instances",
          "bounds-fractional-layout-tuples", "bounds-no-superadditivity-instances",
          "bounds-no-alphabets", "bounds-alphabet-not-factors", "bounds-pinsker-no-instance",
-         "bounds-evolution-no-instance", "bounds-decay-no-instance"],
+         "bounds-evolution-no-instance", "bounds-decay-no-instance", "noise-q-nan"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):
@@ -397,10 +404,12 @@ def test_budget_exceeded_is_exit_2(tmp_path, capsys, memory_cap, kind):
 def test_benchmark_configs_validate(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     workloads = importlib.import_module("workloads")
-    validator = jsonschema.Draft202012Validator(cli._load_schema())
+    schema = cli._load_schema()
+    validator = jsonschema.Draft202012Validator(schema)
     for name in workloads.WORKLOADS:
         for step in workloads.steps(name, workloads.DEFAULT_SEED):
             assert not list(validator.iter_errors(step.config)), (name, step.kind)
+            assert first_error(schema, step.config) is None, (name, step.kind)
 
 
 def test_simulate_user_pattern_generator(tmp_path):

@@ -45,6 +45,9 @@ def test_validation():
         additive_noise(Z2, [1.0, 0.0])  # zero entry
     with pytest.raises(ValueError):
         additive_noise(Z2, [0.8, 0.1])  # does not sum to 1
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            additive_noise(Z2, [bad, 0.1])
 
 
 def test_local_kernel_examples():
