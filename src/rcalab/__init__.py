@@ -15,7 +15,6 @@ from .lattice import (
 )
 from .rules import (
     LocalRule,
-    TorusConfiguration,
     build_elementary,
     build_linear,
     lift_second_order,

@@ -263,7 +263,7 @@ def check_block_superadditivity(
 def main_theorem_bound(n: int, t: float, alpha: float, beta: float, d: int) -> float:
     """Bound value alpha e^{-beta t} n^{(d-1)/2}; alpha and beta are supplied,
     never fabricated."""
-    if alpha <= 0 or beta <= 0:
+    if not (alpha > 0 and beta > 0):  # refuses NaN too
         raise ValueError("alpha and beta must be positive")
     return alpha * math.exp(-beta * t) * n ** ((d - 1) / 2.0)
 

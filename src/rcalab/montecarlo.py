@@ -22,6 +22,10 @@ The rule and the noise are fused into one table, step_table[z * |T| + code]
 built once per plan and worker: the noise index z (noise.add_noise_index,
 which compares the words with word thresholds), the neighbourhood codes
 appended to it as low digits (rules.box_codes), and one lookup.
+
+sample_trajectory, the engine's test oracle, shares only the initial
+configuration and the Philox addresses with it: it steps the whole torus by
+the reference primitives rules.apply_table and noise.apply_noise.
 """
 
 from __future__ import annotations
@@ -34,15 +38,13 @@ import numpy as np
 
 from .entropy import check_bytes, mixing_time
 from .lattice import CellSet, diameter, hypercube, marginalize_patterns, pattern_strides
-from .noise import NoiseModel, add_noise_index
+from .noise import NoiseModel, add_noise_index, apply_noise
 from .rng import CounterRng, LANE_INIT, LANE_NOISE, REPLICATE_BLOCK, draw_words
-from .rules import LocalRule, TorusConfiguration, box_codes, wrap_pad
+from .rules import LocalRule, apply_table, box_codes, wrap_pad
 
 # not called here since the block-step fuses rule and noise into one lookup;
-# kept because perfbench/tracer.py patches montecarlo.apply_table and
-# montecarlo.sample_noise_symbols
+# kept because perfbench/tracer.py patches montecarlo.sample_noise_symbols
 from .noise import sample_noise_symbols  # noqa: F401
-from .rules import apply_table  # noqa: F401
 
 __all__ = [
     "GENERATORS",
@@ -113,14 +115,44 @@ class SimulationPlan:
 
     @property
     def wrap_contaminated(self) -> bool:
-        need = diameter(self.window) + 2 * self.rule.radius * self.horizon + 1
-        return min(self.sides) < need
+        return min(self.sides) < _wrap_free_side(self.rule, self.window, self.horizon)
 
     @property
     def generator_label(self) -> str:
         if isinstance(self.generator, str):
             return self.generator
         return "pattern"
+
+
+def _wrap_free_side(rule: LocalRule, window: CellSet, horizon: int) -> int:
+    """The smallest torus side on which the window's dependence cone over
+    horizon steps does not wrap."""
+    return diameter(window) + 2 * rule.radius * horizon + 1
+
+
+def _workers(plan: SimulationPlan, threads: int) -> int:
+    """Worker threads of a count: at most one per block of replicates."""
+    return max(min(threads, -(-plan.replicates // REPLICATE_BLOCK)), 1)
+
+
+def _initial_torus(plan: SimulationPlan, rng: CounterRng, gen, block: int) -> np.ndarray:
+    """X^0 of the block's rows on the whole torus, row-major (rows, *sides),
+    in the alphabet's state dtype; a seeded-random start is drawn by gen at
+    the block's LANE_INIT address."""
+    rows = min(plan.replicates - block * REPLICATE_BLOCK, REPLICATE_BLOCK)
+    shape = (rows,) + plan.sides
+    dtype = plan.rule.alphabet.state_dtype
+    if isinstance(plan.generator, np.ndarray):
+        return np.broadcast_to(plan.generator.astype(dtype), shape)
+    if plan.generator == "all-zeros":
+        return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+    if plan.generator == "all-ones":
+        return np.broadcast_to(np.ones((), dtype=dtype), shape)
+    if plan.generator == "checkerboard":
+        grids = np.meshgrid(*[np.arange(s) for s in plan.sides], indexing="ij")
+        return np.broadcast_to((sum(grids) % 2).astype(dtype), shape)
+    rng.seek(gen, LANE_INIT, 0, block)
+    return gen.integers(0, plan.rule.alphabet.size, size=shape).astype(dtype)
 
 
 def _cyclic_pieces(start: int, width: int, side: int) -> list[tuple[slice, slice]]:
@@ -140,19 +172,18 @@ class _BlockStepper:
     one generator that every draw of the plan moves by CounterRng.seek.
 
     A block is held cell-major, shape (*box, rows), so that every slice of it
-    is a run of whole rows.  On a wrap-free plan, unless whole_torus, the box
-    at time t is the light cone of the window: its bounding box widened by
+    is a run of whole rows.  On a wrap-free plan the box at time t is the
+    light cone of the window: its bounding box widened by
     radius * (horizon - t) on every axis, so the box at t - 1 holds exactly
     the neighbours of the box at t, and no cell outside the cone is stepped.
-    Otherwise the box is the whole torus at every time, wrap-padded at each
-    step.  The torus never wraps onto a cone box (wrap-free sides exceed its
-    width), so the two give the same window patterns.
+    On a wrap-contaminated plan (whole_torus) the box is the whole torus at
+    every time, wrap-padded at each step.
 
     Draws fill rows in order, so the rows of a partial last block draw only
     their own prefix of the block's stream.
     """
 
-    def __init__(self, plan: SimulationPlan, whole_torus: bool = False):
+    def __init__(self, plan: SimulationPlan):
         perm_table = plan.noise.perm_table
         self.plan = plan
         self.step_table = perm_table[:, plan.rule.table].ravel()
@@ -165,7 +196,7 @@ class _BlockStepper:
         self.strides = pattern_strides(len(plan.window), plan.rule.alphabet.size).astype(
             np.min_scalar_type(n_patterns - 1)
         )
-        self.whole_torus = whole_torus or plan.wrap_contaminated
+        self.whole_torus = plan.wrap_contaminated
         cells = plan.window.as_array()
         r, horizon = plan.rule.radius, plan.horizon
         if self.whole_torus:
@@ -208,23 +239,8 @@ class _BlockStepper:
 
     def initial(self, block: int) -> np.ndarray:
         """X^0 of the block's rows on the time-0 box, cell-major."""
-        plan = self.plan
-        rows = min(plan.replicates - block * REPLICATE_BLOCK, REPLICATE_BLOCK)
-        shape = (rows,) + plan.sides
-        dtype = self.state_dtype
-        if isinstance(plan.generator, np.ndarray):
-            torus = np.broadcast_to(plan.generator.astype(dtype), shape)
-        elif plan.generator == "all-zeros":
-            torus = np.broadcast_to(np.zeros((), dtype=dtype), shape)
-        elif plan.generator == "all-ones":
-            torus = np.broadcast_to(np.ones((), dtype=dtype), shape)
-        elif plan.generator == "checkerboard":
-            grids = np.meshgrid(*[np.arange(s) for s in plan.sides], indexing="ij")
-            torus = np.broadcast_to((sum(grids) % 2).astype(dtype), shape)
-        else:
-            self.rng.seek(self.gen, LANE_INIT, 0, block)
-            torus = self.gen.integers(0, plan.rule.alphabet.size, size=shape).astype(dtype)
-        return self.to_box(torus, self.buffer(rows, dtype, 0), 0)
+        torus = _initial_torus(self.plan, self.rng, self.gen, block)
+        return self.to_box(torus, self.buffer(len(torus), self.state_dtype, 0), 0)
 
 
 def _step_block(stepper: _BlockStepper, data: np.ndarray, block: int, t: int) -> np.ndarray:
@@ -253,20 +269,24 @@ def _step_block(stepper: _BlockStepper, data: np.ndarray, block: int, t: int) ->
     return out
 
 
-def sample_trajectory(plan: SimulationPlan, replicate: int) -> list[TorusConfiguration]:
-    """Full trajectory X^0..X^T of one replicate (identical to the row this
-    replicate occupies in a batched run), stepped on the whole torus."""
+def sample_trajectory(plan: SimulationPlan, replicate: int) -> np.ndarray:
+    """Full trajectory X^0..X^T of one replicate, int64 of shape
+    (horizon + 1, *sides): the row this replicate occupies in a batched run,
+    stepped on the whole torus by apply_table and apply_noise at the
+    engine's Philox addresses, without the engine's block-step."""
     if not 0 <= replicate < plan.replicates:
         raise ValueError("replicate index out of range")
     block, row = divmod(replicate, REPLICATE_BLOCK)
-    stepper = _BlockStepper(plan, whole_torus=True)
+    rng = CounterRng(plan.seed, plan.stream)
+    gen = rng.block(LANE_NOISE)
     # draws fill rows in order, so the block's first row + 1 rows step alone
-    data = np.ascontiguousarray(stepper.initial(block)[..., : row + 1])
-    out = [TorusConfiguration(plan.sides, data[..., row].astype(np.int64))]
+    x = _initial_torus(plan, rng, gen, block)[: row + 1].astype(np.int64)
+    out = [x[row]]
     for t in range(1, plan.horizon + 1):
-        data = _step_block(stepper, data, block, t)
-        out.append(TorusConfiguration(plan.sides, data[..., row].astype(np.int64)))
-    return out
+        rng.seek(gen, LANE_NOISE, t, block)
+        x = apply_noise(apply_table(x, plan.rule, batch_dims=1), plan.noise, gen)
+        out.append(x[row])
+    return np.stack(out)
 
 
 def _block_counts(stepper: _BlockStepper, block: int, counts: np.ndarray) -> None:
@@ -292,7 +312,7 @@ def _count_bytes(plan: SimulationPlan, threads: int) -> int:
     code with the new state; the mask (one byte) is never larger than the
     code.  A whole-torus step also holds two wrap-padded copies of the state
     while it pads."""
-    workers = max(min(threads, -(-plan.replicates // REPLICATE_BLOCK)), 1)
+    workers = _workers(plan, threads)
     counts = 8 * (plan.horizon + 1) * plan.rule.alphabet.size ** len(plan.window)
     n_noise = plan.noise.perm_table.shape[0]
     code = np.min_scalar_type(n_noise * plan.rule.table.size - 1).itemsize
@@ -315,7 +335,7 @@ def window_pattern_counts(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     check_bytes(_count_bytes(plan, threads), "counting window patterns")
     n_patterns = plan.rule.alphabet.size ** len(plan.window)
     n_blocks = -(-plan.replicates // REPLICATE_BLOCK)
-    workers = max(min(threads, n_blocks), 1)
+    workers = _workers(plan, threads)
 
     def worker(first: int) -> np.ndarray:
         stepper = _BlockStepper(plan)
@@ -361,8 +381,6 @@ class MixingEstimate:
     epsilon: float
     t_mix: int
     converged: bool
-    dhat: np.ndarray
-    dhat_se: np.ndarray
     curves: dict = field(default_factory=dict)
     monotone_within_3sigma: bool = True
 
@@ -394,8 +412,6 @@ def estimate_mixing_time(plans, counts, epsilon: float) -> MixingEstimate:
         epsilon=epsilon,
         t_mix=t_mix,
         converged=converged,
-        dhat=dhat,
-        dhat_se=dhat_se,
         curves=curves,
         monotone_within_3sigma=monotone,
     )
@@ -413,8 +429,7 @@ def adversarial_family(
     """Default initial-configuration family for distance-to-uniform sups:
     all-zeros, all-ones, checkerboard, and n_random seeded-random starts,
     each on its own stream, on the smallest torus free of wrap-around."""
-    need = diameter(window) + 2 * rule.radius * horizon + 1
-    sides = (max(need, 2 * rule.radius + 1),) * rule.dim
+    sides = (max(_wrap_free_side(rule, window, horizon), 2 * rule.radius + 1),) * rule.dim
     gens = ["all-zeros", "all-ones", "checkerboard"] + ["seeded-random"] * n_random
     return [
         SimulationPlan(rule, noise, sides, g, horizon, replicates, seed, window, stream=i)

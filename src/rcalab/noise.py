@@ -11,7 +11,7 @@ import numpy as np
 
 from .lattice import Alphabet
 from .rng import draw_words, word_threshold
-from .rules import LocalRule, TorusConfiguration
+from .rules import LocalRule
 
 __all__ = [
     "NoiseModel",
@@ -212,14 +212,11 @@ def sample_noise_symbols(noise: NoiseModel, shape, rng: np.random.Generator) -> 
     return add_noise_index(noise, words, z)
 
 
-def apply_noise(x, noise: NoiseModel, rng: np.random.Generator):
-    """Perturb every cell independently; deterministic given the generator.
-
-    Accepts a TorusConfiguration or a raw symbol array and returns the same
-    shape, as int64 symbol codes.
+def apply_noise(x, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Perturb every cell of a symbol array independently, one 64-bit word
+    per cell in C order; deterministic given the generator.  Returns int64
+    symbol codes of x's shape.
     """
-    if isinstance(x, TorusConfiguration):
-        return TorusConfiguration(x.sides, apply_noise(x.data, noise, rng))
     x = np.asarray(x)
     if x.size and (x.min() < 0 or x.max() >= noise.alphabet.size):
         raise ValueError("symbols outside the alphabet")

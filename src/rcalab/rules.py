@@ -1,5 +1,5 @@
-"""Deterministic CA machinery: local rules, torus configurations, synchronous
-global-map steps, built-in rule families, and rule (de)serialization.
+"""Deterministic CA machinery: local rules, synchronous global-map steps on
+torus arrays, built-in rule families, and rule (de)serialization.
 
 Rule tables are dense arrays indexed by the mixed-radix encoding of the
 neighbourhood pattern (offsets in lexicographic order, first offset most
@@ -17,7 +17,6 @@ from .lattice import Alphabet, _normalize_cell, decode_patterns, pattern_strides
 
 __all__ = [
     "LocalRule",
-    "TorusConfiguration",
     "build_elementary",
     "build_linear",
     "lift_second_order",
@@ -92,37 +91,6 @@ class LocalRule:
         return int(self.table[self.pattern_index(pattern)])
 
 
-@dataclass(frozen=True, eq=False)
-class TorusConfiguration:
-    """Periodic d-dimensional array of symbol codes."""
-
-    sides: tuple[int, ...]
-    data: np.ndarray
-
-    def __init__(self, sides, data):
-        sides = tuple(int(s) for s in sides)
-        if any(s < 1 for s in sides):
-            raise ValueError("torus sides must be positive")
-        data = np.asarray(data)
-        if data.shape != sides:
-            data = data.reshape(sides)
-        object.__setattr__(self, "sides", sides)
-        object.__setattr__(self, "data", data)
-
-    @property
-    def dim(self) -> int:
-        return len(self.sides)
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.sides))
-
-    def get(self, cell) -> int:
-        cell = _normalize_cell(cell, self.dim)
-        idx = tuple(c % s for c, s in zip(cell, self.sides))
-        return int(self.data[idx])
-
-
 def _check_torus_fits(sides, rule: LocalRule):
     need = 2 * rule.radius + 1
     if min(sides) < need:
@@ -165,26 +133,19 @@ def box_codes(src: np.ndarray, rule: LocalRule, out: np.ndarray, lead: int = 0) 
     return out
 
 
-def neighbourhood_codes(data: np.ndarray, rule: LocalRule, batch_dims: int = 0):
-    """Neighbourhood pattern code of every cell of a raw torus array, in the
-    smallest unsigned dtype that holds |Sigma|^|N|.
-
-    `data` has shape (*batch, *sides); the trailing dims are periodic axes,
-    each at least 2 * radius + 1 long (ValueError otherwise).  Codes are
-    read off one wrap-padded copy of the torus by box_codes.
-    """
-    sides = data.shape[batch_dims:]
-    _check_torus_fits(sides, rule)
-    padded = wrap_pad(data, rule.radius, range(batch_dims, data.ndim))
-    out = np.zeros(data.shape, dtype=np.min_scalar_type(rule.table.size - 1))
-    return box_codes(padded, rule, out, lead=batch_dims)
-
-
 def apply_table(data: np.ndarray, rule: LocalRule, batch_dims: int = 0) -> np.ndarray:
     """Synchronous rule application on a raw torus array of shape
-    (*batch, *sides), returned in the dtype of `data`: one table lookup on
-    neighbourhood_codes."""
-    codes = neighbourhood_codes(data, rule, batch_dims)
+    (*batch, *sides), returned in the dtype of `data`.
+
+    The trailing dims are periodic axes, each at least 2 * radius + 1 long
+    (ValueError otherwise).  Neighbourhood codes, in the smallest unsigned
+    dtype that holds |Sigma|^|N|, are read off one wrap-padded copy of the
+    torus by box_codes, and the table is one lookup on them.
+    """
+    _check_torus_fits(data.shape[batch_dims:], rule)
+    padded = wrap_pad(data, rule.radius, range(batch_dims, data.ndim))
+    codes = np.zeros(data.shape, dtype=np.min_scalar_type(rule.table.size - 1))
+    box_codes(padded, rule, codes, lead=batch_dims)
     return rule.table.astype(data.dtype, copy=False).take(codes)
 
 

@@ -18,10 +18,10 @@ from rcalab.bounds import (
     proof_rate_constants,
     theorem_applicable,
 )
-from rcalab.entropy import WindowDistribution
+from rcalab.entropy import WindowDistribution, entropy_vec
 from rcalab.exact import leakage_constants
 from rcalab.lattice import Alphabet, hypercube, moore, translate
-from rcalab.noise import NoiseModel, additive_noise, channel_matrix, kappa
+from rcalab.noise import NoiseModel, additive_noise, channel_matrix, convolve_sites, kappa
 from rcalab.rules import build_elementary
 
 Z2 = Alphabet((2,))
@@ -59,6 +59,30 @@ def test_noise_lemma_conditional_form():
     joint = rng.dirichlet(np.ones(6)).reshape(3, 2)
     rep = check_noise_lemma(joint, Q91, "conditional")
     assert rep.ok
+
+
+@pytest.mark.parametrize(
+    "factors, q", [((2,), [0.9, 0.1]), ((3,), [0.6, 0.3, 0.1]), ((2, 2), [0.4, 0.3, 0.2, 0.1])]
+)
+def test_noise_lemma_sides_match_direct_entropies(factors, q):
+    # the joint and conditional sides by a path other than noise_lemma_sides:
+    # H(A+N) of the law convolve_sites noises, and H(A+N|C) as the p_c-weighted
+    # entropies of each conditional law p(.|c) pushed through the channel
+    noise = additive_noise(Alphabet(factors), q)
+    channel, k, size = channel_matrix(noise), kappa(noise), len(q)
+    rng = np.random.default_rng(len(q))
+    for n in (1, 2, 3):
+        p = rng.dirichlet(np.ones(size ** n))
+        rep = check_noise_lemma(p, noise, "joint")
+        assert rep.lhs == pytest.approx(entropy_vec(convolve_sites(p, channel, n)), rel=1e-12, abs=1e-14)
+    joint = rng.dirichlet(np.ones(4 * size)).reshape(4, size)
+    pc = joint.sum(axis=1)
+    laws = joint / pc[:, None]
+    rep = check_noise_lemma(joint, noise, "conditional")
+    lhs = sum(w * entropy_vec(law @ channel) for w, law in zip(pc, laws))
+    h = sum(w * entropy_vec(law) for w, law in zip(pc, laws))
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=1e-14)
+    assert rep.rhs == pytest.approx(k * math.log(size) + (1 - k) * h, rel=1e-12, abs=1e-14)
 
 
 def test_noise_lemma_suite_small():
@@ -237,6 +261,11 @@ def test_main_theorem_bound():
     assert big_t < 1e-20
     with pytest.raises(ValueError):
         main_theorem_bound(4, 1, -1.0, 0.1, 2)
+    # NaN passes a "<= 0" test
+    with pytest.raises(ValueError):
+        main_theorem_bound(4, 1, math.nan, 0.1, 2)
+    with pytest.raises(ValueError):
+        main_theorem_bound(4, 1, 1.0, math.nan, 2)
     assert theorem_applicable(10, 4, 2.0, 1.0)
     assert not theorem_applicable(2, 4, 2.0, 1.0)
 

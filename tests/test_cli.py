@@ -327,7 +327,9 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
 # each of these passed load before the per-kind params schemas, and failed
 # later with no JSON path or with a traceback; a cone instance's cap key, once
 # a state limit, would otherwise be dropped without a word, and a misspelt
-# verify-bounds check or a bad count ran nothing or truncated without a word
+# verify-bounds check or a bad count ran nothing or truncated without a word.
+# A fractional side or window size was truncated without a word, an infinite
+# side raised OverflowError, and a NaN alpha ran the exact engine first.
 @pytest.mark.parametrize(
     "kind, params, path",
     [
@@ -356,6 +358,42 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
         ("verify-bounds", {"checks": ["noise-lemma", "evolution"]}, "$.params"),
         ("verify-bounds", {"checks": ["decay-envelope"], "evolution_instance": CONE_INSTANCE}, "$.params"),
         ("simulate", dict(SIMULATE_PARAMS, noise=dict(NOISE, q=[float("nan"), "0.1"])), "$.params.noise.q[0]"),
+        ("simulate", dict(SIMULATE_PARAMS, sides=[float("inf")]), "$.params.sides[0]"),
+        ("simulate", dict(SIMULATE_PARAMS, sides=[20.9]), "$.params.sides[0]"),
+        ("simulate", dict(SIMULATE_PARAMS, sides=[0]), "$.params.sides[0]"),
+        ("simulate", dict(SIMULATE_PARAMS, window={"hypercube": 2.7}), "$.params.window.hypercube"),
+        ("simulate", dict(SIMULATE_PARAMS, window={"cells": [0.5]}), "$.params.window.cells[0]"),
+        ("evolve-exact", dict(CONE_INSTANCE, window={"hypercube": 0}), "$.params.window.hypercube"),
+        ("evolve-exact", dict(CONE_INSTANCE, window={"hypercube": 1, "dim": 0}), "$.params.window.dim"),
+        ("evolve-exact", dict(CONE_INSTANCE, window={"cells": [[0, 1.5]]}), "$.params.window.cells[0][1]"),
+        ("mixing-scan", dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1, dim=0), "$.params.dim"),
+        ("mixing-scan", dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1, n_random=-1), "$.params.n_random"),
+        ("mixing-scan", dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1, n_random=2.5), "$.params.n_random"),
+        (
+            "verify-bounds",
+            {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, alpha=float("nan"))},
+            "$.params.decay_instance.alpha",
+        ),
+        (
+            "verify-bounds",
+            {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, beta=0)},
+            "$.params.decay_instance.beta",
+        ),
+        (
+            "verify-bounds",
+            {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, alpha="2.0")},
+            "$.params.decay_instance.alpha",
+        ),
+        (
+            "verify-bounds",
+            {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, a=float("inf"))},
+            "$.params.decay_instance.a",
+        ),
+        (
+            "verify-bounds",
+            {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, b="1")},
+            "$.params.decay_instance.b",
+        ),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
@@ -363,7 +401,12 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
          "bounds-misspelt-check", "bounds-no-checks", "bounds-negative-instances",
          "bounds-fractional-layout-tuples", "bounds-no-superadditivity-instances",
          "bounds-no-alphabets", "bounds-alphabet-not-factors", "bounds-pinsker-no-instance",
-         "bounds-evolution-no-instance", "bounds-decay-no-instance", "noise-q-nan"],
+         "bounds-evolution-no-instance", "bounds-decay-no-instance", "noise-q-nan",
+         "simulate-infinite-side", "simulate-fractional-side", "simulate-zero-side",
+         "simulate-fractional-hypercube", "simulate-fractional-cell", "cone-hypercube-zero",
+         "cone-window-dim-zero", "cone-fractional-cell-coordinate", "scan-dim-zero",
+         "scan-negative-n-random", "scan-fractional-n-random", "decay-alpha-nan", "decay-beta-zero",
+         "decay-alpha-string", "decay-a-infinite", "decay-b-string"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):

@@ -25,10 +25,9 @@ def test_no_package_attribute_shadows_a_submodule():
 # reason; every other export must have a caller or go.
 UNCALLED_EXPORTS = {
     "analysis.preimage_count_oracle": "test oracle: brute-force preimage counts for the decision procedures",
-    "bounds.check_noise_lemma": "test oracle: one noise-lemma instance, against the batched noise_lemma_sides",
+    "bounds.check_noise_lemma": "tests' entry point: one shape-checked noise-lemma instance, run through the batched noise_lemma_sides",
     "entropy.kl_divergence": "test oracle: deficiency(p) == KL(p || uniform) by an independent path",
-    "montecarlo.sample_trajectory": "test oracle: whole torus trajectories for the Monte Carlo engine",
-    "noise.apply_noise": "test oracle: per-cell noise on a whole configuration",
+    "montecarlo.sample_trajectory": "test oracle: whole-torus trajectories by apply_table and apply_noise, apart from the Monte Carlo block-step",
     "circuits.evolve_chain_exact": "the one-initial chain path that circuit-mix will use for affine networks",
     "bounds.proof_rate_constants": "the proof's rate constants, for the sup-over-initials gate and the sharp contraction",
     "circuits.alternating_cnot_network": "the acceptance suite's reference brick-wall network",

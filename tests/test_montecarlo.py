@@ -39,16 +39,16 @@ def test_zero_horizon_trajectory():
     plan = ident_plan(horizon=0)
     traj = sample_trajectory(plan, 0)
     assert len(traj) == 1
-    assert not traj[0].data.any()
+    assert not traj[0].any()
 
 
 def test_trajectory_determinism():
     plan = ident_plan()
     a = sample_trajectory(plan, 1234)
     b = sample_trajectory(plan, 1234)
-    assert all(np.array_equal(x.data, y.data) for x, y in zip(a, b))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = sample_trajectory(plan, 1235)
-    assert any(not np.array_equal(x.data, y.data) for x, y in zip(a, c))
+    assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_trajectory_matches_batch_row():
@@ -59,7 +59,7 @@ def test_trajectory_matches_batch_row():
     for rep in range(plan.replicates):
         traj = sample_trajectory(plan, rep)
         for t, cfg in enumerate(traj):
-            recount[t, cfg.get(0)] += 1
+            recount[t, cfg[0]] += 1
     assert np.array_equal(counts, recount)
 
 
@@ -108,17 +108,17 @@ def test_wrap_validation():
 
 def test_generators():
     plan = ident_plan(generator="all-ones", horizon=0)
-    assert sample_trajectory(plan, 0)[0].data.tolist() == [1, 1, 1, 1]
+    assert sample_trajectory(plan, 0)[0].tolist() == [1, 1, 1, 1]
     plan = ident_plan(generator="checkerboard", horizon=0)
-    assert sample_trajectory(plan, 0)[0].data.tolist() == [0, 1, 0, 1]
+    assert sample_trajectory(plan, 0)[0].tolist() == [0, 1, 0, 1]
     plan = ident_plan(generator=np.array([1, 0, 1, 1]), horizon=0)
-    assert sample_trajectory(plan, 3)[0].data.tolist() == [1, 0, 1, 1]
+    assert sample_trajectory(plan, 3)[0].tolist() == [1, 0, 1, 1]
     with pytest.raises(ValueError):
         ident_plan(generator=np.array([1, 0, 2, 1]))
     # seeded-random differs between replicates, same per replicate
     plan = ident_plan(generator="seeded-random", horizon=0, replicates=2000)
-    x = sample_trajectory(plan, 7)[0].data
-    y = sample_trajectory(plan, 7)[0].data
+    x = sample_trajectory(plan, 7)[0]
+    y = sample_trajectory(plan, 7)[0]
     assert np.array_equal(x, y)
 
 
@@ -282,7 +282,7 @@ def test_counts_match_pinned_digest(name):
 def test_trajectory_symbols_are_int64():
     plan, _ = pinned_plans()["z3-perm-2d-vn"]
     traj = sample_trajectory(plan, 1099)
-    assert all(cfg.data.dtype == np.int64 and cfg.data.shape == (9, 9) for cfg in traj)
+    assert traj.dtype == np.int64 and traj.shape == (plan.horizon + 1, 9, 9)
 
 
 def _peak_bytes(plan, threads):
@@ -333,8 +333,31 @@ def test_trajectories_match_batch_rows_seeded_wrapped_threaded():
     recount = np.zeros_like(counts)
     for rep in range(plan.replicates):
         for t, cfg in enumerate(sample_trajectory(plan, rep)):
-            recount[t, int(cfg.data[:4] @ [8, 4, 2, 1])] += 1
+            recount[t, int(cfg[:4] @ [8, 4, 2, 1])] += 1
     assert np.array_equal(counts, recount)
+
+
+def test_trajectory_oracle_does_not_run_the_engine(monkeypatch):
+    # the oracle is independent of the block-step it checks: with the
+    # engine's stepper and step refusing to run it still recounts a wrapped
+    # and a wrap-free plan's batched counts
+    plans = [
+        SimulationPlan(R90, Q91, (7,), "seeded-random", 3, 60, 18, hypercube(4), allow_wrap=True),
+        SimulationPlan(R90, Q91, (11,), "checkerboard", 3, 60, 19, hypercube(4)),
+    ]
+    counts = [window_pattern_counts(plan) for plan in plans]
+
+    def engine(*args, **kwargs):
+        raise AssertionError("engine entered")
+
+    monkeypatch.setattr(montecarlo, "_BlockStepper", engine)
+    monkeypatch.setattr(montecarlo, "_step_block", engine)
+    for plan, want in zip(plans, counts):
+        recount = np.zeros_like(want)
+        for rep in range(plan.replicates):
+            codes = sample_trajectory(plan, rep)[:, :4] @ [8, 4, 2, 1]
+            recount[np.arange(plan.horizon + 1), codes] += 1
+        assert np.array_equal(want, recount)
 
 
 def cone_plans():
@@ -389,11 +412,12 @@ def test_cone_counts_match_trajectory_recount(monkeypatch, name):
     counts = window_pattern_counts(plan, threads=threads)
     assert sum(looked_up) == cells
     # sample_trajectory steps the whole torus
+    cells = tuple((plan.window.as_array() % plan.sides).T)
     strides = plan.rule.alphabet.size ** np.arange(len(plan.window) - 1, -1, -1)
     recount = np.zeros_like(counts)
     for rep in range(plan.replicates):
         for t, cfg in enumerate(sample_trajectory(plan, rep)):
-            recount[t, sum(s * cfg.get(c) for s, c in zip(strides, plan.window))] += 1
+            recount[t, cfg[cells] @ strides] += 1
     assert np.array_equal(counts, recount)
 
 
