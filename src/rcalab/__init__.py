@@ -31,7 +31,6 @@ from .entropy import (
 from .analysis import (
     analyze_rule,
     build_de_bruijn,
-    preimage_count_oracle,
     test_injective,
     test_surjective,
 )
@@ -53,7 +52,6 @@ from .bounds import (
     BoundReport,
     bootstrap_layout,
     check_block_superadditivity,
-    check_noise_lemma,
     equilibrium_constants,
     main_theorem_bound,
 )

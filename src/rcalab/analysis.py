@@ -1,12 +1,10 @@
 """Decision procedures for surjectivity and injectivity of one-dimensional CA
-on the de Bruijn automaton, with a brute-force preimage-count oracle for
-cross-validation.
+on the de Bruijn automaton.
 
 Sparse neighbourhoods are normalized to a contiguous interval by padding the
 table with dummy dependence; this leaves the global map unchanged.  Both
-decisions are queries on one pair graph of the de Bruijn automaton.  The
-supported envelope is 256 de Bruijn states: contiguous spans of up to 9 binary
-cells (radius 4) or 6 ternary cells (radius 2).
+decisions are queries on one pair graph of the de Bruijn automaton, whose
+bytes are checked against MEMORY_CAP before any of its arrays is built.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CapExceededError, check_bytes
+from .entropy import check_bytes
 from .lattice import decode_patterns, pattern_strides
 from .rules import LocalRule
 
@@ -24,7 +22,6 @@ __all__ = [
     "build_de_bruijn",
     "test_surjective",
     "test_injective",
-    "preimage_count_oracle",
     "is_balanced",
     "analyze_rule",
 ]
@@ -34,14 +31,19 @@ def _require_1d(rule: LocalRule):
         raise ValueError("decision procedures require one-dimensional rules")
 
 
+def _span(rule: LocalRule, min_span: int):
+    """(offsets, lo, m): the rule's offsets, the least, and the length
+    m = hi - lo + 1 >= min_span of the contiguous interval [lo, hi]."""
+    _require_1d(rule)
+    offs = [a[0] for a in rule.neighborhood]
+    return offs, min(offs), max(max(offs) - min(offs) + 1, min_span)
+
+
 def contiguous_table(rule: LocalRule, min_span: int = 1):
     """Table of the rule re-expressed over the contiguous offset interval
     [lo, hi] (padded with dummy dependence where sparse).  Returns (lo, m,
     table) with m = hi - lo + 1 >= min_span."""
-    _require_1d(rule)
-    offs = [a[0] for a in rule.neighborhood]
-    lo, hi = min(offs), max(offs)
-    m = max(hi - lo + 1, min_span)
+    offs, lo, m = _span(rule, min_span)
     size = rule.alphabet.size
     codes = np.arange(size ** m, dtype=np.int64)
     slots = decode_patterns(codes, m, size)
@@ -78,26 +80,21 @@ def build_de_bruijn(rule: LocalRule) -> DeBruijnAutomaton:
     return DeBruijnAutomaton(rule.alphabet.size, m, table)
 
 
-# de Bruijn states: a contiguous span of up to 9 binary cells (radius 4) or 6
-# ternary cells (radius 2).  The pair graph has |states|^2 nodes with
-# |Sigma|^2 candidate edges each, so this caps it near 65,536 nodes.
-STATE_ENVELOPE = 256
-
-
-def _check_envelope(auto: DeBruijnAutomaton):
-    if auto.n_states > STATE_ENVELOPE:
-        raise CapExceededError(
-            f"{auto.n_states} de Bruijn states exceed the supported envelope"
-            f" of {STATE_ENVELOPE}"
-        )
-
-
 def _pair_graph(rule: LocalRule):
     """Pair graph of the de Bruijn automaton: node u * n + v for each state
     pair, and an edge for each pair of equal-label words out of u and v.
     Returns the edge arrays (src, dst) and the diagonal mask."""
+    _, _, m = _span(rule, 2)
+    size = rule.alphabet.size
+    # Each table entry labels size^(m - |N|) of the m-words, so the edge
+    # count E = sum over labels of (m-words with that label)^2 is known
+    # before the automaton exists.  Per candidate pair of m-words: the
+    # equal-label mask and the int64 heads broadcast; per edge: its two
+    # int64 ends, and the queries' masks and gathers on them.
+    per_entry = size ** (m - len(rule.neighborhood))
+    n_edges = sum((count * per_entry) ** 2 for count in np.bincount(rule.table).tolist())
+    check_bytes(9 * size ** (2 * m) + 25 * n_edges, f"the pair graph of {size ** (m - 1)} de Bruijn states")
     auto = build_de_bruijn(rule)
-    _check_envelope(auto)
     n = auto.n_states
     labels = auto.labels.reshape(n, auto.size)  # labels[u, a] of word u * size + a
     heads = np.arange(auto.n_edges).reshape(n, auto.size) % n
@@ -155,37 +152,6 @@ def test_injective(rule: LocalRule) -> bool:
         if np.array_equal(trimmed, alive):
             return not (alive & ~diag).any()
         alive = trimmed
-
-
-def preimage_count_oracle(rule: LocalRule, w) -> int:
-    """Number of words of length |w| + m - 1 whose sliding image is w
-    (brute-force ground truth; m is the raw contiguous span)."""
-    _require_1d(rule)
-    word = _as_word(rule, w)
-    _, m, table = contiguous_table(rule)
-    size = rule.alphabet.size
-    length = len(word) + m - 1
-    # per word: its code, a window code, that window's table entry, two masks
-    check_bytes(26 * size ** length, f"enumerating the words of length {length}")
-    codes = np.arange(size ** length, dtype=np.int64)
-    match = np.ones(codes.size, dtype=bool)
-    for i, target in enumerate(word):
-        idx = codes // size ** (length - m - i)  # the m-window at symbol i
-        idx %= size ** m
-        match &= table[idx] == target
-    return int(match.sum())
-
-
-def _as_word(rule: LocalRule, w):
-    if isinstance(w, str):
-        word = [int(ch) for ch in w]
-    else:
-        word = [int(v) for v in w]
-    if not word:
-        raise ValueError("word must be non-empty")
-    if any(not 0 <= v < rule.alphabet.size for v in word):
-        raise ValueError("word symbols out of alphabet range")
-    return word
 
 
 def is_balanced(rule: LocalRule) -> bool:

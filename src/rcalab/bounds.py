@@ -21,7 +21,6 @@ from .rules import LocalRule
 __all__ = [
     "SLACK",
     "BoundReport",
-    "check_noise_lemma",
     "equilibrium_constants",
     "bootstrap_layout",
     "BootstrapLayout",
@@ -47,7 +46,6 @@ class BoundReport:
     rhs: float
     ok: bool
     params: dict = field(default_factory=dict)
-    caveat: str = ""
 
     def __post_init__(self):
         self.lhs = float(self.lhs)
@@ -61,44 +59,21 @@ class BoundReport:
         }
 
     def to_dict(self) -> dict:
-        doc = {"claim": self.claim, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok,
-               "params": self.params}
-        return {**doc, "caveat": self.caveat} if self.caveat else doc
+        return {"claim": self.claim, "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok,
+                "params": self.params}
 
 
-def check_noise_lemma(p, noise: NoiseModel, variant: str = "scalar") -> BoundReport:
-    """Entropy gain from one round of iid noise.
+def noise_lemma_sides(p, channels, kappas, variant: str):
+    """The two sides of the noise lemma, the entropy gain from one round of
+    iid noise N, for a batch of instances, as two arrays:
 
     scalar:      p over Sigma,      H(A+N)   >= kappa h_max + (1-kappa) H(A)
     joint:       p over Sigma^n,    H(A+N)   >= n kappa h_max + (1-kappa) H(A)
     conditional: p a joint (c, a) matrix, H(A+N|C) >= kappa h_max + (1-kappa) H(A|C)
-    """
-    size = noise.alphabet.size
-    p = np.asarray(p, dtype=np.float64)
-    n = 1
-    if variant == "scalar":
-        if p.shape != (size,):
-            raise ValueError("scalar variant needs a distribution over Sigma")
-    elif variant == "joint":
-        n = round(math.log(p.size, size))
-        if size ** n != p.size or p.ndim != 1:
-            raise ValueError("joint variant needs a flat distribution over Sigma^n")
-    elif variant == "conditional":
-        if p.ndim != 2 or p.shape[1] != size:
-            raise ValueError("conditional variant needs a joint (C, A) matrix")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    k = kappa(noise)
-    lhs, rhs = noise_lemma_sides(p[None], channel_matrix(noise)[None], np.array([k]), variant)
-    return _lemma_report(variant, lhs[0], rhs[0], k, noise.alphabet, n)
 
-
-def noise_lemma_sides(p, channels, kappas, variant: str):
-    """The two sides of the noise lemma (see check_noise_lemma) for a batch
-    of instances, as two arrays: p stacks the laws, batch first (flat laws
-    over Sigma^n for joint, (C, A) matrices for conditional), channels the
-    per-instance channel matrices and kappas their kappa values.  Callers
-    check the shapes."""
+    p stacks the laws, batch first (flat laws over Sigma^n for joint, (C, A)
+    matrices for conditional), channels the per-instance channel matrices
+    and kappas their kappa values.  Callers check the shapes."""
     size = channels.shape[-1]
     n = 1
     if variant == "scalar":

@@ -1,6 +1,6 @@
 """Exact and estimated information functionals on window distributions:
-entropy, deficiency, total variation, KL divergence, the Pinsker bound, and
-plug-in / Miller-Madow estimators from pattern counts.
+entropy, deficiency, total variation, the Pinsker bound, and plug-in /
+Miller-Madow estimators from pattern counts.
 
 All entropies are in nats.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "deficiency",
     "tv_vec",
     "tv_to_uniform",
-    "kl_divergence",
     "pinsker_bound",
     "estimate_entropy",
     "mixing_time",
@@ -116,12 +115,6 @@ class WindowDistribution:
         return WindowDistribution(sub_window, self.alphabet, probs)
 
 
-def _as_probs(p) -> np.ndarray:
-    if isinstance(p, WindowDistribution):
-        return p.probs
-    return np.asarray(p, dtype=np.float64)
-
-
 def entropy_vec(probs: np.ndarray) -> float:
     """Shannon entropy of a non-negative probability vector in nats."""
     return float(entropy_rows(probs))
@@ -143,7 +136,7 @@ def entropy_rows(probs: np.ndarray, work: np.ndarray | None = None) -> np.ndarra
 
 
 def entropy(p: WindowDistribution) -> float:
-    return entropy_vec(_as_probs(p))
+    return entropy_vec(p.probs)
 
 
 def deficiency(p: WindowDistribution) -> float:
@@ -160,17 +153,6 @@ def tv_vec(p, q) -> float:
 
 def tv_to_uniform(p: WindowDistribution) -> float:
     return tv_vec(p.probs, 1.0 / p.probs.size)
-
-
-def kl_divergence(p, q) -> float:
-    """KL divergence D(p || q) in nats (independent of the deficiency path;
-    used to cross-check deficiency(p) == KL(p || uniform))."""
-    p = _as_probs(p)
-    q = _as_probs(q)
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        return math.inf
-    return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
 
 
 def pinsker_bound(p: WindowDistribution) -> float:

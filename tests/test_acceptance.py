@@ -9,7 +9,8 @@ from itertools import product
 
 import numpy as np
 
-from rcalab.analysis import contiguous_table, preimage_count_oracle
+from oracles import preimage_count_oracle
+from rcalab.analysis import contiguous_table
 from rcalab import analysis
 from rcalab.bounds import (
     bootstrap_layout,

@@ -1,16 +1,14 @@
+import tracemalloc
 from functools import partial
 from itertools import product
 
 import numpy as np
 import pytest
 
+from oracles import preimage_count_oracle
+from test_memory_budget import OBJECTS
 from rcalab import analysis
-from rcalab.analysis import (
-    analyze_rule,
-    build_de_bruijn,
-    is_balanced,
-    preimage_count_oracle,
-)
+from rcalab.analysis import analyze_rule, build_de_bruijn, is_balanced
 from rcalab.entropy import CapExceededError
 from rcalab.lattice import Alphabet, decode_patterns, pattern_strides
 from rcalab.rules import (
@@ -227,17 +225,22 @@ def test_sparse_neighborhood_normalization():
 
 
 def test_decision_envelope_guard():
-    # a radius-5 binary rule has 1024 de Bruijn states, past the declared
-    # envelope; the procedures must refuse rather than blow up
-    big = build_linear(Z2, {-5: 1, 5: 1})
-    with pytest.raises(CapExceededError):
-        analysis.test_surjective(big)
-    with pytest.raises(CapExceededError):
-        analysis.test_injective(big)
-    # radius-2 binary sits inside the envelope
-    r2 = build_linear(Z2, {-2: 1, 2: 1})
-    assert analysis.test_surjective(r2)
-    assert not analysis.test_injective(r2)
+    # a radius-5 binary rule has 1024 de Bruijn states, and its pair graph
+    # fits the byte budget; radius 6 has 4096, and the procedures refuse it
+    # before any array of the automaton exists
+    r5 = build_linear(Z2, {-5: 1, 5: 1})
+    assert analysis.test_surjective(r5)
+    assert not analysis.test_injective(r5)
+    r6 = build_linear(Z2, {-6: 1, 6: 1})
+    for decide in (analysis.test_surjective, analysis.test_injective):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="bytes"):
+                decide(r6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < OBJECTS
 
 
 def test_requires_one_dimension():
@@ -300,8 +303,7 @@ def _random_composite(rng):
     return _compose(f, g)
 
 
-# (seed, rule family); radius-4 binary rules have 256 de Bruijn states, the
-# edge of the decision envelope
+# (seed, rule family); radius-4 binary rules have 256 de Bruijn states
 VERDICT_FAMILIES = {
     "random-binary-span5": (11, lambda rng: [_random_rule(Z2, 5, rng) for _ in range(60)]),
     "random-ternary-span3": (12, lambda rng: [_random_rule(Z3, 3, rng) for _ in range(60)]),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import chain_laws, kl_divergence
 from rcalab import circuits
 from rcalab.circuits import (
     ControlledAdd,
@@ -22,7 +23,6 @@ from rcalab.entropy import (
     WindowDistribution,
     entropy,
     entropy_vec,
-    kl_divergence,
     mixing_time,
     tv_vec,
 )
@@ -363,19 +363,22 @@ def _z3_permutation_network():
     ids=["z2-toffoli", "z3-permutation"],
 )
 def test_worst_case_curve_matches_per_initial_chains(net, noise):
-    # oracle: every point-mass initial evolved alone, one law at a time
+    # oracle: every point-mass initial through the gates' own semantics on
+    # digit tuples, Kronecker-power noise and dense matrix products; each
+    # initial also evolved alone by evolve_chain_exact, one step at a time
     t_max = 7
     d_curve, xi_curve, mode = worst_case_curve(net, noise, t_max)
     assert mode == "exact"
     window = hypercube(net.n_sites)
     laws = [WindowDistribution.point_mass(window, net.alphabet, x) for x in range(net.n_states)]
     uniform = np.full(net.n_states, 1.0 / net.n_states)
-    for t in range(t_max + 1):
+    for t, want in enumerate(chain_laws(net, noise, t_max)):
         if t:
             laws = [evolve_chain_exact(law, net, noise, 1, start=t - 1) for law in laws]
-        assert abs(d_curve[t] - max(tv_vec(law.probs, uniform) for law in laws)) < 1e-12
+        assert np.abs(np.stack([law.probs for law in laws]) - want).max() < 1e-12
+        assert abs(d_curve[t] - max(tv_vec(row, uniform) for row in want)) < 1e-12
         # Xi = |A| h_max - H = log N - H, the KL divergence to uniform
-        assert abs(xi_curve[t] - max(kl_divergence(law.probs, uniform) for law in laws)) < 1e-12
+        assert abs(xi_curve[t] - max(kl_divergence(row, uniform) for row in want)) < 1e-12
 
 
 def test_sampled_curve_does_not_depend_on_batch_width(monkeypatch):

@@ -329,7 +329,10 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
 # a state limit, would otherwise be dropped without a word, and a misspelt
 # verify-bounds check or a bad count ran nothing or truncated without a word.
 # A fractional side or window size was truncated without a word, an infinite
-# side raised OverflowError, and a NaN alpha ran the exact engine first.
+# side raised OverflowError, and a NaN alpha ran the exact engine first.  A
+# window giving hypercube and cells ran on the hypercube, and one giving cells
+# and a dim ignored the dim; one whose dimension is not the rule's, or with no
+# cells, failed in the engine, with no JSON path.
 @pytest.mark.parametrize(
     "kind, params, path",
     [
@@ -394,6 +397,23 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
             {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, b="1")},
             "$.params.decay_instance.b",
         ),
+        ("simulate", dict(SIMULATE_PARAMS, window={"hypercube": 2, "cells": [0, 5]}), "$.params.window"),
+        ("evolve-exact", dict(CONE_INSTANCE, window={"dim": 1}), "$.params.window"),
+        ("mixing-scan", dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1, dim=2), "$.params.dim"),
+        ("simulate", dict(SIMULATE_PARAMS, window={"hypercube": 1, "dim": 2}), "$.params.window"),
+        ("evolve-exact", dict(CONE_INSTANCE, window={"cells": [[0, 1], [1]]}), "$.params.window"),
+        ("evolve-exact", dict(CONE_INSTANCE, window={"cells": [0, 1], "dim": 2}), "$.params.window"),
+        ("evolve-exact", dict(CONE_INSTANCE, window={"cells": []}), "$.params.window.cells"),
+        (
+            "verify-bounds",
+            {"checks": ["evolution"], "evolution_instance": dict(CONE_INSTANCE, window={"cells": [[0, 0]]})},
+            "$.params.evolution_instance.window",
+        ),
+        (
+            "verify-bounds",
+            {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, window={"hypercube": 1, "dim": 2})},
+            "$.params.decay_instance.window",
+        ),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
@@ -406,7 +426,10 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
          "simulate-fractional-hypercube", "simulate-fractional-cell", "cone-hypercube-zero",
          "cone-window-dim-zero", "cone-fractional-cell-coordinate", "scan-dim-zero",
          "scan-negative-n-random", "scan-fractional-n-random", "decay-alpha-nan", "decay-beta-zero",
-         "decay-alpha-string", "decay-a-infinite", "decay-b-string"],
+         "decay-alpha-string", "decay-a-infinite", "decay-b-string", "window-hypercube-and-cells",
+         "window-neither", "scan-dim-mismatch", "window-dim-mismatch",
+         "window-cells-mixed-dims", "window-cells-dim-mismatch", "window-no-cells",
+         "evolution-window-dim-mismatch", "decay-window-dim-mismatch"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):

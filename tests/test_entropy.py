@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import kl_divergence
 from rcalab.entropy import (
     CapExceededError,
     WindowDistribution,
@@ -11,7 +12,6 @@ from rcalab.entropy import (
     entropy_rows,
     entropy_vec,
     estimate_entropy,
-    kl_divergence,
     pinsker_bound,
     tv_to_uniform,
     tv_vec,

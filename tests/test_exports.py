@@ -24,9 +24,6 @@ def test_no_package_attribute_shadows_a_submodule():
 # Exports that nothing in src/rcalab or perfbench/ uses, each kept for a
 # reason; every other export must have a caller or go.
 UNCALLED_EXPORTS = {
-    "analysis.preimage_count_oracle": "test oracle: brute-force preimage counts for the decision procedures",
-    "bounds.check_noise_lemma": "tests' entry point: one shape-checked noise-lemma instance, run through the batched noise_lemma_sides",
-    "entropy.kl_divergence": "test oracle: deficiency(p) == KL(p || uniform) by an independent path",
     "montecarlo.sample_trajectory": "test oracle: whole-torus trajectories by apply_table and apply_noise, apart from the Monte Carlo block-step",
     "circuits.evolve_chain_exact": "the one-initial chain path that circuit-mix will use for affine networks",
     "bounds.proof_rate_constants": "the proof's rate constants, for the sup-over-initials gate and the sharp contraction",
@@ -78,3 +75,29 @@ def test_every_export_has_a_caller_or_a_reason():
     }
     # a new export without a caller, or an allowlisted one that now has one
     assert uncalled == set(UNCALLED_EXPORTS)
+
+
+def _cap_raisers(path: Path) -> list:
+    """The innermost function (module.name) around each raise of
+    CapExceededError in a file, the module for one outside any function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{path.stem}.{node.name}"
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "CapExceededError":
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_check_bytes_raises_cap_exceeded():
+    # one limit: every engine refuses through the byte budget, none through a
+    # count of its own
+    src = Path(rcalab.__file__).resolve().parent
+    assert [owner for path in sorted(src.glob("*.py")) for owner in _cap_raisers(path)] == ["entropy.check_bytes"]

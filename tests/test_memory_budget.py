@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import preimage_count_oracle
 from rcalab import circuits
-from rcalab.analysis import preimage_count_oracle
+from rcalab.analysis import analyze_rule
 from rcalab.bounds import check_block_superadditivity
 from rcalab.circuits import (
     ControlledAdd,
@@ -26,11 +27,12 @@ from rcalab.exact import ConeProblem, dependence_cone, exact_window_marginal
 from rcalab.lattice import Alphabet, hypercube
 from rcalab.montecarlo import SimulationPlan, mixing_scan, window_pattern_counts
 from rcalab.noise import additive_noise, noise_from_json
-from rcalab.rules import LocalRule, build_elementary, rule_from_json
+from rcalab.rules import LocalRule, build_elementary, build_linear, rule_from_json
 
 Z2 = Alphabet((2,))
 Q91 = additive_noise(Z2, [0.9, 0.1])
 R30, R90 = build_elementary(30), build_elementary(90)
+SPAN9 = [(o,) for o in range(-4, 5)]
 MOORE = LocalRule(
     Z2,
     tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)),
@@ -105,6 +107,9 @@ ENGINES = {
     "mixing-scan": lambda *_: lambda: mixing_scan(R90, Q91, [9, 10], 0.1, 3, 64, 1),
     "superadditivity": lambda *_: _superadditivity(),
     "preimage-oracle": lambda *_: lambda: preimage_count_oracle(R30, [0] * 16),
+    # every candidate pair of words an edge, and half of them
+    "pair-graph-constant": lambda *_: lambda: analyze_rule(LocalRule(Z2, SPAN9, np.zeros(512, dtype=np.int64))),
+    "pair-graph-balanced": lambda *_: lambda: analyze_rule(build_linear(Z2, {-4: 1, 4: 1})),
 }
 
 

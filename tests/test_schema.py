@@ -172,6 +172,8 @@ def test_first_error_matches_jsonschema(seed, mutations):
         ({"not": {}}, 1),
         ({"allOf": [{"type": "array"}, {"minItems": 2}]}, [1]),
         ({"properties": {"a": {"$ref": "#/$defs/n"}}, "$defs": {"n": {"type": "integer"}}}, {"a": "x"}),
+        ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"a": 1, "b": 1}),
+        ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"c": 1}),
     ],
 )
 def test_keyword_semantics_match_jsonschema(schema, instance):
