@@ -9,8 +9,6 @@ bytes are checked against MEMORY_CAP before any of its arrays is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .entropy import check_bytes
@@ -18,7 +16,6 @@ from .lattice import decode_patterns, pattern_strides
 from .rules import LocalRule
 
 __all__ = [
-    "DeBruijnAutomaton",
     "build_de_bruijn",
     "test_surjective",
     "test_injective",
@@ -26,15 +23,11 @@ __all__ = [
     "analyze_rule",
 ]
 
-def _require_1d(rule: LocalRule):
-    if rule.dim != 1:
-        raise ValueError("decision procedures require one-dimensional rules")
-
-
 def _span(rule: LocalRule, min_span: int):
     """(offsets, lo, m): the rule's offsets, the least, and the length
     m = hi - lo + 1 >= min_span of the contiguous interval [lo, hi]."""
-    _require_1d(rule)
+    if rule.dim != 1:
+        raise ValueError("decision procedures require one-dimensional rules")
     offs = [a[0] for a in rule.neighborhood]
     return offs, min(offs), max(max(offs) - min(offs) + 1, min_span)
 
@@ -52,32 +45,15 @@ def contiguous_table(rule: LocalRule, min_span: int = 1):
     return lo, m, rule.table[idx]
 
 
-@dataclass(frozen=True, eq=False)
-class DeBruijnAutomaton:
-    """Overlap automaton of a contiguous 1D rule.
+def build_de_bruijn(rule: LocalRule) -> np.ndarray:
+    """Edge labels of the rule's de Bruijn automaton, shape (states, |Sigma|).
 
     States are words of length m-1 (dense codes, first symbol most
-    significant); the edge for an m-word w runs from w // size to
-    w % size^(m-1) and carries label table[w].
+    significant); the edge for the m-word w = u * |Sigma| + a runs from u to
+    w % states and carries labels[u, a], the rule's output on w.
     """
-
-    size: int
-    m: int
-    labels: np.ndarray  # labels[w] for every m-word code w
-
-    @property
-    def n_states(self) -> int:
-        return self.size ** (self.m - 1)
-
-    @property
-    def n_edges(self) -> int:
-        return self.size ** self.m
-
-
-def build_de_bruijn(rule: LocalRule) -> DeBruijnAutomaton:
-    _require_1d(rule)
-    _, m, table = contiguous_table(rule, min_span=2)
-    return DeBruijnAutomaton(rule.alphabet.size, m, table)
+    _, _, table = contiguous_table(rule, min_span=2)
+    return table.reshape(-1, rule.alphabet.size)
 
 
 def _pair_graph(rule: LocalRule):
@@ -94,15 +70,14 @@ def _pair_graph(rule: LocalRule):
     per_entry = size ** (m - len(rule.neighborhood))
     n_edges = sum((count * per_entry) ** 2 for count in np.bincount(rule.table).tolist())
     check_bytes(9 * size ** (2 * m) + 25 * n_edges, f"the pair graph of {size ** (m - 1)} de Bruijn states")
-    auto = build_de_bruijn(rule)
-    n = auto.n_states
-    labels = auto.labels.reshape(n, auto.size)  # labels[u, a] of word u * size + a
-    heads = np.arange(auto.n_edges).reshape(n, auto.size) % n
+    labels = build_de_bruijn(rule)
+    n = labels.shape[0]
+    heads = np.arange(labels.size).reshape(n, size) % n
     # flat index of (u, v, a, b) for each pair of equal-label words
     # u * size + a and v * size + b; its pair node is u * n + v
     edges = np.flatnonzero(labels[:, None, :, None] == labels[None, :, None, :])
     dst = (heads[:, None, :, None] * n + heads[None, :, None, :]).reshape(-1)[edges]
-    edges //= auto.size**2
+    edges //= size**2
     diag = np.zeros(n * n, dtype=bool)
     diag[:: n + 1] = True
     return edges, dst, diag
@@ -124,31 +99,32 @@ def _reach(src: np.ndarray, dst: np.ndarray, start: np.ndarray) -> np.ndarray:
     return seen
 
 
-def test_surjective(rule: LocalRule) -> bool:
+def test_surjective(rule: LocalRule, graph=None) -> bool:
     """Surjectivity of the global map on Sigma^Z.
 
     Surjective iff the de Bruijn automaton has no diamond (Hedlund;
     Amoroso-Patt): no off-diagonal pair is both reachable from the diagonal
     and able to reach it.  The last diagonal pair before such a pair and the
-    first one after it would bound a diamond.
+    first one after it would bound a diamond.  `graph` is the rule's pair
+    graph when the caller shares one; it is built when not given.
     """
-    src, dst, diag = _pair_graph(rule)
+    src, dst, diag = _pair_graph(rule) if graph is None else graph
     return not (_reach(src, dst, diag) & _reach(dst, src, diag) & ~diag).any()
 
 
-def test_injective(rule: LocalRule) -> bool:
+def test_injective(rule: LocalRule, graph=None) -> bool:
     """Injectivity (equivalently reversibility) of the global map on Sigma^Z.
 
     Injective iff every pair on a bi-infinite path is diagonal: trimming
     repeatedly drops pairs with no live in-edge or no live out-edge, and the
-    survivors must all lie on the diagonal.
+    survivors must all lie on the diagonal.  `graph` is as for
+    test_surjective; trimming marks nodes and never copies its edge arrays.
     """
-    src, dst, diag = _pair_graph(rule)
+    src, dst, diag = _pair_graph(rule) if graph is None else graph
     alive = np.ones(diag.size, dtype=bool)
     while True:
         live = alive[src] & alive[dst]
-        src, dst = src[live], dst[live]
-        trimmed = _marked(src, alive.size) & _marked(dst, alive.size)
+        trimmed = _marked(src[live], alive.size) & _marked(dst[live], alive.size)
         if np.array_equal(trimmed, alive):
             return not (alive & ~diag).any()
         alive = trimmed
@@ -162,8 +138,9 @@ def is_balanced(rule: LocalRule) -> bool:
 
 
 def analyze_rule(rule: LocalRule) -> dict:
+    graph = _pair_graph(rule)
     return {
-        "surjective": test_surjective(rule),
-        "injective": test_injective(rule),
+        "surjective": test_surjective(rule, graph),
+        "injective": test_injective(rule, graph),
         "balanced": is_balanced(rule),
     }

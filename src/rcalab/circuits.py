@@ -155,6 +155,9 @@ class ReversibleNetwork:
                 for s in gate.sites:
                     if not 0 <= s < self.n_sites:
                         raise ValueError(f"gate site {s} out of range")
+                k = len(gate.sites)
+                if isinstance(gate, PermutationGate) and len(gate.table) != self.alphabet.size**k:
+                    raise ValueError(f"a permutation of {k} sites needs a table of {self.alphabet.size} ** {k} entries")
                 used.extend(gate.sites)
             if len(used) != len(set(used)):
                 raise ValueError("gates within a layer must act on disjoint sites")

@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .analysis import analyze_rule
+from . import __version__, analysis
 from .bounds import (
     SLACK,
     BoundReport,
@@ -52,7 +51,7 @@ from .exact import ConeProblem, check_evolution_bound, dependence_cone, exact_wi
 from .lattice import Alphabet, CellSet, diameter, hypercube
 from .montecarlo import SimulationPlan, mixing_scan, tv_curve, window_pattern_counts
 from .noise import noise_from_json
-from .rules import rule_from_json
+from .rules import LocalRule, rule_from_json
 from .schema import first_error
 
 KINDS = (
@@ -104,7 +103,8 @@ def load_config(path: str) -> dict:
 
 def _dimension_error(config: dict) -> tuple[str, str] | None:
     """The JSON path and message of a window, or a mixing scan's dim, whose
-    dimension is not its rule's (which the schema cannot compare), or None."""
+    dimension is not its rule's, or of a `surjective` key on a 1D rule, whose
+    verdict is decided, not declared (which the schema cannot tell), or None."""
     params = config.get("params", {})
     if config["kind"] == "mixing-scan":
         dim, rule_dim = params.get("dim", 1), rule_from_json(params["rule"]).dim
@@ -123,6 +123,8 @@ def _dimension_error(config: dict) -> tuple[str, str] | None:
             dims |= {len(c) if isinstance(c, list) else 1 for c in window["cells"]}
         if dims - {rule_dim}:
             return f"{path}.window", f"window dimensions {sorted(dims)} do not match the rule's dimension {rule_dim}"
+        if rule_dim == 1 and "surjective" in inst:
+            return f"{path}.surjective", "a 1D rule's surjectivity is decided on its pair graph, not declared"
     return None
 
 
@@ -208,7 +210,7 @@ def _fmt_cell(v):
 
 def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
     rule = rule_from_json(params["rule"])
-    verdict = analyze_rule(rule)
+    verdict = analysis.analyze_rule(rule)
     doc = {"rule": params["rule"], **verdict}
     writer.json_doc("analyze-rule", doc)
     print(json.dumps(doc, sort_keys=True))
@@ -230,30 +232,38 @@ def _cone_problems(inst: dict) -> list[ConeProblem]:
         symbols = np.zeros(len(cone), dtype=np.int64)
     elif kind == "all-ones":
         symbols = np.ones(len(cone), dtype=np.int64)
-    elif isinstance(kind, dict) and "pattern" in kind:
+    else:  # {"pattern": [...]}, the schema's one other form
         symbols = np.asarray(kind["pattern"], dtype=np.int64)
         if symbols.shape != (len(cone),):
             raise ConfigError(
                 f"initial pattern must give {len(cone)} symbols, one per cell of the "
                 f"horizon cone moore(A, {rule.radius * horizon})"
             )
-    else:
-        raise ConfigError(f"unknown initial {kind!r}")
     pos = {c: i for i, c in enumerate(cone.cells)}
     cones = [dependence_cone(window, rule, t).cells for t in range(horizon + 1)]
     return [ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]]) for t, cells in enumerate(cones)]
 
 
+def _surjective(inst: dict, rule: LocalRule) -> bool:
+    """The surjectivity verdict of an exact-law instance's rule, made once
+    before its first solve: decided on the pair graph for a 1D rule, and for
+    d >= 2 the instance's `surjective` key, false when not given."""
+    if rule.dim == 1:
+        return analysis.test_surjective(rule)
+    return inst.get("surjective", False)
+
+
 def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
-    surjective = params.get("surjective")
+    problems = _cone_problems(params)
+    surjective = _surjective(params, problems[0].rule)
     rows = []
     ln2 = math.log(2.0)
-    for problem in _cone_problems(params):
+    for problem in problems:
         marginal = exact_window_marginal(problem)
         h = entropy(marginal)
         xi = deficiency(marginal)
         tv = tv_to_uniform(marginal)
-        bound = check_evolution_bound(problem, marginal, surjective=surjective)
+        bound = check_evolution_bound(problem, marginal, surjective)
         label = _window_label(problem.window)
         rows.append([problem.horizon, label, h, h / ln2, xi, tv, bound.rhs, bound.ok])
     writer.table(
@@ -281,7 +291,7 @@ def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) ->
         int(params["replicates"]),
         seed,
         window,
-        allow_wrap=bool(params.get("allow_wrap", False)),
+        allow_wrap=params.get("allow_wrap", False),
     )
     counts = window_pattern_counts(plan, threads=threads)
     tv, se = tv_curve(counts, plan.replicates)
@@ -388,13 +398,15 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
     evolution, pinsker = "evolution" in checks, "pinsker" in checks
     if evolution or pinsker:
         inst = params["evolution_instance"]
+        problems = _cone_problems(inst)
+        surjective = evolution and _surjective(inst, problems[0].rule)
         # one exact solve per t, shared by the rows of both checks
-        for problem in _cone_problems(inst):
+        for problem in problems:
             marginal = exact_window_marginal(problem)
             label = _window_label(problem.window)
             rows = []
             if evolution:
-                rows.append(check_evolution_bound(problem, marginal, surjective=inst.get("surjective")))
+                rows.append(check_evolution_bound(problem, marginal, surjective))
             if pinsker:
                 rows.append(check_pinsker(marginal))
             for report in rows:

@@ -197,22 +197,15 @@ def leakage_constants(J: CellSet, rule: LocalRule, noise: NoiseModel):
     return c, (1.0 - k) / k * c
 
 
-def check_evolution_bound(
-    problem: ConeProblem, law: WindowDistribution, surjective: bool | None = None
-) -> BoundReport:
+def check_evolution_bound(problem: ConeProblem, law: WindowDistribution, surjective: bool) -> BoundReport:
     """Entropy floor H(X^t_J) >= [1 - (1-kappa)^t] |J| h_max - c_tilde(J),
     with the left side the entropy of `law`, the exact window law
     exact_window_marginal(problem).
 
-    The rule must be surjective for the bound to be claimed; pass
-    surjective=True to skip the 1D decision procedure (required for d >= 2).
+    The bound is claimed for surjective rules only: `surjective` is the
+    rule's verdict, decided once per rule by the caller (for a 1D rule,
+    analysis.test_surjective), and False is refused.
     """
-    if surjective is None:
-        if problem.rule.dim != 1:
-            raise ValueError("declare surjectivity explicitly for d >= 2 rules")
-        from .analysis import test_surjective
-
-        surjective = test_surjective(problem.rule)
     if not surjective:
         raise ValueError("evolution bound applies to surjective rules only")
     if law.window != problem.window:

@@ -38,6 +38,7 @@ _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
     "number": _is_number,
     "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
 }
@@ -106,11 +107,19 @@ def _errors(schema, value, path, root):
                         yield from _errors(subschema, value[name], path + (name,), root)
         elif key == "items":
             if is_array:
-                for i, item in enumerate(value):
+                first = len(schema.get("prefixItems", ()))
+                for i, item in enumerate(value[first:], first):
                     yield from _errors(sub, item, path + (i,), root)
+        elif key == "prefixItems":
+            if is_array:
+                for i, (subschema, item) in enumerate(zip(sub, value)):
+                    yield from _errors(subschema, item, path + (i,), root)
         elif key == "minItems":
             if is_array and len(value) < sub:
                 yield path, f"{value!r} is too short (minItems {sub})"
+        elif key == "maxItems":
+            if is_array and len(value) > sub:
+                yield path, f"{value!r} is too long (maxItems {sub})"
         elif key == "contains":
             if is_array and not any(_valid(sub, item, root) for item in value):
                 yield path, f"{value!r} has no item matching {sub!r}"

@@ -24,26 +24,21 @@ Z3 = Alphabet((3,))
 
 
 def test_de_bruijn_counts():
-    auto = build_de_bruijn(build_elementary(90))
-    assert auto.n_states == 4 and auto.n_edges == 8
-    # every state has |Sigma| outgoing and |Sigma| incoming edges
-    outs = np.zeros(4, dtype=int)
-    ins = np.zeros(4, dtype=int)
-    for w in range(8):
-        src, dst = w // auto.size, w % auto.n_states
-        outs[src] += 1
-        ins[dst] += 1
-    assert (outs == 2).all() and (ins == 2).all()
+    # one row per state, the (m-1)-words of the contiguous span m >= 2, and
+    # one column per symbol: |Sigma| out-edges from each state
+    assert build_de_bruijn(build_elementary(90)).shape == (4, 2)
+    assert build_de_bruijn(build_linear(Z3, {-2: 1, 1: 1})).shape == (27, 3)
+    assert build_de_bruijn(build_linear(Z2, {0: 1})).shape == (2, 2)
 
 
 def test_de_bruijn_edge_labels():
-    auto = build_de_bruijn(build_elementary(90))
+    labels = build_de_bruijn(build_elementary(90))
     # edge 00 -> 01 carries the merged word 001 and label f(0,0,1) = 1
-    assert auto.labels[0b001] == 1
+    assert labels[0b00, 1] == 1
     # identity rule: label depends only on the middle symbol
-    auto204 = build_de_bruijn(build_elementary(204))
+    labels204 = build_de_bruijn(build_elementary(204)).reshape(-1)
     for w in range(8):
-        assert auto204.labels[w] == (w >> 1) & 1
+        assert labels204[w] == (w >> 1) & 1
 
 
 KNOWN = {
@@ -262,6 +257,14 @@ def test_ternary_shift_reversible():
 def test_analyze_rule_shape():
     out = analyze_rule(build_elementary(90))
     assert out == {"surjective": True, "injective": False, "balanced": True}
+
+
+def test_analyze_rule_builds_one_pair_graph(monkeypatch, declared):
+    # both decisions query the one graph: one byte declaration, one automaton
+    build, built = analysis.build_de_bruijn, []
+    monkeypatch.setattr(analysis, "build_de_bruijn", lambda rule: built.append(rule) or build(rule))
+    analyze_rule(build_linear(Z2, {-4: 1, 4: 1}))
+    assert len(declared) == 1 and len(built) == 1
 
 
 def _span_offsets(span):

@@ -74,6 +74,10 @@ def test_toffoli_semantics():
 def test_permutation_gate_validation():
     with pytest.raises(ValueError):
         PermutationGate((0,), (0, 0))
+    # a one-entry table on one binary site would make the layer map of two
+    # sites [0, 1, 0, 1], which is not a bijection
+    with pytest.raises(ValueError, match="table of 2 \\*\\* 1 entries"):
+        ReversibleNetwork(2, Z2, ((PermutationGate((0,), (0,)),),))
 
 
 def test_disjoint_sites_enforced():

@@ -322,6 +322,18 @@ SIMULATE_PARAMS = {
     "window": {"hypercube": 1}, "horizon": 2, "replicates": 100,
 }
 PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [1, 0]], "q": [0.9, 0.1]}
+CONE_INSTANCE_2D = dict(
+    CONE_INSTANCE, rule={"alphabet": [2], "linear": [[[0, 0], 1], [[1, 0], 1]]}, window={"hypercube": 1, "dim": 2}
+)
+CIRCUIT_PARAMS = {
+    "network": {"sites": 3, "alphabet": [2], "layers": [[{"gate": "cadd", "sites": [0, 1]}]]},
+    "noise": NOISE, "horizon": 2,
+}
+
+
+def _gate(gate, schedule=None):
+    network = dict(CIRCUIT_PARAMS["network"], layers=[[gate]])
+    return dict(CIRCUIT_PARAMS, network=network if schedule is None else dict(network, schedule=schedule))
 
 
 # each of these passed load before the per-kind params schemas, and failed
@@ -332,7 +344,11 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
 # side raised OverflowError, and a NaN alpha ran the exact engine first.  A
 # window giving hypercube and cells ran on the hypercube, and one giving cells
 # and a dim ignored the dim; one whose dimension is not the rule's, or with no
-# cells, failed in the engine, with no JSON path.
+# cells, failed in the engine, with no JSON path.  A surjectivity claim on a
+# 1D rule overrode the decision, so rule 128 wrote entropy-floor rows, and any
+# truthy surjective value counted as true; an unknown initial failed in the
+# run, and an unknown generator in the plan, with no JSON path; a string
+# allow_wrap counted as true, and a gate with too few sites raised IndexError.
 @pytest.mark.parametrize(
     "kind, params, path",
     [
@@ -414,6 +430,30 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
             {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, window={"hypercube": 1, "dim": 2})},
             "$.params.decay_instance.window",
         ),
+        ("evolve-exact", dict(CONE_INSTANCE, rule={"elementary": 128}, surjective=True), "$.params.surjective"),
+        ("evolve-exact", dict(CONE_INSTANCE_2D, surjective="no"), "$.params.surjective"),
+        (
+            "verify-bounds",
+            {"checks": ["evolution"], "evolution_instance": dict(CONE_INSTANCE, surjective=True)},
+            "$.params.evolution_instance.surjective",
+        ),
+        ("evolve-exact", dict(CONE_INSTANCE, initial="zeros"), "$.params.initial"),
+        ("evolve-exact", dict(CONE_INSTANCE, initial={"pattern": [0, 1, -1, 0, 0]}), "$.params.initial.pattern[2]"),
+        ("simulate", dict(SIMULATE_PARAMS, allow_wrap="no"), "$.params.allow_wrap"),
+        ("simulate", dict(SIMULATE_PARAMS, generator="zeros"), "$.params.generator"),
+        ("circuit-mix", _gate({"gate": "cadd", "sites": [0]}), "$.params.network.layers[0][0].sites"),
+        ("circuit-mix", _gate({"gate": "toffoli", "sites": [0, 1, 2, 0]}), "$.params.network.layers[0][0].sites"),
+        ("circuit-mix", _gate({"gate": "cnot", "sites": [0, 1]}), "$.params.network.layers[0][0].gate"),
+        ("circuit-mix", _gate({"gate": "translate", "sites": [0]}), "$.params.network.layers[0][0]"),
+        (
+            "circuit-mix",
+            _gate({"gate": "permutation", "sites": [0], "params": {"table": ["1", "0"]}}),
+            "$.params.network.layers[0][0].params.table[0]",
+        ),
+        ("circuit-mix", dict(CIRCUIT_PARAMS, network=dict(CIRCUIT_PARAMS["network"], layers=[[]])),
+         "$.params.network.layers[0]"),
+        ("circuit-mix", _gate({"gate": "swap", "sites": [0, 1]}, ["random", -1]), "$.params.network.schedule[1]"),
+        ("circuit-mix", _gate({"gate": "swap", "sites": [0, 1]}, "cycles"), "$.params.network.schedule"),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
@@ -429,7 +469,11 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
          "decay-alpha-string", "decay-a-infinite", "decay-b-string", "window-hypercube-and-cells",
          "window-neither", "scan-dim-mismatch", "window-dim-mismatch",
          "window-cells-mixed-dims", "window-cells-dim-mismatch", "window-no-cells",
-         "evolution-window-dim-mismatch", "decay-window-dim-mismatch"],
+         "evolution-window-dim-mismatch", "decay-window-dim-mismatch", "surjective-on-1d-rule",
+         "surjective-not-boolean", "evolution-surjective-on-1d-rule", "unknown-initial",
+         "negative-pattern-symbol", "allow-wrap-string", "unknown-generator", "cadd-one-site",
+         "toffoli-four-sites", "unknown-gate", "translate-no-amount", "permutation-table-strings",
+         "empty-layer", "random-schedule-negative-seed", "unknown-schedule"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):
@@ -547,11 +591,12 @@ def test_check_pinsker_decides_in_nats(monkeypatch):
 @pytest.mark.parametrize("kind", ["evolve-exact", "verify-bounds"])
 def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
     # each t needs one exact window law, shared by the entropy floor and the
-    # Pinsker row; count the solves wherever they are called from
-    from rcalab import cli, exact
+    # Pinsker row, and the instance one surjectivity verdict; count the
+    # solves and the decisions wherever they are called from
+    from rcalab import analysis, cli, exact
 
-    solve = exact.exact_window_marginal
-    calls = []
+    solve, decide = exact.exact_window_marginal, analysis.test_surjective
+    calls, decisions = [], []
 
     def counted(problem):
         calls.append(problem.horizon)
@@ -559,6 +604,7 @@ def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
 
     monkeypatch.setattr(cli, "exact_window_marginal", counted)
     monkeypatch.setattr(exact, "exact_window_marginal", counted)
+    monkeypatch.setattr(analysis, "test_surjective", lambda rule: decisions.append(rule) or decide(rule))
     horizon = 3
     instance = {
         "rule": {"elementary": 90}, "noise": NOISE,
@@ -574,6 +620,32 @@ def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
     cfg = write_config(tmp_path, doc)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == list(range(horizon + 1))
+    assert len(decisions) == 1
+
+
+@pytest.mark.parametrize("declared", [True, False, None], ids=["surjective", "not-surjective", "undeclared"])
+def test_evolve_exact_reads_declared_surjectivity_for_2d(tmp_path, capsys, declared):
+    # a d >= 2 rule's verdict is the instance's surjective key; the bound is
+    # written only for a rule declared surjective
+    params = CONE_INSTANCE_2D if declared is None else dict(CONE_INSTANCE_2D, surjective=declared)
+    cfg = write_config(tmp_path, {"kind": "evolve-exact", "params": params})
+    out = tmp_path / "out"
+    rc = main(["evolve-exact", "--config", cfg, "--out", str(out)])
+    if declared:
+        assert rc == 0
+        _, rows = read_csv(out / "evolve-exact.csv")
+        assert [r["ok"] for r in rows] == ["True"] * 3
+    else:
+        assert rc == EXIT_CONFIG
+        assert not (out / "evolve-exact.csv").exists()
+        assert "surjective" in capsys.readouterr().err
+
+
+def test_simulate_generator_names_are_the_plans():
+    schema = cli._load_schema()
+    simulate = next(b["then"] for b in schema["allOf"] if b["if"]["properties"]["kind"]["const"] == "simulate")
+    generator = simulate["properties"]["params"]["properties"]["generator"]
+    assert generator["oneOf"][0]["enum"] == list(montecarlo.GENERATORS)
 
 
 def test_verify_bounds_bootstrap_rows_are_checks(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rcalab import analysis
 from rcalab.entropy import CapExceededError, WindowDistribution, entropy, tv_to_uniform
 from rcalab.exact import (
     ConeProblem,
@@ -112,18 +113,18 @@ def test_leakage_constants_examples():
 def test_evolution_bound_vacuous_cases():
     # t = 0: rhs = -c_tilde <= 0 <= lhs
     problem = ConeProblem(R90, Q91, hypercube(1), 0, 0)
-    res = check_evolution_bound(problem, exact_window_marginal(problem))
+    res = check_evolution_bound(problem, exact_window_marginal(problem), True)
     assert res.ok and res.rhs <= 0 <= res.lhs + 1e-12
     # single cell: c_tilde = 24 ln 2 > h_max, bound vacuous but ok
     problem = ConeProblem(R90, Q91, hypercube(1), 2, np.zeros(5, int))
-    res = check_evolution_bound(problem, exact_window_marginal(problem))
+    res = check_evolution_bound(problem, exact_window_marginal(problem), True)
     assert res.rhs < 0 and res.ok
 
 
 def test_evolution_bound_rule90():
     problem = ConeProblem(R90, Q91, hypercube(4), 3, np.zeros(10, int))
     law = exact_window_marginal(problem)
-    res = check_evolution_bound(problem, law)
+    res = check_evolution_bound(problem, law, True)
     assert res.ok
     assert res.lhs == pytest.approx(entropy(law))
 
@@ -132,14 +133,14 @@ def test_evolution_bound_rejects_law_off_window():
     problem = ConeProblem(R90, Q91, hypercube(2), 1, np.zeros(4, int))
     other = exact_window_marginal(ConeProblem(R90, Q91, hypercube(1), 1, np.zeros(3, int)))
     with pytest.raises(ValueError):
-        check_evolution_bound(problem, other)
+        check_evolution_bound(problem, other, True)
 
 
 def test_evolution_bound_requires_surjective():
     r110 = build_elementary(110)
     problem = ConeProblem(r110, Q91, hypercube(1), 1, np.zeros(3, int))
-    with pytest.raises(ValueError):
-        check_evolution_bound(problem, exact_window_marginal(problem))
+    with pytest.raises(ValueError, match="surjective rules only"):
+        check_evolution_bound(problem, exact_window_marginal(problem), analysis.test_surjective(r110))
 
 
 def test_surjective_step_bound_small_windows():

@@ -3,13 +3,14 @@ the bytes it holds at its peak.  Each engine runs small under tracemalloc
 here, and its peak must stay within the largest count it declared, and not
 fall far below it."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import preimage_count_oracle
-from rcalab import circuits
+from rcalab import circuits, montecarlo
 from rcalab.analysis import analyze_rule
 from rcalab.bounds import check_block_superadditivity
 from rcalab.circuits import (
@@ -76,7 +77,17 @@ def _chain(monkeypatch, memory_cap, declared):
     return lambda: worst_case_curve(net, Q91, 3)
 
 
-def _mc_plan(threads):
+def _mc_plan(monkeypatch, threads):
+    # two blocks, one per worker: a barrier at the start of each block makes
+    # the workers' blocks overlap in time, whatever the thread scheduling, so
+    # the peak holds both working sets as the declaration counts them
+    barrier, count = threading.Barrier(threads, timeout=60), montecarlo._block_counts
+
+    def overlapping(*args):
+        barrier.wait()
+        return count(*args)
+
+    monkeypatch.setattr(montecarlo, "_block_counts", overlapping)
     plan = SimulationPlan(R90, Q91, (64,), "seeded-random", 4, 2048, 1, hypercube(8))
     return lambda: window_pattern_counts(plan, threads=threads)
 
@@ -102,7 +113,7 @@ ENGINES = {
     "sweep-from-law": lambda *_: lambda: _from_law(R30, hypercube(4), 6),
     "layer-permutation": lambda *_: lambda: _gate_zoo(16).layer_permutation(0),
     "chain": _chain,
-    "mc-counts": lambda *_: _mc_plan(threads=2),
+    "mc-counts": lambda monkeypatch, *_: _mc_plan(monkeypatch, threads=2),
     "mc-counts-2d": lambda *_: _mc_plan_2d(),
     "mixing-scan": lambda *_: lambda: mixing_scan(R90, Q91, [9, 10], 0.1, 3, 64, 1),
     "superadditivity": lambda *_: _superadditivity(),

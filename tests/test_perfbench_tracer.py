@@ -75,3 +75,11 @@ def test_tracer_sees_circuit_mix_layers(tmp_path):
     })
     for name in ("circuits.worst_case.self_s", "circuits.layer_perm.s"):
         assert metrics[name] > 0, name
+
+
+def test_tracer_sees_analyze_rule_layers(tmp_path):
+    metrics = _traced_metrics(tmp_path, {"kind": "analyze-rule", "params": {"rule": {"elementary": 90}}})
+    # rule 90's automaton has 4 states, so its pair graph has 16 nodes
+    assert metrics["analysis.pair_states"] == 16
+    for name in ("analysis.debruijn.s", "analysis.surjective.s", "analysis.injective.s"):
+        assert metrics[name] > 0, name

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 from rcalab import cli
 from rcalab.schema import first_error
-from test_cli import BUDGETED_RUNS, CONE_INSTANCE, DECAY_INSTANCE, PERMUTATION_NOISE, SIMULATE_PARAMS
+from test_cli import (
+    BUDGETED_RUNS,
+    CONE_INSTANCE,
+    CONE_INSTANCE_2D,
+    DECAY_INSTANCE,
+    NOISE,
+    PERMUTATION_NOISE,
+    SIMULATE_PARAMS,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = cli._load_schema()
@@ -37,6 +45,20 @@ SEEDS = _benchmark_configs() + [
     {"kind": "verify-bounds", "seed": 3, "params": {
         "checks": ["evolution", "decay-envelope"], "alphabets": [[2], [2, 3]],
         "evolution_instance": CONE_INSTANCE, "decay_instance": DECAY_INSTANCE,
+    }},
+    {"kind": "evolve-exact", "params": dict(CONE_INSTANCE_2D, surjective=True, initial={"pattern": [0] * 9})},
+    {"kind": "simulate", "seed": 4, "params": dict(SIMULATE_PARAMS, allow_wrap=True, generator=[0, 1] * 6)},
+    {"kind": "circuit-mix", "params": {
+        "network": {
+            "sites": 3, "alphabet": [3], "schedule": ["random", 5],
+            "layers": [
+                [{"gate": "translate", "sites": [0], "params": {"amount": 2}}, {"gate": "swap", "sites": [1, 2]}],
+                [{"gate": "cadd", "sites": [2, 0]}],
+                [{"gate": "toffoli", "sites": [0, 1, 2]}],
+                [{"gate": "permutation", "sites": [1, 0], "params": {"table": [3, 0, 1, 2, 4, 5, 6, 8, 7]}}],
+            ],
+        },
+        "noise": NOISE, "horizon": 3,
     }},
 ]
 
@@ -174,6 +196,15 @@ def test_first_error_matches_jsonschema(seed, mutations):
         ({"properties": {"a": {"$ref": "#/$defs/n"}}, "$defs": {"n": {"type": "integer"}}}, {"a": "x"}),
         ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"a": 1, "b": 1}),
         ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"c": 1}),
+        ({"type": "boolean"}, 0),
+        ({"type": "boolean"}, "true"),
+        ({"type": ["boolean", "integer"]}, False),
+        ({"maxItems": 2}, [1, 2, 3]),
+        ({"maxItems": 2}, {"a": 1, "b": 2, "c": 3}),
+        ({"prefixItems": [{"const": "a"}, {"type": "integer"}]}, ["a", "b"]),
+        ({"prefixItems": [{"const": "a"}, {"type": "integer"}]}, ["a"]),
+        ({"prefixItems": [{"const": "a"}], "items": {"type": "integer"}}, ["a", 1, "b"]),
+        ({"prefixItems": [{"const": "a"}], "items": {"type": "integer"}}, ["a", 1, 2]),
     ],
 )
 def test_keyword_semantics_match_jsonschema(schema, instance):
@@ -198,7 +229,7 @@ def test_reported_path(config, path):
 def _subschemas(schema):
     yield schema
     for key, sub in schema.items():
-        children = sub.values() if key in ("properties", "$defs") else sub if key in ("allOf", "oneOf") else [sub]
+        children = sub.values() if key in ("properties", "$defs") else sub if key in ("allOf", "oneOf", "prefixItems") else [sub]
         for child in children:
             if isinstance(child, dict):
                 yield from _subschemas(child)
