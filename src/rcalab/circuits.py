@@ -120,8 +120,6 @@ def _gate_shifts(gate, network: ReversibleNetwork) -> np.ndarray:
     elif isinstance(gate, Swap):
         new = old[:, ::-1]
     elif isinstance(gate, Toffoli):
-        if len(alphabet.factors) != 1:
-            raise ValueError("Toffoli-style gates need a single cyclic factor")
         new[:, 2] = alphabet.add(old[:, 2], old[:, 0] * old[:, 1] % alphabet.size)
     elif isinstance(gate, PermutationGate):
         new = decode_patterns(np.asarray(gate.table), k, alphabet.size)
@@ -158,6 +156,8 @@ class ReversibleNetwork:
                 k = len(gate.sites)
                 if isinstance(gate, PermutationGate) and len(gate.table) != self.alphabet.size**k:
                     raise ValueError(f"a permutation of {k} sites needs a table of {self.alphabet.size} ** {k} entries")
+                if isinstance(gate, Toffoli) and len(self.alphabet.factors) != 1:
+                    raise ValueError("Toffoli-style gates need a single cyclic factor")
                 used.extend(gate.sites)
             if len(used) != len(set(used)):
                 raise ValueError("gates within a layer must act on disjoint sites")

@@ -50,7 +50,7 @@ from .entropy import (
 from .exact import ConeProblem, check_evolution_bound, dependence_cone, exact_window_marginal
 from .lattice import Alphabet, CellSet, diameter, hypercube
 from .montecarlo import SimulationPlan, mixing_scan, tv_curve, window_pattern_counts
-from .noise import noise_from_json
+from .noise import NoiseModel, noise_from_json
 from .rules import LocalRule, rule_from_json
 from .schema import first_error
 
@@ -94,38 +94,27 @@ def load_config(path: str) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     # The shipped schema is checked against its metaschema by the tests, not
-    # on every load, and so is first_error against jsonschema.
-    error = first_error(_load_schema(), config) or _dimension_error(config)
+    # on every load, and so is first_error against jsonschema.  Facts across
+    # fields are checked where each section is read (_read).
+    error = first_error(_load_schema(), config)
     if error is not None:
-        raise ConfigError("config schema violation at {}: {}".format(*error))
+        raise _refusal(*error)
     return config
 
 
-def _dimension_error(config: dict) -> tuple[str, str] | None:
-    """The JSON path and message of a window, or a mixing scan's dim, whose
-    dimension is not its rule's, or of a `surjective` key on a 1D rule, whose
-    verdict is decided, not declared (which the schema cannot tell), or None."""
-    params = config.get("params", {})
-    if config["kind"] == "mixing-scan":
-        dim, rule_dim = params.get("dim", 1), rule_from_json(params["rule"]).dim
-        return None if dim == rule_dim else ("$.params.dim", f"{dim} is not the rule's dimension {rule_dim}")
-    if config["kind"] in ("simulate", "evolve-exact"):
-        instances = {"$.params": params}
-    elif config["kind"] == "verify-bounds":
-        keys = [key for key in ("evolution_instance", "decay_instance") if key in params]
-        instances = {f"$.params.{key}": params[key] for key in keys}
-    else:
-        return None
-    for path, inst in instances.items():
-        window, rule_dim = inst["window"], rule_from_json(inst["rule"]).dim
-        dims = {window.get("dim", rule_dim)}
-        if "cells" in window:
-            dims |= {len(c) if isinstance(c, list) else 1 for c in window["cells"]}
-        if dims - {rule_dim}:
-            return f"{path}.window", f"window dimensions {sorted(dims)} do not match the rule's dimension {rule_dim}"
-        if rule_dim == 1 and "surjective" in inst:
-            return f"{path}.surjective", "a 1D rule's surjectivity is decided on its pair graph, not declared"
-    return None
+def _refusal(path: str, message) -> ConfigError:
+    return ConfigError(f"config schema violation at {path}: {message}")
+
+
+def _read(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), reading the config section at JSON path `path`;
+    its ValueError (or OverflowError, from an integer too large for int64)
+    refuses the config at that path.  Every run reads its sections this way
+    before its first engine call and before any file."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise _refusal(path, exc) from exc
 
 
 def config_hash(config: dict) -> str:
@@ -133,10 +122,23 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _parse_window(doc: dict, dim: int) -> CellSet:
+def _parse_window(doc: dict, rule: LocalRule) -> CellSet:
+    """The window of `doc`, refused unless its dimension is the rule's."""
     if "hypercube" in doc:
-        return hypercube(int(doc["hypercube"]), int(doc.get("dim", dim)))
-    return CellSet([tuple(c) if isinstance(c, list) else c for c in doc["cells"]])
+        window = hypercube(int(doc["hypercube"]), int(doc.get("dim", rule.dim)))
+    else:  # CellSet refuses cells of mixed dimensions, or of another dimension than a dim given
+        window = CellSet([tuple(c) if isinstance(c, list) else c for c in doc["cells"]], doc.get("dim"))
+    if window.dim != rule.dim:
+        raise ValueError(f"a {window.dim}D window on a {rule.dim}D rule")
+    return window
+
+
+def _noise_on(alphabet: Alphabet, doc: dict) -> NoiseModel:
+    """noise_from_json(doc), refused unless it acts on `alphabet`."""
+    noise = noise_from_json(doc)
+    if noise.alphabet.factors != alphabet.factors:
+        raise ValueError(f"noise alphabet {list(noise.alphabet.factors)} is not {list(alphabet.factors)}")
+    return noise
 
 
 def _window_label(window: CellSet) -> str:
@@ -154,7 +156,6 @@ class OutputWriter:
 
     def __init__(self, out_dir: str, config: dict, seed: int, fmt: str):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.meta = {
             "rcalab-version": __version__,
             "config-sha256": config_hash(config),
@@ -164,6 +165,8 @@ class OutputWriter:
         self.fmt = fmt
 
     def _write(self, name: str, text: str) -> Path:
+        # made here, not in __init__, so that a refused run leaves no directory
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -209,7 +212,7 @@ def _fmt_cell(v):
 
 
 def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
-    rule = rule_from_json(params["rule"])
+    rule = _read("$.params.rule", rule_from_json, params["rule"])
     verdict = analysis.analyze_rule(rule)
     doc = {"rule": params["rule"], **verdict}
     writer.json_doc("analyze-rule", doc)
@@ -217,31 +220,27 @@ def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
     return 0
 
 
-def _cone_problems(inst: dict) -> list[ConeProblem]:
-    """One ConeProblem per t = 0..horizon of an exact-law instance (rule,
-    noise, window, horizon, initial).  The initial is given once on the
-    horizon's cone moore(A, rT); each t takes its restriction to moore(A, rt).
-    Each problem checks its bytes as it is made, before any t is solved."""
-    rule = rule_from_json(inst["rule"])
-    noise = noise_from_json(inst["noise"])
-    window = _parse_window(inst["window"], rule.dim)
+def _cone_problems(inst: dict, path: str) -> list[ConeProblem]:
+    """One ConeProblem per t = 0..horizon of the exact-law instance (rule,
+    noise, window, horizon, initial) at JSON path `path`.  The initial is
+    given once on the horizon's cone moore(A, rT), whose problem is built
+    first; each t takes its restriction to moore(A, rt).  Each problem
+    checks its bytes as it is made, before any t is solved."""
+    rule = _read(f"{path}.rule", rule_from_json, inst["rule"])
+    noise = _read(f"{path}.noise", _noise_on, rule.alphabet, inst["noise"])
+    window = _read(f"{path}.window", _parse_window, inst["window"], rule)
+    if rule.dim == 1 and "surjective" in inst:
+        raise _refusal(f"{path}.surjective", "a 1D rule's surjectivity is decided on its pair graph, not declared")
     horizon = int(inst["horizon"])
     cone = dependence_cone(window, rule, horizon)
-    kind = inst.get("initial", "all-zeros")
-    if kind == "all-zeros":
-        symbols = np.zeros(len(cone), dtype=np.int64)
-    elif kind == "all-ones":
-        symbols = np.ones(len(cone), dtype=np.int64)
-    else:  # {"pattern": [...]}, the schema's one other form
-        symbols = np.asarray(kind["pattern"], dtype=np.int64)
-        if symbols.shape != (len(cone),):
-            raise ConfigError(
-                f"initial pattern must give {len(cone)} symbols, one per cell of the "
-                f"horizon cone moore(A, {rule.radius * horizon})"
-            )
-    pos = {c: i for i, c in enumerate(cone.cells)}
-    cones = [dependence_cone(window, rule, t).cells for t in range(horizon + 1)]
-    return [ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]]) for t, cells in enumerate(cones)]
+    kind = inst.get("initial", "all-zeros")  # or {"pattern": [...]}, the schema's one other form
+    symbols = kind["pattern"] if isinstance(kind, dict) else np.full(len(cone), int(kind == "all-ones"))
+    # rule, noise and window are read, so the initial is all the problem can refuse
+    last = _read(f"{path}.initial", ConeProblem, rule, noise, window, horizon, symbols)
+    symbols, pos = last.initial_symbols(), {c: i for i, c in enumerate(cone.cells)}
+    cones = [dependence_cone(window, rule, t).cells for t in range(horizon)]
+    earlier = [ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]]) for t, cells in enumerate(cones)]
+    return earlier + [last]
 
 
 def _surjective(inst: dict, rule: LocalRule) -> bool:
@@ -254,7 +253,7 @@ def _surjective(inst: dict, rule: LocalRule) -> bool:
 
 
 def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
-    problems = _cone_problems(params)
+    problems = _cone_problems(params, "$.params")
     surjective = _surjective(params, problems[0].rule)
     rows = []
     ln2 = math.log(2.0)
@@ -275,23 +274,13 @@ def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
 
 
 def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) -> int:
-    rule = rule_from_json(params["rule"])
-    noise = noise_from_json(params["noise"])
-    window = _parse_window(params["window"], rule.dim)
+    rule = _read("$.params.rule", rule_from_json, params["rule"])
+    noise = _read("$.params.noise", _noise_on, rule.alphabet, params["noise"])
+    window = _read("$.params.window", _parse_window, params["window"], rule)
     estimator = params.get("estimator", "miller-madow")
-    generator = params.get("generator", "all-zeros")
-    if isinstance(generator, list):  # explicit user pattern
-        generator = np.asarray(generator, dtype=np.int64)
-    plan = SimulationPlan(
-        rule,
-        noise,
-        tuple(params["sides"]),
-        generator,
-        int(params["horizon"]),
-        int(params["replicates"]),
-        seed,
-        window,
-        allow_wrap=params.get("allow_wrap", False),
+    plan = _read(
+        "$.params", SimulationPlan, rule, noise, params["sides"], params.get("generator", "all-zeros"),
+        int(params["horizon"]), int(params["replicates"]), seed, window, allow_wrap=params.get("allow_wrap", False),
     )
     counts = window_pattern_counts(plan, threads=threads)
     tv, se = tv_curve(counts, plan.replicates)
@@ -311,8 +300,10 @@ def run_simulate(params: dict, seed: int, writer: OutputWriter, threads: int) ->
 
 
 def run_mixing_scan(params: dict, seed: int, writer: OutputWriter, threads: int) -> int:
-    rule = rule_from_json(params["rule"])
-    noise = noise_from_json(params["noise"])
+    rule = _read("$.params.rule", rule_from_json, params["rule"])
+    noise = _read("$.params.noise", _noise_on, rule.alphabet, params["noise"])
+    if params.get("dim", rule.dim) != rule.dim:
+        raise _refusal("$.params.dim", f"{params['dim']} is not the rule's dimension {rule.dim}")
     estimates = mixing_scan(
         rule,
         noise,
@@ -321,7 +312,6 @@ def run_mixing_scan(params: dict, seed: int, writer: OutputWriter, threads: int)
         int(params["horizon"]),
         int(params["replicates"]),
         seed,
-        dim=int(params.get("dim", 1)),
         threads=threads,
         n_random=int(params.get("n_random", 8)),
     )
@@ -359,6 +349,9 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
     # evolution and pinsker run when there is one
     exact_checks = ["evolution", "pinsker"] if "evolution_instance" in params else []
     checks = params.get("checks", ["noise-lemma", "bootstrap", "superadditivity", *exact_checks])
+    # every exact-law instance given is read before any suite runs
+    keys = [key for key in ("evolution_instance", "decay_instance") if key in params]
+    problems = {key: _cone_problems(params[key], f"$.params.{key}") for key in keys}
     reports: list[BoundReport] = []
     rng = np.random.default_rng(seed)
     if "noise-lemma" in checks:
@@ -397,11 +390,9 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
             reports.append(check_block_superadditivity(block, k, r=1, t=t))
     evolution, pinsker = "evolution" in checks, "pinsker" in checks
     if evolution or pinsker:
-        inst = params["evolution_instance"]
-        problems = _cone_problems(inst)
-        surjective = evolution and _surjective(inst, problems[0].rule)
+        surjective = evolution and _surjective(params["evolution_instance"], problems["evolution_instance"][0].rule)
         # one exact solve per t, shared by the rows of both checks
-        for problem in problems:
+        for problem in problems["evolution_instance"]:
             marginal = exact_window_marginal(problem)
             label = _window_label(problem.window)
             rows = []
@@ -413,20 +404,20 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
                 report.params = {"t": problem.horizon, "window": label}
                 reports.append(report)
     if "decay-envelope" in checks:
-        reports += _decay_envelope_reports(params["decay_instance"])
+        reports += _decay_envelope_reports(params["decay_instance"], problems["decay_instance"])
     writer.json_lines("verify-bounds", (r.to_dict() for r in reports))
     failed = [r for r in reports if not r.ok]
     print(f"verify-bounds: {len(reports) - len(failed)}/{len(reports)} ok")
     return EXIT_BOUND if failed else 0
 
 
-def _decay_envelope_reports(inst: dict) -> list[BoundReport]:
+def _decay_envelope_reports(inst: dict, problems: list[ConeProblem]) -> list[BoundReport]:
     """User-supplied (alpha, beta) envelope against the exact TV curve: checks
     TV(t) <= alpha e^(-beta t) n^((d-1)/2) wherever t >= a log n + b."""
     alpha, beta = float(inst["alpha"]), float(inst["beta"])
     gate_a, gate_b = float(inst.get("a", 0.0)), float(inst.get("b", 0.0))
     reports = []
-    for problem in _cone_problems(inst):
+    for problem in problems:
         t, n = problem.horizon, diameter(problem.window)
         if not theorem_applicable(t, n, gate_a, gate_b):
             continue
@@ -445,9 +436,11 @@ def _decay_envelope_reports(inst: dict) -> list[BoundReport]:
 
 
 def run_circuit_mix(params: dict, seed: int, writer: OutputWriter) -> int:
-    network = network_from_json(params["network"])
-    noise = noise_from_json(params["noise"])
+    network = _read("$.params.network", network_from_json, params["network"])
+    noise = _read("$.params.noise", _noise_on, network.alphabet, params["noise"])
     horizon = int(params["horizon"])
+    if network.schedule == "fixed" and horizon > len(network.layers):
+        raise _refusal("$.params.horizon", f"{horizon} steps run past a fixed schedule of {len(network.layers)} layers")
     epsilon = float(params.get("epsilon", 0.01))
     curves = worst_case_curve(network, noise, horizon)
     d_curve, _, mode = curves

@@ -63,6 +63,7 @@ class ConeProblem:
             raise ValueError("window dimension does not match the rule")
         if len(self.window) == 0:
             raise ValueError("window must be non-empty")
+        self.initial_symbols()  # refuses an initial that does not fit the cone
         # four laws on the largest cone (from a point mass, the first step builds cone(t - 1)) and two kernels
         t = self.horizon if isinstance(self.initial, WindowDistribution) else max(self.horizon - 1, 0)
         size, cells = self.rule.alphabet.size, len(dependence_cone(self.window, self.rule, t))
@@ -86,7 +87,7 @@ class ConeProblem:
             return decode_patterns(int(self.initial), len(cone), size)
         symbols = np.asarray(self.initial, dtype=np.int64)
         if symbols.shape != (len(cone),):
-            raise ValueError("point initial must give one symbol per cone cell")
+            raise ValueError(f"point initial must give {len(cone)} symbols, one per cone cell")
         if symbols.min() < 0 or symbols.max() >= size:
             raise ValueError("initial symbols outside the alphabet")
         return symbols

@@ -445,15 +445,14 @@ def mixing_scan(
     horizon: int,
     replicates: int,
     seed: int,
-    dim: int = 1,
     threads: int = 1,
     n_random: int = 8,
 ):
-    """Mixing-time estimates for a family of nested hypercube windows S_n,
-    sharing one batch of trajectories per generator (sub-window counts are
-    exact marginalizations of the largest window's counts)."""
+    """Mixing-time estimates for a family of nested hypercube windows S_n on
+    the rule's lattice, sharing one batch of trajectories per generator
+    (sub-window counts are exact marginalizations of the largest window's)."""
     window_sides = sorted(int(n) for n in window_sides)
-    big = hypercube(window_sides[-1], dim)
+    big = hypercube(window_sides[-1], rule.dim)
     plans = adversarial_family(
         rule, noise, big, horizon, replicates, seed, n_random=n_random
     )
@@ -463,7 +462,7 @@ def mixing_scan(
     big_counts = [window_pattern_counts(p, threads=threads) for p in plans]
     out = {}
     for n in window_sides:
-        sub = hypercube(n, dim)
+        sub = hypercube(n, rule.dim)
         out[n] = estimate_mixing_time(
             plans, [marginalize_counts(c, big, sub, rule.alphabet.size) for c in big_counts], epsilon
         )

@@ -80,6 +80,12 @@ def test_permutation_gate_validation():
         ReversibleNetwork(2, Z2, ((PermutationGate((0,), (0,)),),))
 
 
+def test_toffoli_needs_one_cyclic_factor():
+    # x + y z is not defined on a product of cyclic factors
+    with pytest.raises(ValueError, match="single cyclic factor"):
+        ReversibleNetwork(3, Alphabet((2, 2)), ((Toffoli(0, 1, 2),),))
+
+
 def test_disjoint_sites_enforced():
     with pytest.raises(ValueError):
         ReversibleNetwork(2, Z2, ((ControlledAdd(0, 1), Translate(1, 1)),), "cycle")

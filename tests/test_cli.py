@@ -9,6 +9,7 @@ import pytest
 
 from rcalab import cli, montecarlo
 from rcalab.cli import EXIT_BOUND, EXIT_CAP, EXIT_CONFIG, main
+from rcalab.rules import rule_from_json
 from rcalab.schema import first_error
 
 NOISE = {"kind": "additive", "alphabet": [2], "q": ["0.9", "0.1"]}
@@ -196,6 +197,48 @@ def test_mixing_scan_row(tmp_path):
     assert len(curves) > 10
 
 
+@pytest.mark.parametrize(
+    "rule, dim, cells",
+    [
+        ({"alphabet": [2], "linear": [[[0, 0], 1], [[1, 0], 1]]}, None, 4),
+        ({"elementary": 90}, 1, 2),
+    ],
+    ids=["2d-rule-without-dim", "rule-90-dim-1"],
+)
+def test_mixing_scan_windows_on_the_rules_lattice(tmp_path, rule, dim, cells):
+    # the scan's S_2 is a hypercube of the rule's dimension, so the all-zeros
+    # start is a point mass on 2^cells patterns at t = 0
+    params = dict(EPSILON_PARAMS["mixing-scan"], rule=rule, windows=[2], epsilon=0.1)
+    if dim is not None:
+        params["dim"] = dim
+    cfg = write_config(tmp_path, {"kind": "mixing-scan", "seed": 1, "params": params})
+    out = tmp_path / "out"
+    assert main(["mixing-scan", "--config", cfg, "--out", str(out)]) == 0
+    _, curves = read_csv(out / "mixing-curves.csv")
+    start = next(r for r in curves if r["t"] == "0" and r["generator"] == "all-zeros#0")
+    assert float(start["tv_hat"]) == 1.0 - 2.0 ** -cells
+
+
+def test_readers_refuse_at_their_path():
+    rule = rule_from_json({"elementary": 90})
+    with pytest.raises(cli.ConfigError, match=r"at \$\.params\.window: explicit dim does not match cells"):
+        cli._read("$.params.window", cli._parse_window, {"cells": [0, 1], "dim": 2}, rule)
+    z3 = {"kind": "additive", "alphabet": [3], "q": [0.8, 0.1, 0.1]}
+    with pytest.raises(cli.ConfigError, match=r"at \$\.params\.noise: noise alphabet \[3\] is not \[2\]"):
+        cli._read("$.params.noise", cli._noise_on, rule.alphabet, z3)
+    # a wrong call is a fault of the reader, not of the config
+    with pytest.raises(TypeError):
+        cli._read("$.params.window", cli._parse_window, {"hypercube": 1}, rule, allow_wrap=False)
+    with pytest.raises(cli.ConfigError, match=r"at \$\.x\.initial: point initial must give 5 symbols"):
+        cli._cone_problems(dict(CONE_INSTANCE, initial={"pattern": [0, 1, 1]}), "$.x")
+    with pytest.raises(cli.ConfigError, match=r"at \$\.x\.surjective: "):
+        cli._cone_problems(dict(CONE_INSTANCE, surjective=True), "$.x")
+    # the pattern on cells -2..2 restricted to each t's cone
+    problems = cli._cone_problems(dict(CONE_INSTANCE, initial={"pattern": [0, 1, 1, 0, 1]}), "$.x")
+    assert [p.horizon for p in problems] == [0, 1, 2]
+    assert [p.initial_symbols().tolist() for p in problems] == [[1], [1, 1, 0], [0, 1, 1, 0, 1]]
+
+
 def test_verify_bounds_ok_and_failure_exit(tmp_path):
     doc = {
         "kind": "verify-bounds",
@@ -325,6 +368,8 @@ PERMUTATION_NOISE = {"kind": "permutation", "alphabet": [2], "perms": [[0, 1], [
 CONE_INSTANCE_2D = dict(
     CONE_INSTANCE, rule={"alphabet": [2], "linear": [[[0, 0], 1], [[1, 0], 1]]}, window={"hypercube": 1, "dim": 2}
 )
+# three cone cells on a binary alphabet: the 2 is outside it
+PATTERN_INSTANCE = dict(CONE_INSTANCE, horizon=1, initial={"pattern": [0, 2, 0]})
 CIRCUIT_PARAMS = {
     "network": {"sites": 3, "alphabet": [2], "layers": [[{"gate": "cadd", "sites": [0, 1]}]]},
     "noise": NOISE, "horizon": 2,
@@ -349,6 +394,12 @@ def _gate(gate, schedule=None):
 # truthy surjective value counted as true; an unknown initial failed in the
 # run, and an unknown generator in the plan, with no JSON path; a string
 # allow_wrap counted as true, and a gate with too few sites raised IndexError.
+# A gate site past the network, a pattern symbol outside the alphabet, a
+# Toffoli on a product alphabet, a fixed schedule shorter than the horizon and
+# noise on another alphabet failed in the engine, and a simulate torus of
+# another dimension than the rule's in the plan, with no JSON path, leaving an
+# empty --out directory; a verify-bounds pattern failed after the noise lemma,
+# and a pattern symbol past int64 raised OverflowError.
 @pytest.mark.parametrize(
     "kind, params, path",
     [
@@ -454,6 +505,36 @@ def _gate(gate, schedule=None):
          "$.params.network.layers[0]"),
         ("circuit-mix", _gate({"gate": "swap", "sites": [0, 1]}, ["random", -1]), "$.params.network.schedule[1]"),
         ("circuit-mix", _gate({"gate": "swap", "sites": [0, 1]}, "cycles"), "$.params.network.schedule"),
+        ("circuit-mix", _gate({"gate": "cadd", "sites": [0, 5]}), "$.params.network"),
+        ("evolve-exact", PATTERN_INSTANCE, "$.params.initial"),
+        (
+            "verify-bounds",
+            {"checks": ["noise-lemma", "evolution"], "evolution_instance": PATTERN_INSTANCE},
+            "$.params.evolution_instance.initial",
+        ),
+        (
+            "circuit-mix",
+            dict(
+                CIRCUIT_PARAMS,
+                network={"sites": 3, "alphabet": [2, 2], "layers": [[{"gate": "toffoli", "sites": [0, 1, 2]}]]},
+                noise={"kind": "additive", "alphabet": [2, 2], "q": ["0.7", "0.1", "0.1", "0.1"]},
+            ),
+            "$.params.network",
+        ),
+        ("circuit-mix", _gate({"gate": "cadd", "sites": [0, 1]}, "fixed"), "$.params.horizon"),
+        (
+            "circuit-mix",
+            dict(CIRCUIT_PARAMS, noise={"kind": "additive", "alphabet": [3], "q": ["0.8", "0.1", "0.1"]}),
+            "$.params.noise",
+        ),
+        ("simulate", dict(SIMULATE_PARAMS, sides=[12, 12]), "$.params"),
+        ("evolve-exact", dict(PATTERN_INSTANCE, initial={"pattern": [0, 10**30, 0]}), "$.params.initial"),
+        (
+            "mixing-scan",
+            dict(EPSILON_PARAMS["mixing-scan"], epsilon=0.1,
+                 noise=dict(NOISE, alphabet=[2, 2], q=[0.7, 0.1, 0.1, 0.1])),
+            "$.params.noise",
+        ),
     ],
     ids=["scan-no-noise", "scan-no-windows", "circuit-negative-horizon", "rule-out-of-range",
          "decay-instance-no-noise", "permutation-noise-no-perms", "scan-no-replicates",
@@ -473,7 +554,10 @@ def _gate(gate, schedule=None):
          "surjective-not-boolean", "evolution-surjective-on-1d-rule", "unknown-initial",
          "negative-pattern-symbol", "allow-wrap-string", "unknown-generator", "cadd-one-site",
          "toffoli-four-sites", "unknown-gate", "translate-no-amount", "permutation-table-strings",
-         "empty-layer", "random-schedule-negative-seed", "unknown-schedule"],
+         "empty-layer", "random-schedule-negative-seed", "unknown-schedule", "gate-site-out-of-range",
+         "pattern-symbol-outside-alphabet", "evolution-pattern-symbol-outside-alphabet",
+         "toffoli-product-alphabet", "fixed-schedule-shorter-than-horizon", "noise-alphabet-not-network",
+         "simulate-sides-not-rule-dimension", "pattern-symbol-past-int64", "scan-noise-alphabet-not-rule"],
 )
 def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params, path):
     def engine(*args, **kwargs):
@@ -483,6 +567,7 @@ def test_bad_params_refused_at_load(tmp_path, monkeypatch, capsys, kind, params,
     monkeypatch.setattr(cli, "exact_window_marginal", engine)
     monkeypatch.setattr(montecarlo, "window_pattern_counts", engine)
     monkeypatch.setattr(cli, "window_pattern_counts", engine)
+    monkeypatch.setattr(cli, "noise_lemma_suite", engine)
     cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": params})
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -506,7 +591,7 @@ def test_budget_exceeded_is_exit_2(tmp_path, capsys, memory_cap, kind):
     cfg = write_config(tmp_path, {"kind": kind, "seed": 1, "params": BUDGETED_RUNS[kind]})
     out = tmp_path / "out"
     assert main([kind, "--config", cfg, "--out", str(out)]) == EXIT_CAP
-    assert not list(out.glob("*"))
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bytes, over the budget of 64 bytes" in err
 
