@@ -40,6 +40,7 @@ from .circuits import check_finite_bound, network_from_json, worst_case_curve
 from .entropy import (
     CapExceededError,
     WindowDistribution,
+    check_bytes,
     deficiency,
     entropy,
     estimate_entropy,
@@ -47,8 +48,14 @@ from .entropy import (
     pinsker_bound,
     tv_to_uniform,
 )
-from .exact import ConeProblem, check_evolution_bound, dependence_cone, exact_window_marginal
-from .lattice import Alphabet, CellSet, diameter, hypercube
+from .exact import (
+    ConeProblem,
+    check_evolution_bound,
+    check_surjective_step_bound,
+    dependence_cone,
+    exact_window_marginal,
+)
+from .lattice import Alphabet, CellSet, diameter, hypercube, moore
 from .montecarlo import SimulationPlan, mixing_scan, tv_curve, window_pattern_counts
 from .noise import NoiseModel, noise_from_json
 from .rules import LocalRule, rule_from_json
@@ -352,6 +359,11 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
     # every exact-law instance given is read before any suite runs
     keys = [key for key in ("evolution_instance", "decay_instance") if key in params]
     problems = {key: _cone_problems(params[key], f"$.params.{key}") for key in keys}
+    evolution, pinsker, step = ("evolution" in checks, "pinsker" in checks, "surjective-step" in checks)
+    # the two checks claimed for surjective rules only share one verdict
+    surjective = (evolution or step) and _surjective(
+        params["evolution_instance"], problems["evolution_instance"][0].rule
+    )
     reports: list[BoundReport] = []
     rng = np.random.default_rng(seed)
     if "noise-lemma" in checks:
@@ -388,9 +400,7 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
             probs = rng.dirichlet(np.ones(2 ** n))
             block = WindowDistribution(window, alphabet, probs)
             reports.append(check_block_superadditivity(block, k, r=1, t=t))
-    evolution, pinsker = "evolution" in checks, "pinsker" in checks
     if evolution or pinsker:
-        surjective = evolution and _surjective(params["evolution_instance"], problems["evolution_instance"][0].rule)
         # one exact solve per t, shared by the rows of both checks
         for problem in problems["evolution_instance"]:
             marginal = exact_window_marginal(problem)
@@ -405,10 +415,35 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
                 reports.append(report)
     if "decay-envelope" in checks:
         reports += _decay_envelope_reports(params["decay_instance"], problems["decay_instance"])
+    if step:
+        # drawn last from rng, so that the rows of every other check stay as they were
+        n_laws = int(params.get("instances", 100))
+        reports += _surjective_step_reports(problems["evolution_instance"][0], surjective, n_laws, rng)
     writer.json_lines("verify-bounds", (r.to_dict() for r in reports))
     failed = [r for r in reports if not r.ok]
     print(f"verify-bounds: {len(reports) - len(failed)}/{len(reports)} ok")
     return EXIT_BOUND if failed else 0
+
+
+def _surjective_step_reports(
+    problem: ConeProblem, surjective: bool, n_laws: int, rng: np.random.Generator
+) -> list[BoundReport]:
+    """The one-step lemma H((FX)_J) >= H(X_J) - c(J) of a surjective rule on
+    n_laws Dirichlet laws on moore(J, 2r), with the instance's rule and its
+    window J; refused, as the evolution bound is, for a rule not surjective."""
+    if not surjective:
+        raise ValueError("the one-step entropy-loss bound applies to surjective rules only")
+    rule, J = problem.rule, problem.window
+    cone = moore(J, 2 * rule.radius)
+    n_states = rule.alphabet.size ** len(cone)
+    check_bytes(16 * n_states, f"a Dirichlet law on a {len(cone)}-cell cone and its alpha vector")
+    label, reports = _window_label(J), []
+    for i in range(n_laws):
+        law = WindowDistribution(cone, rule.alphabet, rng.dirichlet(np.ones(n_states)))
+        report = check_surjective_step_bound(rule, J, law)
+        report.params = {"window": label, "law": i}
+        reports.append(report)
+    return reports
 
 
 def _decay_envelope_reports(inst: dict, problems: list[ConeProblem]) -> list[BoundReport]:

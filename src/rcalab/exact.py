@@ -1,18 +1,24 @@
 """Exact law of the noisy trajectory on a finite window by a kernel sweep
-over the dependence cone, plus the boundary leakage constants and the
-entropy-evolution bound checker.
+over its light cones, plus the boundary leakage constants and the
+entropy-evolution and one-step bound checkers.
 
-Per step the distribution lives on a shrinking cone: the law on moore(A, r*s)
+Per step the distribution lives on a shrinking light cone: the law on
+A + sN, the cells whose state s steps before the end can reach the window A,
 is contracted, one target cell at a time, against the PCA local kernel
-phi(u, b) = q(b - f(u)) onto moore(A, r*(s-1)), so the rule and the noise are
-one batched matmul per target cell and every source cell is summed out after
-its last use.  The same sweep serves every dimension.  A point-mass start skips
-the largest cone: its first step is a product of kernel rows.
+phi(u, b) = q(b - f(u)) onto A + (s-1)N, so the rule and the noise are one
+batched matmul per target cell and every source cell is summed out after its
+last use.  The same sweep serves every dimension.  A point-mass start skips
+the largest cone: its first step is a product of kernel rows.  A solve plans
+every step before it allocates, then runs in two flat buffers of the largest
+tensor of the plan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +41,43 @@ __all__ = [
 
 
 def dependence_cone(A: CellSet, rule: LocalRule, t: int) -> CellSet:
-    """Initial cells that can influence window A after t steps."""
+    """moore(A, r*t), the domain on which an initial is given for window A at
+    horizon t: it holds every cell that can influence A after t steps, and it
+    nests across t.  The sweep itself runs on the light cones A + sN
+    (`_light_cones`), which are smaller unless N is the full Moore box."""
     if t < 0:
         raise ValueError("horizon must be non-negative")
     return moore(A, rule.radius * int(t))
 
 
+def _light_cones(A: CellSet, rule: LocalRule, t: int) -> list[CellSet]:
+    """A + sN for s = 0..t: the cells whose state s steps earlier can reach A.
+    For the full Moore box N = [-r, r]^d that is moore(A, r*s), built as such."""
+    if len(rule.neighborhood) == (2 * rule.radius + 1) ** rule.dim:
+        return [dependence_cone(A, rule, s) for s in range(t + 1)]
+    cones, offsets = [A], np.array(rule.neighborhood, dtype=np.int64)
+    for _ in range(t):
+        cells = cones[-1].as_array()[:, None, :] + offsets
+        cones.append(CellSet(cells.reshape(-1, A.dim), dim=A.dim))
+    return cones
+
+
+class _Plan(NamedTuple):
+    """Every step of one solve, planned before anything is allocated: from a
+    point mass, the product of the kernel rows at `codes`, the neighbourhood
+    codes of A + (T-1)N; then `sweeps`, the first from the initial's cone
+    when the initial is a law, each next one from the last one's target,
+    down to A.  `largest` is the most states a tensor of the solve holds."""
+
+    codes: np.ndarray | None
+    sweeps: list
+    largest: int
+
+
 @dataclass(frozen=True, eq=False)
 class ConeProblem:
     """Exact-evolution instance: window A observed at time t, with the initial
-    condition given on the full dependence cone moore(A, r*t).
+    condition given on moore(A, r*t) (`dependence_cone`).
 
     `initial` may be an int pattern code on the cone, a per-cell symbol array
     in the cone's canonical cell order, or a WindowDistribution on the cone.
@@ -63,12 +96,23 @@ class ConeProblem:
             raise ValueError("window dimension does not match the rule")
         if len(self.window) == 0:
             raise ValueError("window must be non-empty")
-        self.initial_symbols()  # refuses an initial that does not fit the cone
-        # four laws on the largest cone (from a point mass, the first step builds cone(t - 1)) and two kernels
-        t = self.horizon if isinstance(self.initial, WindowDistribution) else max(self.horizon - 1, 0)
-        size, cells = self.rule.alphabet.size, len(dependence_cone(self.window, self.rule, t))
-        n_bytes = 8 * (4 * size ** cells + 2 * size ** (len(self.rule.neighborhood) + 1))
-        check_bytes(n_bytes, f"the kernel sweep over a {cells}-cell cone")
+        _check_sweep_bytes(self._plan.largest, self.rule)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        size, symbols = self.rule.alphabet.size, self.initial_symbols()  # refuses an initial that does not fit
+        if self.horizon == 0:
+            return _Plan(None, [], size ** len(self.window))
+        cones = _light_cones(self.window, self.rule, self.horizon - 1)[::-1]
+        steps, codes = list(zip(cones, cones[1:])), None
+        if symbols is None:
+            steps.insert(0, (self.cone(), cones[0]))
+        else:
+            slots = _neighbour_slots(self.cone(), self.rule, cones[0])
+            codes = symbols[slots] @ pattern_strides(len(self.rule.neighborhood), size)
+        sweeps = [_Sweep(source, self.rule, target) for source, target in steps]
+        largest = max([sweep.largest for sweep in sweeps] + [size ** len(cones[0])] * (codes is not None))
+        return _Plan(codes, sweeps, largest)
 
     def cone(self) -> CellSet:
         return dependence_cone(self.window, self.rule, self.horizon)
@@ -109,10 +153,28 @@ def _neighbour_slots(source: CellSet, rule: LocalRule, target: CellSet) -> np.nd
     return np.array([pos[c] for c in cells], dtype=np.int64).reshape(len(target), -1)
 
 
-def _sweep(dist: WindowDistribution, rule: LocalRule, target: CellSet, kernel) -> WindowDistribution:
-    """Law on `target` of one application of the local kernel (one row per
-    neighbourhood code, one column per output symbol) to the law on the
-    source window, which must hold target + N.
+def _check_sweep_bytes(largest: int, rule: LocalRule) -> None:
+    """A sweep holds two buffers of its largest tensor and two kernels,
+    local_kernel's and one reordered copy."""
+    kernel = rule.alphabet.size ** (len(rule.neighborhood) + 1)
+    check_bytes(8 * (2 * largest + 2 * kernel), f"the kernel sweep in two buffers of {largest} states")
+
+
+class _Step(NamedTuple):
+    """One target cell of a sweep: the tensor's axes in (kept, rest, done)
+    order, whether that view is a free reshape, its (kept, rest, done) state
+    counts, and the kernel's axes in (kept, done, output) order."""
+
+    order: tuple
+    free: bool
+    shape: tuple
+    local: tuple
+
+
+class _Sweep:
+    """Plan of one application of the local kernel (one row per neighbourhood
+    code, one column per output symbol) to a law on `source`, which must hold
+    target + N, marginalized onto `target`.
 
     Source axes no target uses are summed out first.  Then each target cell,
     in canonical order, is one batched matmul: the cone tensor is viewed as
@@ -121,30 +183,79 @@ def _sweep(dist: WindowDistribution, rule: LocalRule, target: CellSet, kernel) -
     axes, and the kernel as (kept, done, Sigma).  The product (kept, rest,
     Sigma) is the next tensor as it lies in memory, so the view is free
     whenever each of the three groups is one run of memory axes, as in every
-    1D step.  Source axes are labelled by their slot and output axes by ~j in
-    a list kept in memory order.  Output axes only ever sit in rest, which
-    keeps its order, and each new one goes last, so the result comes out in
-    canonical target order."""
-    size = rule.alphabet.size
-    uses = _neighbour_slots(dist.window, rule, target).tolist()
-    last = {a: j for j, axes in enumerate(uses) for a in axes}
-    labels = [a for a in range(dist.n_cells) if a in last]
-    tensor = dist.probs.reshape((size,) * dist.n_cells)
-    if len(labels) < dist.n_cells:
-        tensor = tensor.sum(axis=tuple(a for a in range(dist.n_cells) if a not in last))
-    kernel = kernel.reshape((size,) * (len(rule.neighborhood) + 1))
-    for j, axes in enumerate(uses):
-        done = [a for a in labels if last.get(a) == j]
-        kept = [a for a in labels if a in axes and a not in done]
-        rest = [a for a in labels if a not in axes]
-        order = [labels.index(a) for a in kept + rest + done]
-        view = tensor.transpose(order).reshape(size ** len(kept), -1, size ** len(done))
-        local = [axes.index(a) for a in kept + done] + [len(axes)]
-        local = kernel.transpose(local).reshape(size ** len(kept), size ** len(done), size)
-        labels = kept + rest + [~j]
-        tensor = np.matmul(view, local).reshape((size,) * len(labels))
-        del view, local  # the next reordered copy is made without this one
-    return WindowDistribution(target, rule.alphabet, tensor.reshape(-1))
+    1D step; otherwise (2D) the reordered tensor is copied first.  Source
+    axes are labelled by their slot and output axes by ~j in a list kept in
+    memory order.  Output axes only ever sit in rest, which keeps its order,
+    and each new one goes last, so the result comes out in canonical target
+    order.  `largest` counts the states of every tensor the sweep writes:
+    the summed-out law, each copy and each product."""
+
+    def __init__(self, source: CellSet, rule: LocalRule, target: CellSet):
+        size = rule.alphabet.size
+        uses = _neighbour_slots(source, rule, target).tolist()
+        last = {a: j for j, axes in enumerate(uses) for a in axes}
+        labels = [a for a in range(len(source)) if a in last]
+        self.n_source, self.steps = len(source), []
+        self.unused = tuple(a for a in range(len(source)) if a not in last)
+        sizes = [size ** len(labels)] if self.unused else []
+        for j, axes in enumerate(uses):
+            at = {a: i for i, a in enumerate(labels)}
+            done = [a for a in labels if last.get(a) == j]
+            kept = [a for a in labels if a in axes and last[a] != j]
+            rest = [a for a in labels if a not in axes]
+            order = [at[a] for a in kept + rest + done]
+            starts = {len(kept), len(kept) + len(rest)}
+            free = all(p in starts or order[p] == order[p - 1] + 1 for p in range(1, len(order)))
+            if not free:
+                sizes.append(size ** len(labels))
+            local = [axes.index(a) for a in kept + done] + [len(axes)]
+            shape = (size ** len(kept), size ** len(rest), size ** len(done))
+            self.steps.append(_Step(tuple(order), free, shape, tuple(local)))
+            labels = kept + rest + [~j]
+            sizes.append(size ** len(labels))
+        self.largest = max(sizes)
+
+
+def _next(pair: list, shape) -> np.ndarray:
+    """The free buffer, pair[1], viewed as `shape` and swapped to pair[0]: the
+    next tensor is written there while its input stays in pair[1]."""
+    pair.reverse()
+    return pair[0][: math.prod(shape)].reshape(shape)
+
+
+def _run_sweep(sweep: _Sweep, probs: np.ndarray, kernel: np.ndarray, pair: list) -> np.ndarray:
+    """Flat target law of a planned sweep of the flat law `probs`, computed in
+    pair's two flat buffers of at least sweep.largest states, with probs in
+    pair[0] or in neither.  Each tensor is written into the buffer that does
+    not hold its input, and the law comes back as a view of pair[0]."""
+    size = kernel.shape[-1]
+    tensor = probs.reshape((size,) * sweep.n_source)
+    if sweep.unused:
+        shape = (size,) * (sweep.n_source - len(sweep.unused))
+        tensor = np.sum(tensor, axis=sweep.unused, out=_next(pair, shape))
+    for step in sweep.steps:
+        view = tensor.reshape((size,) * len(step.order)).transpose(step.order)
+        if not step.free:
+            copy = _next(pair, view.shape)
+            np.copyto(copy, view)
+            view = copy
+        kept, rest, done = step.shape
+        local = kernel.reshape((size,) * len(step.local)).transpose(step.local).reshape(kept, done, size)
+        # no copy: the reordered copy, or a view the plan marks free, lies as (kept, rest, done)
+        tensor = np.matmul(view.reshape(step.shape), local, out=_next(pair, (kept, rest, size)))
+        del local  # the next reordered kernel is made without this one
+    return tensor.reshape(-1)
+
+
+def _sweep(dist: WindowDistribution, rule: LocalRule, target: CellSet, kernel) -> WindowDistribution:
+    """Law on `target` of one application of the local kernel to `dist`
+    (`_Sweep`), in two buffers of its own."""
+    sweep = _Sweep(dist.window, rule, target)
+    _check_sweep_bytes(sweep.largest, rule)
+    pair = [np.empty(sweep.largest), np.empty(sweep.largest)]
+    law = _run_sweep(sweep, dist.probs, kernel, pair)
+    del pair[1]  # the law lies in pair[0]
+    return WindowDistribution(target, rule.alphabet, law.copy())
 
 
 def push_deterministic(
@@ -162,27 +273,43 @@ def convolve_noise(dist: WindowDistribution, noise: NoiseModel) -> WindowDistrib
     return WindowDistribution(dist.window, dist.alphabet, probs)
 
 
+def _renormalize(law: np.ndarray) -> None:
+    """Divide a flat law by its total, in place, when that drifts from 1 by
+    more than 1e-12."""
+    total = law.sum()
+    if abs(float(total) - 1.0) > 1e-12:
+        law /= total
+
+
 def exact_window_marginal(problem: ConeProblem) -> WindowDistribution:
     """Exact law of X^t on the window, renormalized when float drift exceeds
-    1e-12.  Each step is one sweep with the noisy local kernel; from a point
-    mass the first step is the outer product of the kernel rows at the
-    targets' neighbourhood codes, so the largest cone is never built."""
-    rule = problem.rule
+    1e-12.  The solve runs its plan in two flat buffers of the plan's largest
+    tensor: each step is one sweep with the noisy local kernel onto the next
+    light cone, and from a point mass the first step is the outer product of
+    the kernel rows at the targets' neighbourhood codes, so no law on the
+    initial's cone is built.  The window law is copied out at the end."""
+    rule, plan = problem.rule, problem._plan
+    if problem.horizon == 0:
+        return problem.initial_distribution()
     kernel = local_kernel(rule, problem.noise)
-    symbols = problem.initial_symbols()
-    dist = None if symbols is not None and problem.horizon > 0 else problem.initial_distribution()
-    for s in range(problem.horizon, 0, -1):
-        target = dependence_cone(problem.window, rule, s - 1)
-        if dist is None:
-            slots = _neighbour_slots(problem.cone(), rule, target)
-            codes = symbols[slots] @ pattern_strides(len(rule.neighborhood), rule.alphabet.size)
-            dist = WindowDistribution.product_of_cells(target, rule.alphabet, kernel[codes])
-        else:
-            dist = _sweep(dist, rule, target, kernel)
-        drift = abs(float(dist.probs.sum()) - 1.0)
-        if drift > 1e-12:
-            dist = WindowDistribution(dist.window, dist.alphabet, dist.probs / dist.probs.sum())
-    return dist
+    pair = [np.empty(plan.largest), np.empty(plan.largest)]
+    if plan.codes is None:
+        law = problem.initial.probs
+    else:
+        rows = kernel[plan.codes]
+        law = _next(pair, rows[0].shape)
+        np.copyto(law, rows[0])
+        for row in rows[1:]:
+            out = _next(pair, (law.size, row.size))
+            for symbol, p in enumerate(row):  # np.multiply.outer would allocate ufunc buffers
+                np.multiply(law, p, out=out[:, symbol])
+            law = out.reshape(-1)
+        _renormalize(law)
+    for sweep in plan.sweeps:
+        law = _run_sweep(sweep, law, kernel, pair)
+        _renormalize(law)
+    del pair[1]  # the law lies in pair[0]
+    return WindowDistribution(problem.window, rule.alphabet, law.copy())
 
 
 def _leakage(J: CellSet, rule: LocalRule) -> float:

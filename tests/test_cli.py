@@ -7,7 +7,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rcalab import cli, montecarlo
+from rcalab import analysis, cli, montecarlo
 from rcalab.cli import EXIT_BOUND, EXIT_CAP, EXIT_CONFIG, main
 from rcalab.rules import rule_from_json
 from rcalab.schema import first_error
@@ -115,6 +115,18 @@ def test_evolve_exact_cap_exit(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     assert main(["evolve-exact", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
+
+
+def test_evolve_exact_reaches_horizon_14_on_a_one_sided_rule(tmp_path):
+    # x_0 + x_1 on Z3: the sweep's largest law lies on A + 13N, 15 cells,
+    # where moore(A, 13) holds 28; two buffers of 3^15 states fit the budget
+    rule = {"alphabet": [3], "linear": [[[0], 1], [[1], 1]]}
+    noise = {"kind": "additive", "alphabet": [3], "q": ["0.5", "0.25", "0.25"]}
+    doc = {"kind": "evolve-exact", "params": {"rule": rule, "noise": noise, "window": {"hypercube": 2}, "horizon": 14}}
+    out = tmp_path / "out"
+    assert main(["evolve-exact", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "evolve-exact.csv")
+    assert [int(r["t"]) for r in rows] == list(range(15)) and all(r["ok"] == "True" for r in rows)
 
 
 def test_simulate_count_bytes_cap_exit(tmp_path, monkeypatch):
@@ -392,8 +404,9 @@ def _gate(gate, schedule=None):
 # cells, failed in the engine, with no JSON path.  A surjectivity claim on a
 # 1D rule overrode the decision, so rule 128 wrote entropy-floor rows, and any
 # truthy surjective value counted as true; an unknown initial failed in the
-# run, and an unknown generator in the plan, with no JSON path; a string
-# allow_wrap counted as true, and a gate with too few sites raised IndexError.
+# run, and an unknown generator in the plan, with no JSON path; a fractional
+# generator symbol was truncated without a word; a string allow_wrap counted
+# as true, and a gate with too few sites raised IndexError.
 # A gate site past the network, a pattern symbol outside the alphabet, a
 # Toffoli on a product alphabet, a fixed schedule shorter than the horizon and
 # noise on another alphabet failed in the engine, and a simulate torus of
@@ -426,6 +439,7 @@ def _gate(gate, schedule=None):
         ("verify-bounds", {"alphabets": [3]}, "$.params.alphabets[0]"),
         ("verify-bounds", {"checks": ["pinsker"]}, "$.params"),
         ("verify-bounds", {"checks": ["noise-lemma", "evolution"]}, "$.params"),
+        ("verify-bounds", {"checks": ["surjective-step"]}, "$.params"),
         ("verify-bounds", {"checks": ["decay-envelope"], "evolution_instance": CONE_INSTANCE}, "$.params"),
         ("simulate", dict(SIMULATE_PARAMS, noise=dict(NOISE, q=[float("nan"), "0.1"])), "$.params.noise.q[0]"),
         ("simulate", dict(SIMULATE_PARAMS, sides=[float("inf")]), "$.params.sides[0]"),
@@ -492,6 +506,9 @@ def _gate(gate, schedule=None):
         ("evolve-exact", dict(CONE_INSTANCE, initial={"pattern": [0, 1, -1, 0, 0]}), "$.params.initial.pattern[2]"),
         ("simulate", dict(SIMULATE_PARAMS, allow_wrap="no"), "$.params.allow_wrap"),
         ("simulate", dict(SIMULATE_PARAMS, generator="zeros"), "$.params.generator"),
+        ("simulate", dict(SIMULATE_PARAMS, sides=[5], allow_wrap=True, generator=[0.5, 1.9, 0, 0, 1]),
+         "$.params.generator"),
+        ("simulate", dict(SIMULATE_PARAMS, sides=[2, 2], generator=[[0, 1], [1, -1]]), "$.params.generator[1][1]"),
         ("circuit-mix", _gate({"gate": "cadd", "sites": [0]}), "$.params.network.layers[0][0].sites"),
         ("circuit-mix", _gate({"gate": "toffoli", "sites": [0, 1, 2, 0]}), "$.params.network.layers[0][0].sites"),
         ("circuit-mix", _gate({"gate": "cnot", "sites": [0, 1]}), "$.params.network.layers[0][0].gate"),
@@ -542,7 +559,8 @@ def _gate(gate, schedule=None):
          "bounds-misspelt-check", "bounds-no-checks", "bounds-negative-instances",
          "bounds-fractional-layout-tuples", "bounds-no-superadditivity-instances",
          "bounds-no-alphabets", "bounds-alphabet-not-factors", "bounds-pinsker-no-instance",
-         "bounds-evolution-no-instance", "bounds-decay-no-instance", "noise-q-nan",
+         "bounds-evolution-no-instance", "bounds-surjective-step-no-instance", "bounds-decay-no-instance",
+         "noise-q-nan",
          "simulate-infinite-side", "simulate-fractional-side", "simulate-zero-side",
          "simulate-fractional-hypercube", "simulate-fractional-cell", "cone-hypercube-zero",
          "cone-window-dim-zero", "cone-fractional-cell-coordinate", "scan-dim-zero",
@@ -552,7 +570,8 @@ def _gate(gate, schedule=None):
          "window-cells-mixed-dims", "window-cells-dim-mismatch", "window-no-cells",
          "evolution-window-dim-mismatch", "decay-window-dim-mismatch", "surjective-on-1d-rule",
          "surjective-not-boolean", "evolution-surjective-on-1d-rule", "unknown-initial",
-         "negative-pattern-symbol", "allow-wrap-string", "unknown-generator", "cadd-one-site",
+         "negative-pattern-symbol", "allow-wrap-string", "unknown-generator", "fractional-generator-symbol",
+         "negative-2d-generator-symbol", "cadd-one-site",
          "toffoli-four-sites", "unknown-gate", "translate-no-amount", "permutation-table-strings",
          "empty-layer", "random-schedule-negative-seed", "unknown-schedule", "gate-site-out-of-range",
          "pattern-symbol-outside-alphabet", "evolution-pattern-symbol-outside-alphabet",
@@ -623,6 +642,22 @@ def test_simulate_user_pattern_generator(tmp_path):
     meta, rows = read_csv(out / "simulate.csv")
     assert meta["wrap-contaminated"] == "True"
     assert rows[0]["generator"] == "pattern"
+
+
+def test_simulate_2d_pattern_generator_passes_load(tmp_path):
+    # a 2D torus configuration is an array of rows: nested arrays of symbols
+    doc = {
+        "kind": "simulate",
+        "seed": 6,
+        "params": dict(
+            SIMULATE_PARAMS, rule=CONE_INSTANCE_2D["rule"], window={"hypercube": 1, "dim": 2},
+            sides=[3, 3], generator=[[0, 1, 0], [1, 1, 0], [0, 0, 1]], allow_wrap=True,
+        ),
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert read_csv(out / "simulate.csv")[1][0]["generator"] == "pattern"
 
 
 def test_rca_lab_threads_env(tmp_path, monkeypatch):
@@ -788,6 +823,40 @@ def test_verify_bounds_writes_the_exact_rows_listed(tmp_path, monkeypatch, rule,
     assert main(["verify-bounds", "--config", cfg, "--out", str(out)]) == 0
     rows = [json.loads(line) for line in (out / "verify-bounds.jsonl").read_text().splitlines()[1:]]
     assert [(r["claim"], r["params"]["t"]) for r in rows] == [(c, t) for t in range(3) for c in claims]
+
+
+def _bound_rows(out):
+    return [json.loads(line) for line in (out / "verify-bounds.jsonl").read_text().splitlines()[1:]]
+
+
+def test_verify_bounds_surjective_step_rows_come_last(tmp_path):
+    # the one-step lemma on `instances` Dirichlet laws on moore(J, 2r),
+    # drawn after every other suite: the rows before them do not move
+    base = ["noise-lemma", "bootstrap", "superadditivity", "evolution"]
+    params = {"instances": 6, "layout_tuples": 5, "superadditivity_instances": 4, "evolution_instance": CONE_INSTANCE}
+    rows = {}
+    for name, checks in (("base", base), ("step", base + ["surjective-step"])):
+        doc = {"kind": "verify-bounds", "seed": 2, "params": dict(params, checks=checks)}
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        rows[name] = _bound_rows(tmp_path / name)
+    step = rows["step"][len(rows["base"]):]
+    assert rows["step"][: len(rows["base"])] == rows["base"]
+    assert [r["claim"] for r in step] == ["surjective-step/entropy-loss"] * 6
+    assert [r["params"] for r in step] == [{"window": "S_1", "law": i} for i in range(6)]
+    assert len({r["lhs"] for r in step}) == 6 and all(r["ok"] for r in step)
+
+
+def test_verify_bounds_surjective_step_refuses_a_rule_not_surjective(tmp_path, monkeypatch, capsys):
+    decisions, decide = [], analysis.test_surjective
+    monkeypatch.setattr(analysis, "test_surjective", lambda rule: decisions.append(rule) or decide(rule))
+    instance = dict(CONE_INSTANCE, rule={"elementary": 128})
+    params = {"checks": ["surjective-step"], "evolution_instance": instance}
+    doc = {"kind": "verify-bounds", "seed": 1, "params": params}
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+    assert "surjective rules only" in capsys.readouterr().err
+    assert not out.exists() and len(decisions) == 1
 
 
 def test_verify_bounds_checks_each_layout_once(tmp_path, monkeypatch):

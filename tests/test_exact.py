@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rcalab import analysis
-from rcalab.entropy import CapExceededError, WindowDistribution, entropy, tv_to_uniform
+from rcalab.entropy import MEMORY_CAP, CapExceededError, WindowDistribution, entropy, tv_to_uniform
 from rcalab.exact import (
     ConeProblem,
+    _light_cones,
     _neighbour_slots,
     _sweep,
     check_evolution_bound,
@@ -415,3 +416,123 @@ def test_sweep_matches_einsum_oracle(name, seed):
         got = _sweep(law, rule, window, k)
         assert got.window == window
         assert np.abs(got.probs - _einsum_sweep(law, rule, window, k).probs).max() < 1e-12
+
+
+# The sweep runs on the light cones A + sN, the cells whose state s steps
+# before the end can reach A; for a full Moore box N they are moore(A, r*s).
+
+
+def _window_plus(A, rule, s):
+    cells = set(A.cells)
+    for _ in range(s):
+        cells = {tuple(c + o for c, o in zip(cell, off)) for cell in cells for off in rule.neighborhood}
+    return CellSet(sorted(cells), dim=A.dim)
+
+
+ONE_SIDED_Z3 = build_linear(Z3, {0: 1, 1: 1})
+VON_NEUMANN_Z3 = build_linear(Z3, {c: 1 for c in VON_NEUMANN})
+
+# rules whose neighbourhood is not the full Moore box, (rule, window, horizons)
+LIGHT_CONE_CASES = {
+    "z3-one-sided": (ONE_SIDED_Z3, hypercube(2), (1, 2, 4, 6)),
+    "binary-sparse": (_random_rule(Z2, [(-2,), (0,), (2,)], 12), CellSet([0, 3]), (1, 2, 3)),
+    "binary-one-sided-sparse": (_random_rule(Z2, [(0,), (3,)], 13), CellSet([0, 2]), (1, 2, 3)),
+    "2d-von-neumann": (_random_rule(Z2, VON_NEUMANN, 14), CellSet([(0, 0), (0, 1)]), (1, 2)),
+    "2d-von-neumann-z3": (VON_NEUMANN_Z3, hypercube(1, 2), (1, 2)),
+}
+FULL_MOORE_CASES = {
+    name: AGREEMENT_CASES[name]
+    for name in ("binary-r1", "binary-r2", "z3-linear", "z2xz2-lift", "2d-moore", "2d-moore-single-cell")
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT_CONE_CASES) + sorted(FULL_MOORE_CASES))
+def test_light_cones_are_window_plus_s_neighbourhoods(name):
+    rule, window, horizons = {**LIGHT_CONE_CASES, **FULL_MOORE_CASES}[name]
+    cones = _light_cones(window, rule, max(horizons))
+    assert cones == [_window_plus(window, rule, s) for s in range(max(horizons) + 1)]
+    if name in FULL_MOORE_CASES:
+        assert cones == [dependence_cone(window, rule, s) for s in range(max(horizons) + 1)]
+    else:
+        assert len(cones[-1]) < len(dependence_cone(window, rule, max(horizons)))
+
+
+def _moore_target_marginal(problem, step):
+    """The solve with every target a Moore ball moore(A, r*(s-1)): from a
+    point mass, the product of kernel rows on moore(A, r*(T-1)), then one
+    `step(dist, rule, target, kernel)` per t, renormalized by division as
+    the solve is."""
+    rule, kernel = problem.rule, local_kernel(problem.rule, problem.noise)
+    symbols = problem.initial_symbols()
+    dist = problem.initial_distribution() if symbols is None or problem.horizon == 0 else None
+    for s in range(problem.horizon, 0, -1):
+        target = dependence_cone(problem.window, rule, s - 1)
+        if dist is None:
+            slots = _neighbour_slots(problem.cone(), rule, target)
+            rows = kernel[symbols[slots] @ pattern_strides(len(rule.neighborhood), rule.alphabet.size)]
+            dist = WindowDistribution.product_of_cells(target, rule.alphabet, rows)
+        else:
+            dist = step(dist, rule, target, kernel)
+        if abs(float(dist.probs.sum()) - 1.0) > 1e-12:
+            dist = WindowDistribution(dist.window, dist.alphabet, dist.probs / dist.probs.sum())
+    return dist
+
+
+@pytest.mark.parametrize("name", sorted(LIGHT_CONE_CASES))
+def test_light_cone_law_matches_moore_target_oracle(name):
+    rule, window, horizons = LIGHT_CONE_CASES[name]
+    noise, size = _random_noise(rule.alphabet, 15), rule.alphabet.size
+    for t in horizons:
+        cone = dependence_cone(window, rule, t)
+        rng = np.random.default_rng(20 + t)
+        initials = {"symbols": rng.integers(0, size, size=len(cone))}
+        if size ** len(cone) <= 2 ** 16:
+            initials["law"] = WindowDistribution(cone, rule.alphabet, rng.dirichlet(np.ones(size ** len(cone))))
+        for form, initial in initials.items():
+            problem = ConeProblem(rule, noise, window, t, initial)
+            got = exact_window_marginal(problem)
+            want = _moore_target_marginal(problem, _einsum_sweep)
+            assert got.window == want.window == window
+            assert np.abs(got.probs - want.probs).max() < 1e-12, (name, t, form)
+
+
+@pytest.mark.parametrize("name", sorted(FULL_MOORE_CASES))
+def test_full_moore_laws_bit_identical_to_moore_target_sweeps(name):
+    rule, window, horizons = FULL_MOORE_CASES[name]
+    noise = _random_noise(rule.alphabet, 16)
+    for t in horizons:
+        for form, initial in _initials(rule, window, t, 30 + t).items():
+            problem = ConeProblem(rule, noise, window, t, initial)
+            got = exact_window_marginal(problem).probs
+            assert np.array_equal(got, _moore_target_marginal(problem, _sweep).probs), (name, t, form)
+
+
+def test_rule30_laws_bit_identical_to_moore_target_sweeps():
+    for t in range(9):
+        problem = ConeProblem(build_elementary(30), Q91, hypercube(4), t, np.zeros(4 + 2 * t, dtype=np.int64))
+        assert np.array_equal(exact_window_marginal(problem).probs, _moore_target_marginal(problem, _sweep).probs), t
+
+
+# (rule, window, horizon reached, bytes declared there): the next horizon is
+# refused, as the reached one was while the sweep ran on the Moore balls and
+# held four laws of its largest cone
+REACH = {
+    "z3-one-sided-s2": (ONE_SIDED_Z3, hypercube(2), 14, 8 * (2 * 3 ** 15 + 2 * 3 ** 3)),
+    "2d-von-neumann-z3": (VON_NEUMANN_Z3, hypercube(1, 2), 3, 8 * (2 * 3 ** 13 + 2 * 3 ** 6)),
+    "rule30-s4": (build_elementary(30), hypercube(4), 11, 8 * (2 * 2 ** 24 + 2 * 2 ** 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACH))
+def test_reach_of_the_two_buffer_sweep(declared, name):
+    # a ConeProblem checks its bytes when it is built; nothing is solved here
+    rule, window, horizon, n_bytes = REACH[name]
+    noise = _random_noise(rule.alphabet, 17)
+
+    def problem(t):
+        return ConeProblem(rule, noise, window, t, np.zeros(len(dependence_cone(window, rule, t)), dtype=np.int64))
+
+    problem(horizon)
+    assert declared[-1] == n_bytes <= MEMORY_CAP
+    with pytest.raises(CapExceededError):
+        problem(horizon + 1)

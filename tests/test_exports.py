@@ -28,7 +28,6 @@ UNCALLED_EXPORTS = {
     "circuits.evolve_chain_exact": "the one-initial chain path that circuit-mix will use for affine networks",
     "bounds.proof_rate_constants": "the proof's rate constants, for the sup-over-initials gate and the sharp contraction",
     "circuits.alternating_cnot_network": "the acceptance suite's reference brick-wall network",
-    "exact.check_surjective_step_bound": "the one-step lemma, for a future verify-bounds check name",
 }
 
 

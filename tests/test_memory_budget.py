@@ -24,8 +24,8 @@ from rcalab.circuits import (
     worst_case_curve,
 )
 from rcalab.entropy import MEMORY_CAP, CapExceededError, WindowDistribution
-from rcalab.exact import ConeProblem, dependence_cone, exact_window_marginal
-from rcalab.lattice import Alphabet, hypercube
+from rcalab.exact import ConeProblem, dependence_cone, exact_window_marginal, push_deterministic
+from rcalab.lattice import Alphabet, CellSet, hypercube, moore
 from rcalab.montecarlo import SimulationPlan, mixing_scan, window_pattern_counts
 from rcalab.noise import additive_noise, noise_from_json
 from rcalab.rules import LocalRule, build_elementary, build_linear, rule_from_json
@@ -39,6 +39,9 @@ MOORE = LocalRule(
     tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)),
     np.random.default_rng(1).integers(0, 2, 512),
 )
+VON_NEUMANN = LocalRule(
+    Z2, ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)), np.random.default_rng(5).integers(0, 2, 32)
+)
 
 # check_bytes counts arrays; the interpreter's own objects (cell tuples,
 # dicts, frames) are not counted
@@ -51,10 +54,16 @@ def _from_zeros(rule, window, t):
 
 
 def _from_law(rule, window, t):
+    # the initial law is the caller's, made outside the measurement: the
+    # solve declares only what it allocates
     cone = dependence_cone(window, rule, t)
-    probs = np.random.default_rng(2).dirichlet(np.ones(2 ** len(cone)))
-    law = WindowDistribution(cone, Z2, probs)
-    return exact_window_marginal(ConeProblem(rule, Q91, window, t, law))
+    law = WindowDistribution(cone, Z2, np.random.default_rng(2).dirichlet(np.ones(2 ** len(cone))))
+    return lambda: exact_window_marginal(ConeProblem(rule, Q91, window, t, law))
+
+
+def _push(rule, source, target):
+    law = WindowDistribution(source, Z2, np.random.default_rng(4).dirichlet(np.ones(2 ** len(source))))
+    return lambda: push_deterministic(law, rule, target)
 
 
 def _gate_zoo(n_sites):
@@ -110,7 +119,10 @@ def _superadditivity():
 ENGINES = {
     "sweep-1d": lambda *_: lambda: _from_zeros(R30, hypercube(4), 8),
     "sweep-2d": lambda *_: lambda: _from_zeros(MOORE, hypercube(2, 2), 2),
-    "sweep-from-law": lambda *_: lambda: _from_law(R30, hypercube(4), 6),
+    # its light cones A + sN hold 18, 8 and 2 cells, where moore(A, s) holds 30, 12 and 2
+    "sweep-2d-von-neumann": lambda *_: lambda: _from_zeros(VON_NEUMANN, CellSet([(0, 0), (0, 1)]), 3),
+    "sweep-from-law": lambda *_: _from_law(R30, hypercube(4), 6),
+    "push-deterministic": lambda *_: _push(R30, moore(hypercube(12), 2), hypercube(12)),
     "layer-permutation": lambda *_: lambda: _gate_zoo(16).layer_permutation(0),
     "chain": _chain,
     "mc-counts": lambda monkeypatch, *_: _mc_plan(monkeypatch, threads=2),
@@ -174,15 +186,17 @@ def test_24_site_network_refused_before_allocating(monkeypatch):
     assert peak < OBJECTS
 
 
-def test_2d_sweep_holds_at_most_three_and_a_half_laws():
-    # each reordered copy of the cone tensor is freed before the next is made
-    run = lambda: _from_zeros(MOORE, hypercube(2, 2), 2)
-    run()
+def test_2d_sweep_holds_two_laws_and_the_kernels():
+    # the cone tensor lies in two buffers of the largest law, 16 cells at
+    # t = 1, and each reordered copy is made in the one the input is not in
+    problem = ConeProblem(MOORE, Q91, hypercube(2, 2), 2, np.zeros(36, dtype=np.int64))
+    exact_window_marginal(problem)
     law_bytes = 8 * 2 ** len(dependence_cone(hypercube(2, 2), MOORE, 1))
+    kernel_bytes = 8 * 2 ** (len(MOORE.neighborhood) + 1)
     tracemalloc.start()
     try:
-        run()
+        exact_window_marginal(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * law_bytes
+    assert peak <= 2 * law_bytes + 2 * kernel_bytes + OBJECTS
