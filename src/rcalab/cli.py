@@ -360,10 +360,11 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
     keys = [key for key in ("evolution_instance", "decay_instance") if key in params]
     problems = {key: _cone_problems(params[key], f"$.params.{key}") for key in keys}
     evolution, pinsker, step = ("evolution" in checks, "pinsker" in checks, "surjective-step" in checks)
-    # the two checks claimed for surjective rules only share one verdict
-    surjective = (evolution or step) and _surjective(
-        params["evolution_instance"], problems["evolution_instance"][0].rule
-    )
+    # the two checks claimed for surjective rules only share one verdict,
+    # and a rule not surjective is refused before any suite runs
+    if (evolution or step) and not _surjective(params["evolution_instance"], problems["evolution_instance"][0].rule):
+        name = "evolution" if evolution else "surjective-step"
+        raise ValueError(f"the {name} check applies to surjective rules only")
     reports: list[BoundReport] = []
     rng = np.random.default_rng(seed)
     if "noise-lemma" in checks:
@@ -407,7 +408,7 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
             label = _window_label(problem.window)
             rows = []
             if evolution:
-                rows.append(check_evolution_bound(problem, marginal, surjective))
+                rows.append(check_evolution_bound(problem, marginal, surjective=True))
             if pinsker:
                 rows.append(check_pinsker(marginal))
             for report in rows:
@@ -418,21 +419,17 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
     if step:
         # drawn last from rng, so that the rows of every other check stay as they were
         n_laws = int(params.get("instances", 100))
-        reports += _surjective_step_reports(problems["evolution_instance"][0], surjective, n_laws, rng)
+        reports += _surjective_step_reports(problems["evolution_instance"][0], n_laws, rng)
     writer.json_lines("verify-bounds", (r.to_dict() for r in reports))
     failed = [r for r in reports if not r.ok]
     print(f"verify-bounds: {len(reports) - len(failed)}/{len(reports)} ok")
     return EXIT_BOUND if failed else 0
 
 
-def _surjective_step_reports(
-    problem: ConeProblem, surjective: bool, n_laws: int, rng: np.random.Generator
-) -> list[BoundReport]:
+def _surjective_step_reports(problem: ConeProblem, n_laws: int, rng: np.random.Generator) -> list[BoundReport]:
     """The one-step lemma H((FX)_J) >= H(X_J) - c(J) of a surjective rule on
     n_laws Dirichlet laws on moore(J, 2r), with the instance's rule and its
-    window J; refused, as the evolution bound is, for a rule not surjective."""
-    if not surjective:
-        raise ValueError("the one-step entropy-loss bound applies to surjective rules only")
+    window J; the caller has refused a rule not surjective."""
     rule, J = problem.rule, problem.window
     cone = moore(J, 2 * rule.radius)
     n_states = rule.alphabet.size ** len(cone)

@@ -44,7 +44,8 @@ def dependence_cone(A: CellSet, rule: LocalRule, t: int) -> CellSet:
     """moore(A, r*t), the domain on which an initial is given for window A at
     horizon t: it holds every cell that can influence A after t steps, and it
     nests across t.  The sweep itself runs on the light cones A + sN
-    (`_light_cones`), which are smaller unless N is the full Moore box."""
+    (`_light_cones`), which are smaller unless N is the full Moore box,
+    where they are moore(A, r*s)."""
     if t < 0:
         raise ValueError("horizon must be non-negative")
     return moore(A, rule.radius * int(t))
@@ -52,13 +53,14 @@ def dependence_cone(A: CellSet, rule: LocalRule, t: int) -> CellSet:
 
 def _light_cones(A: CellSet, rule: LocalRule, t: int) -> list[CellSet]:
     """A + sN for s = 0..t: the cells whose state s steps earlier can reach A.
-    For the full Moore box N = [-r, r]^d that is moore(A, r*s), built as such."""
-    if len(rule.neighborhood) == (2 * rule.radius + 1) ** rule.dim:
-        return [dependence_cone(A, rule, s) for s in range(t + 1)]
+    Each cone grows on the last, and the law on each lies in the sweep's
+    buffers, so a cone whose law alone breaks the budget is refused as soon
+    as it is built, before any larger one is."""
     cones, offsets = [A], np.array(rule.neighborhood, dtype=np.int64)
     for _ in range(t):
         cells = cones[-1].as_array()[:, None, :] + offsets
         cones.append(CellSet(cells.reshape(-1, A.dim), dim=A.dim))
+        _check_sweep_bytes(rule.alphabet.size ** len(cones[-1]), rule)
     return cones
 
 
@@ -103,6 +105,8 @@ class ConeProblem:
         size, symbols = self.rule.alphabet.size, self.initial_symbols()  # refuses an initial that does not fit
         if self.horizon == 0:
             return _Plan(None, [], size ** len(self.window))
+        # every cone's law is a tensor of the solve: a cone too large is
+        # refused before the sweeps, which cost about |cone|^2 each, are planned
         cones = _light_cones(self.window, self.rule, self.horizon - 1)[::-1]
         steps, codes = list(zip(cones, cones[1:])), None
         if symbols is None:

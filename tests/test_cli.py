@@ -117,6 +117,27 @@ def test_evolve_exact_cap_exit(tmp_path):
     assert main(["evolve-exact", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
 
 
+def test_evolve_exact_horizon_1000_refused_before_planning(tmp_path, monkeypatch):
+    # the light cones are refused as they grow, at s = 11 of 999: no sweep
+    # is planned, and the peak, about 1.5 MB, is the config, the horizon's
+    # 2002-cell Moore cone and its initial
+    import tracemalloc
+
+    from rcalab import exact
+
+    planned, plan = [], exact._Sweep.__init__
+    monkeypatch.setattr(exact._Sweep, "__init__", lambda self, *a: planned.append(a) or plan(self, *a))
+    params = dict(CONE_INSTANCE, window={"hypercube": 4}, horizon=1000)
+    cfg = write_config(tmp_path, {"kind": "evolve-exact", "params": params})
+    tracemalloc.start()
+    try:
+        assert main(["evolve-exact", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CAP
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert planned == [] and peak < 2 ** 21, peak
+
+
 def test_evolve_exact_reaches_horizon_14_on_a_one_sided_rule(tmp_path):
     # x_0 + x_1 on Z3: the sweep's largest law lies on A + 13N, 15 cells,
     # where moore(A, 13) holds 28; two buffers of 3^15 states fit the budget
@@ -847,15 +868,21 @@ def test_verify_bounds_surjective_step_rows_come_last(tmp_path):
     assert len({r["lhs"] for r in step}) == 6 and all(r["ok"] for r in step)
 
 
-def test_verify_bounds_surjective_step_refuses_a_rule_not_surjective(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("check", ["surjective-step", "evolution"])
+def test_verify_bounds_refuses_a_rule_not_surjective_before_any_suite(tmp_path, monkeypatch, capsys, check):
     decisions, decide = [], analysis.test_surjective
     monkeypatch.setattr(analysis, "test_surjective", lambda rule: decisions.append(rule) or decide(rule))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("noise-lemma suite entered")
+
+    monkeypatch.setattr(cli, "noise_lemma_suite", refuse)
     instance = dict(CONE_INSTANCE, rule={"elementary": 128})
-    params = {"checks": ["surjective-step"], "evolution_instance": instance}
+    params = {"checks": ["noise-lemma", check], "evolution_instance": instance}
     doc = {"kind": "verify-bounds", "seed": 1, "params": params}
     out = tmp_path / "out"
     assert main(["verify-bounds", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
-    assert "surjective rules only" in capsys.readouterr().err
+    assert f"the {check} check applies to surjective rules only" in capsys.readouterr().err
     assert not out.exists() and len(decisions) == 1
 
 
