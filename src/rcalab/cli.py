@@ -227,12 +227,11 @@ def run_analyze_rule(params: dict, seed: int, writer: OutputWriter) -> int:
     return 0
 
 
-def _cone_problems(inst: dict, path: str) -> list[ConeProblem]:
-    """One ConeProblem per t = 0..horizon of the exact-law instance (rule,
-    noise, window, horizon, initial) at JSON path `path`.  The initial is
-    given once on the horizon's cone moore(A, rT), whose problem is built
-    first; each t takes its restriction to moore(A, rt).  Each problem
-    checks its bytes as it is made, before any t is solved."""
+def _cone_problem(inst: dict, path: str) -> ConeProblem:
+    """The ConeProblem of the exact-law instance (rule, noise, window,
+    horizon, initial) at JSON path `path`, with the initial on the horizon's
+    cone moore(A, rT); its one solve gives the window law at every
+    t = 0..horizon.  The problem checks its bytes as it is made."""
     rule = _read(f"{path}.rule", rule_from_json, inst["rule"])
     noise = _read(f"{path}.noise", _noise_on, rule.alphabet, inst["noise"])
     window = _read(f"{path}.window", _parse_window, inst["window"], rule)
@@ -243,11 +242,7 @@ def _cone_problems(inst: dict, path: str) -> list[ConeProblem]:
     kind = inst.get("initial", "all-zeros")  # or {"pattern": [...]}, the schema's one other form
     symbols = kind["pattern"] if isinstance(kind, dict) else np.full(len(cone), int(kind == "all-ones"))
     # rule, noise and window are read, so the initial is all the problem can refuse
-    last = _read(f"{path}.initial", ConeProblem, rule, noise, window, horizon, symbols)
-    symbols, pos = last.initial_symbols(), {c: i for i, c in enumerate(cone.cells)}
-    cones = [dependence_cone(window, rule, t).cells for t in range(horizon)]
-    earlier = [ConeProblem(rule, noise, window, t, symbols[[pos[c] for c in cells]]) for t, cells in enumerate(cones)]
-    return earlier + [last]
+    return _read(f"{path}.initial", ConeProblem, rule, noise, window, horizon, symbols)
 
 
 def _surjective(inst: dict, rule: LocalRule) -> bool:
@@ -260,18 +255,16 @@ def _surjective(inst: dict, rule: LocalRule) -> bool:
 
 
 def run_evolve_exact(params: dict, seed: int, writer: OutputWriter) -> int:
-    problems = _cone_problems(params, "$.params")
-    surjective = _surjective(params, problems[0].rule)
-    rows = []
+    problem = _cone_problem(params, "$.params")
+    surjective = _surjective(params, problem.rule)
+    label, rows = _window_label(problem.window), []
     ln2 = math.log(2.0)
-    for problem in problems:
-        marginal = exact_window_marginal(problem)
+    for t, marginal in enumerate(exact_window_marginal(problem)):
         h = entropy(marginal)
         xi = deficiency(marginal)
         tv = tv_to_uniform(marginal)
-        bound = check_evolution_bound(problem, marginal, surjective)
-        label = _window_label(problem.window)
-        rows.append([problem.horizon, label, h, h / ln2, xi, tv, bound.rhs, bound.ok])
+        bound = check_evolution_bound(problem, t, marginal, surjective)
+        rows.append([t, label, h, h / ln2, xi, tv, bound.rhs, bound.ok])
     writer.table(
         "evolve-exact",
         ["t", "window", "H_nats", "H_bits", "deficiency", "tv_to_uniform", "bound_rhs", "ok"],
@@ -358,11 +351,11 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
     checks = params.get("checks", ["noise-lemma", "bootstrap", "superadditivity", *exact_checks])
     # every exact-law instance given is read before any suite runs
     keys = [key for key in ("evolution_instance", "decay_instance") if key in params]
-    problems = {key: _cone_problems(params[key], f"$.params.{key}") for key in keys}
+    problems = {key: _cone_problem(params[key], f"$.params.{key}") for key in keys}
     evolution, pinsker, step = ("evolution" in checks, "pinsker" in checks, "surjective-step" in checks)
     # the two checks claimed for surjective rules only share one verdict,
     # and a rule not surjective is refused before any suite runs
-    if (evolution or step) and not _surjective(params["evolution_instance"], problems["evolution_instance"][0].rule):
+    if (evolution or step) and not _surjective(params["evolution_instance"], problems["evolution_instance"].rule):
         name = "evolution" if evolution else "surjective-step"
         raise ValueError(f"the {name} check applies to surjective rules only")
     reports: list[BoundReport] = []
@@ -402,24 +395,24 @@ def run_verify_bounds(params: dict, seed: int, writer: OutputWriter) -> int:
             block = WindowDistribution(window, alphabet, probs)
             reports.append(check_block_superadditivity(block, k, r=1, t=t))
     if evolution or pinsker:
-        # one exact solve per t, shared by the rows of both checks
-        for problem in problems["evolution_instance"]:
-            marginal = exact_window_marginal(problem)
-            label = _window_label(problem.window)
+        # one exact curve, shared by the rows of both checks
+        problem = problems["evolution_instance"]
+        label = _window_label(problem.window)
+        for t, marginal in enumerate(exact_window_marginal(problem)):
             rows = []
             if evolution:
-                rows.append(check_evolution_bound(problem, marginal, surjective=True))
+                rows.append(check_evolution_bound(problem, t, marginal, surjective=True))
             if pinsker:
                 rows.append(check_pinsker(marginal))
             for report in rows:
-                report.params = {"t": problem.horizon, "window": label}
+                report.params = {"t": t, "window": label}
                 reports.append(report)
     if "decay-envelope" in checks:
         reports += _decay_envelope_reports(params["decay_instance"], problems["decay_instance"])
     if step:
         # drawn last from rng, so that the rows of every other check stay as they were
         n_laws = int(params.get("instances", 100))
-        reports += _surjective_step_reports(problems["evolution_instance"][0], n_laws, rng)
+        reports += _surjective_step_reports(problems["evolution_instance"], n_laws, rng)
     writer.json_lines("verify-bounds", (r.to_dict() for r in reports))
     failed = [r for r in reports if not r.ok]
     print(f"verify-bounds: {len(reports) - len(failed)}/{len(reports)} ok")
@@ -443,17 +436,16 @@ def _surjective_step_reports(problem: ConeProblem, n_laws: int, rng: np.random.G
     return reports
 
 
-def _decay_envelope_reports(inst: dict, problems: list[ConeProblem]) -> list[BoundReport]:
+def _decay_envelope_reports(inst: dict, problem: ConeProblem) -> list[BoundReport]:
     """User-supplied (alpha, beta) envelope against the exact TV curve: checks
     TV(t) <= alpha e^(-beta t) n^((d-1)/2) wherever t >= a log n + b."""
     alpha, beta = float(inst["alpha"]), float(inst["beta"])
     gate_a, gate_b = float(inst.get("a", 0.0)), float(inst.get("b", 0.0))
-    reports = []
-    for problem in problems:
-        t, n = problem.horizon, diameter(problem.window)
+    n, reports = diameter(problem.window), []
+    for t, marginal in enumerate(exact_window_marginal(problem)):
         if not theorem_applicable(t, n, gate_a, gate_b):
             continue
-        tv = tv_to_uniform(exact_window_marginal(problem))
+        tv = tv_to_uniform(marginal)
         envelope = main_theorem_bound(n, t, alpha, beta, problem.rule.dim)
         reports.append(
             BoundReport(

@@ -1,16 +1,18 @@
-"""Exact law of the noisy trajectory on a finite window by a kernel sweep
-over its light cones, plus the boundary leakage constants and the
-entropy-evolution and one-step bound checkers.
+"""Exact laws of the noisy trajectory on a finite window, one for every
+t = 0..T, by a kernel sweep over its light cones, plus the boundary leakage
+constants and the entropy-evolution and one-step bound checkers.
 
 Per step the distribution lives on a shrinking light cone: the law on
-A + sN, the cells whose state s steps before the end can reach the window A,
-is contracted, one target cell at a time, against the PCA local kernel
-phi(u, b) = q(b - f(u)) onto A + (s-1)N, so the rule and the noise are one
-batched matmul per target cell and every source cell is summed out after its
-last use.  The same sweep serves every dimension.  A point-mass start skips
-the largest cone: its first step is a product of kernel rows.  A solve plans
-every step before it allocates, then runs in two flat buffers of the largest
-tensor of the plan.
+A + sN', N' = N u {0}, which holds every cell whose state s steps before the
+end can reach the window A and holds A itself, is contracted, one target
+cell at a time, against the PCA local kernel phi(u, b) = q(b - f(u)) onto
+A + (s-1)N', so the rule and the noise are one batched matmul per target
+cell and every source cell is summed out after its last use.  The law after
+each step, marginalized onto A, is the window law at that step, so one pass
+gives the whole curve.  The same sweep serves every dimension.  A point-mass
+start skips the largest cone: its first step is a product of kernel rows.
+A solve plans every step before it allocates, then runs in two flat buffers
+of the largest tensor of the plan.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .bounds import SLACK, BoundReport
 from .entropy import WindowDistribution, check_bytes, entropy
-from .lattice import CellSet, decode_patterns, moore, moore_boundary, pattern_strides
+from .lattice import CellSet, decode_patterns, marginalize_patterns, moore, moore_boundary, pattern_strides
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa, local_kernel
 from .rules import LocalRule
 
@@ -43,7 +45,7 @@ __all__ = [
 def dependence_cone(A: CellSet, rule: LocalRule, t: int) -> CellSet:
     """moore(A, r*t), the domain on which an initial is given for window A at
     horizon t: it holds every cell that can influence A after t steps, and it
-    nests across t.  The sweep itself runs on the light cones A + sN
+    nests across t.  The sweep itself runs on the light cones A + s(N u {0})
     (`_light_cones`), which are smaller unless N is the full Moore box,
     where they are moore(A, r*s)."""
     if t < 0:
@@ -52,11 +54,13 @@ def dependence_cone(A: CellSet, rule: LocalRule, t: int) -> CellSet:
 
 
 def _light_cones(A: CellSet, rule: LocalRule, t: int) -> list[CellSet]:
-    """A + sN for s = 0..t: the cells whose state s steps earlier can reach A.
-    Each cone grows on the last, and the law on each lies in the sweep's
-    buffers, so a cone whose law alone breaks the budget is refused as soon
-    as it is built, before any larger one is."""
-    cones, offsets = [A], np.array(rule.neighborhood, dtype=np.int64)
+    """A + s(N u {0}) for s = 0..t: the cells whose state s or fewer steps
+    earlier can reach A, so each cone holds A and the next (A + sN when
+    0 is in N).  Each cone grows on the last, and the law on each lies in the
+    sweep's buffers, so a cone whose law alone breaks the budget is refused
+    as soon as it is built, before any larger one is."""
+    offsets = np.array(sorted({*rule.neighborhood, (0,) * A.dim}), dtype=np.int64)
+    cones = [A]
     for _ in range(t):
         cells = cones[-1].as_array()[:, None, :] + offsets
         cones.append(CellSet(cells.reshape(-1, A.dim), dim=A.dim))
@@ -67,19 +71,21 @@ def _light_cones(A: CellSet, rule: LocalRule, t: int) -> list[CellSet]:
 class _Plan(NamedTuple):
     """Every step of one solve, planned before anything is allocated: from a
     point mass, the product of the kernel rows at `codes`, the neighbourhood
-    codes of A + (T-1)N; then `sweeps`, the first from the initial's cone
-    when the initial is a law, each next one from the last one's target,
-    down to A.  `largest` is the most states a tensor of the solve holds."""
+    codes of the light cone A + (T-1)N'; then `sweeps`, the first from the
+    initial's cone when the initial is a law, each next one from the last
+    one's target, down to A.  After step t the law lies on `cones[t - 1]`.
+    `largest` is the most states a tensor of the solve holds."""
 
     codes: np.ndarray | None
     sweeps: list
+    cones: list
     largest: int
 
 
 @dataclass(frozen=True, eq=False)
 class ConeProblem:
-    """Exact-evolution instance: window A observed at time t, with the initial
-    condition given on moore(A, r*t) (`dependence_cone`).
+    """Exact-evolution instance: window A observed at times 0..horizon, with
+    the initial condition given on moore(A, r*horizon) (`dependence_cone`).
 
     `initial` may be an int pattern code on the cone, a per-cell symbol array
     in the cone's canonical cell order, or a WindowDistribution on the cone.
@@ -98,13 +104,14 @@ class ConeProblem:
             raise ValueError("window dimension does not match the rule")
         if len(self.window) == 0:
             raise ValueError("window must be non-empty")
-        _check_sweep_bytes(self._plan.largest, self.rule)
+        curve = (self.horizon + 1) * self.rule.alphabet.size ** len(self.window)
+        _check_sweep_bytes(self._plan.largest, self.rule, curve)
 
     @cached_property
     def _plan(self) -> _Plan:
         size, symbols = self.rule.alphabet.size, self.initial_symbols()  # refuses an initial that does not fit
         if self.horizon == 0:
-            return _Plan(None, [], size ** len(self.window))
+            return _Plan(None, [], [], 0)
         # every cone's law is a tensor of the solve: a cone too large is
         # refused before the sweeps, which cost about |cone|^2 each, are planned
         cones = _light_cones(self.window, self.rule, self.horizon - 1)[::-1]
@@ -116,7 +123,7 @@ class ConeProblem:
             codes = symbols[slots] @ pattern_strides(len(self.rule.neighborhood), size)
         sweeps = [_Sweep(source, self.rule, target) for source, target in steps]
         largest = max([sweep.largest for sweep in sweeps] + [size ** len(cones[0])] * (codes is not None))
-        return _Plan(codes, sweeps, largest)
+        return _Plan(codes, sweeps, cones, largest)
 
     def cone(self) -> CellSet:
         return dependence_cone(self.window, self.rule, self.horizon)
@@ -140,13 +147,6 @@ class ConeProblem:
             raise ValueError("initial symbols outside the alphabet")
         return symbols
 
-    def initial_distribution(self) -> WindowDistribution:
-        symbols = self.initial_symbols()
-        if symbols is None:
-            return self.initial
-        code = int(symbols @ pattern_strides(len(symbols), self.rule.alphabet.size))
-        return WindowDistribution.point_mass(self.cone(), self.rule.alphabet, code)
-
 
 def _neighbour_slots(source: CellSet, rule: LocalRule, target: CellSet) -> np.ndarray:
     """Source-cell index of each target cell's neighbours, (|target|, |N|)."""
@@ -157,11 +157,12 @@ def _neighbour_slots(source: CellSet, rule: LocalRule, target: CellSet) -> np.nd
     return np.array([pos[c] for c in cells], dtype=np.int64).reshape(len(target), -1)
 
 
-def _check_sweep_bytes(largest: int, rule: LocalRule) -> None:
+def _check_sweep_bytes(largest: int, rule: LocalRule, curve: int = 0) -> None:
     """A sweep holds two buffers of its largest tensor and two kernels,
-    local_kernel's and one reordered copy."""
+    local_kernel's and one reordered copy, and a solve also the `curve`
+    entries of its window laws."""
     kernel = rule.alphabet.size ** (len(rule.neighborhood) + 1)
-    check_bytes(8 * (2 * largest + 2 * kernel), f"the kernel sweep in two buffers of {largest} states")
+    check_bytes(8 * (2 * largest + 2 * kernel + curve), f"the kernel sweep in two buffers of {largest} states")
 
 
 class _Step(NamedTuple):
@@ -285,35 +286,52 @@ def _renormalize(law: np.ndarray) -> None:
         law /= total
 
 
-def exact_window_marginal(problem: ConeProblem) -> WindowDistribution:
-    """Exact law of X^t on the window, renormalized when float drift exceeds
-    1e-12.  The solve runs its plan in two flat buffers of the plan's largest
+def _window_start(problem: ConeProblem) -> np.ndarray:
+    """The law of X^0 on the window: the initial's marginal there, made
+    without a law on the initial's cone when the initial is a point mass."""
+    cone, window, size = problem.cone(), problem.window, problem.rule.alphabet.size
+    symbols = problem.initial_symbols()
+    if symbols is None:
+        return marginalize_patterns(problem.initial.probs, cone, window, size)
+    at = {c: i for i, c in enumerate(cone.cells)}
+    code = symbols[[at[c] for c in window.cells]] @ pattern_strides(len(window), size)
+    return WindowDistribution.point_mass(window, problem.rule.alphabet, code).probs
+
+
+def exact_window_marginal(problem: ConeProblem) -> list[WindowDistribution]:
+    """Exact laws of X^t on the window for t = 0..horizon, a list indexed by
+    t, each step's cone law renormalized when float drift exceeds 1e-12.
+    The solve runs its plan once, in two flat buffers of the plan's largest
     tensor: each step is one sweep with the noisy local kernel onto the next
     light cone, and from a point mass the first step is the outer product of
     the kernel rows at the targets' neighbourhood codes, so no law on the
-    initial's cone is built.  The window law is copied out at the end."""
-    rule, plan = problem.rule, problem._plan
-    if problem.horizon == 0:
-        return problem.initial_distribution()
-    kernel = local_kernel(rule, problem.noise)
-    pair = [np.empty(plan.largest), np.empty(plan.largest)]
-    if plan.codes is None:
-        law = problem.initial.probs
-    else:
-        rows = kernel[plan.codes]
-        law = _next(pair, rows[0].shape)
-        np.copyto(law, rows[0])
-        for row in rows[1:]:
-            out = _next(pair, (law.size, row.size))
-            for symbol, p in enumerate(row):  # np.multiply.outer would allocate ufunc buffers
-                np.multiply(law, p, out=out[:, symbol])
-            law = out.reshape(-1)
-        _renormalize(law)
-    for sweep in plan.sweeps:
-        law = _run_sweep(sweep, law, kernel, pair)
-        _renormalize(law)
-    del pair[1]  # the law lies in pair[0]
-    return WindowDistribution(problem.window, rule.alphabet, law.copy())
+    initial's cone is built.  After each step the cone law, which holds A,
+    is marginalized onto A out of place; at t = horizon that cone is A."""
+    rule, plan, window = problem.rule, problem._plan, problem.window
+    size = rule.alphabet.size
+    curve = np.empty((problem.horizon + 1, size ** len(window)))
+    curve[0] = _window_start(problem)
+    if problem.horizon > 0:
+        kernel = local_kernel(rule, problem.noise)
+        pair = [np.empty(plan.largest), np.empty(plan.largest)]
+        if plan.codes is None:
+            law, sweeps = problem.initial.probs, plan.sweeps
+        else:
+            rows = kernel[plan.codes]
+            law = _next(pair, rows[0].shape)
+            np.copyto(law, rows[0])
+            for row in rows[1:]:
+                out = _next(pair, (law.size, row.size))
+                for symbol, p in enumerate(row):  # np.multiply.outer would allocate ufunc buffers
+                    np.multiply(law, p, out=out[:, symbol])
+                law = out.reshape(-1)
+            sweeps = [None] + plan.sweeps  # the product was step 1
+        for t, (sweep, cone) in enumerate(zip(sweeps, plan.cones), start=1):
+            if sweep is not None:
+                law = _run_sweep(sweep, law, kernel, pair)
+            _renormalize(law)
+            curve[t] = marginalize_patterns(law, cone, window, size)
+    return [WindowDistribution(window, rule.alphabet, law) for law in curve]
 
 
 def _leakage(J: CellSet, rule: LocalRule) -> float:
@@ -329,10 +347,10 @@ def leakage_constants(J: CellSet, rule: LocalRule, noise: NoiseModel):
     return c, (1.0 - k) / k * c
 
 
-def check_evolution_bound(problem: ConeProblem, law: WindowDistribution, surjective: bool) -> BoundReport:
-    """Entropy floor H(X^t_J) >= [1 - (1-kappa)^t] |J| h_max - c_tilde(J),
-    with the left side the entropy of `law`, the exact window law
-    exact_window_marginal(problem).
+def check_evolution_bound(problem: ConeProblem, t: int, law: WindowDistribution, surjective: bool) -> BoundReport:
+    """Entropy floor H(X^t_J) >= [1 - (1-kappa)^t] |J| h_max - c_tilde(J)
+    at a step 0 <= t <= problem.horizon, with the left side the entropy of
+    `law`, the exact window law exact_window_marginal(problem)[t].
 
     The bound is claimed for surjective rules only: `surjective` is the
     rule's verdict, decided once per rule by the caller (for a 1D rule,
@@ -340,13 +358,15 @@ def check_evolution_bound(problem: ConeProblem, law: WindowDistribution, surject
     """
     if not surjective:
         raise ValueError("evolution bound applies to surjective rules only")
+    if not 0 <= t <= problem.horizon:
+        raise ValueError(f"step {t} outside 0..{problem.horizon}")
     if law.window != problem.window:
         raise ValueError("law must live on the problem's window")
     lhs = entropy(law)
     k = kappa(problem.noise)
     _, c_tilde = leakage_constants(problem.window, problem.rule, problem.noise)
     h = problem.rule.alphabet.h_max
-    rhs = (1.0 - (1.0 - k) ** problem.horizon) * len(problem.window) * h - c_tilde
+    rhs = (1.0 - (1.0 - k) ** t) * len(problem.window) * h - c_tilde
     return BoundReport("evolution/entropy-floor", lhs, rhs, lhs >= rhs - SLACK)
 
 

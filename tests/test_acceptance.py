@@ -46,7 +46,7 @@ def test_criterion_1_closed_form_decay():
     start = time.time()
     # exact engine: TV(X^t, uniform) = 0.8^t / 2 within 1e-12
     for t in range(21):
-        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, 0))
+        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, 0))[-1]
         assert abs(tv_to_uniform(marginal) - 0.8 ** t / 2) < 1e-12
     # Monte Carlo at R = 1e5 within 3 sigma (pinned seed)
     plan = SimulationPlan(IDENTITY, Q91, (4,), "all-zeros", 20, 100_000, 31, CellSet([0]))
@@ -93,7 +93,7 @@ def test_criterion_3_evolution_bound():
     start = time.time()
     checked = 0
     for problem in _criterion_3_instances():
-        res = check_evolution_bound(problem, exact_window_marginal(problem), surjective=True)
+        res = check_evolution_bound(problem, problem.horizon, exact_window_marginal(problem)[-1], surjective=True)
         assert res.ok, (problem.window, problem.horizon)
         checked += 1
     assert checked == 4 * 6 * 21
@@ -105,13 +105,13 @@ def test_criterion_4_pinsker_end_to_end():
     worst_gap = math.inf
     # every exact output of criterion 1
     for t in range(21):
-        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, 0))
+        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, 0))[-1]
         bound = pinsker_bound(marginal)
         assert tv_to_uniform(marginal) <= bound + 1e-12
         worst_gap = min(worst_gap, bound - tv_to_uniform(marginal))
     # every exact output of criterion 3
     for problem in _criterion_3_instances():
-        marginal = exact_window_marginal(problem)
+        marginal = exact_window_marginal(problem)[-1]
         bound = pinsker_bound(marginal)
         assert tv_to_uniform(marginal) <= bound + 1e-12
         worst_gap = min(worst_gap, bound - tv_to_uniform(marginal))
@@ -271,7 +271,7 @@ def test_criterion_9_monte_carlo_vs_exact():
     for idx, (rule, noise, window, t) in enumerate(_criterion_9_instances(rng)):
         cone = dependence_cone(window, rule, t)
         init = rng.integers(0, rule.alphabet.size, size=len(cone))
-        exact = exact_window_marginal(ConeProblem(rule, noise, window, t, init))
+        exact = exact_window_marginal(ConeProblem(rule, noise, window, t, init))[-1]
         side = diameter(window) + 2 * rule.radius * t + 1
         sides = (max(side, 2 * rule.radius + 1),) * rule.dim
         torus = np.zeros(sides, dtype=np.int64)

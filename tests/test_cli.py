@@ -263,13 +263,9 @@ def test_readers_refuse_at_their_path():
     with pytest.raises(TypeError):
         cli._read("$.params.window", cli._parse_window, {"hypercube": 1}, rule, allow_wrap=False)
     with pytest.raises(cli.ConfigError, match=r"at \$\.x\.initial: point initial must give 5 symbols"):
-        cli._cone_problems(dict(CONE_INSTANCE, initial={"pattern": [0, 1, 1]}), "$.x")
+        cli._cone_problem(dict(CONE_INSTANCE, initial={"pattern": [0, 1, 1]}), "$.x")
     with pytest.raises(cli.ConfigError, match=r"at \$\.x\.surjective: "):
-        cli._cone_problems(dict(CONE_INSTANCE, surjective=True), "$.x")
-    # the pattern on cells -2..2 restricted to each t's cone
-    problems = cli._cone_problems(dict(CONE_INSTANCE, initial={"pattern": [0, 1, 1, 0, 1]}), "$.x")
-    assert [p.horizon for p in problems] == [0, 1, 2]
-    assert [p.initial_symbols().tolist() for p in problems] == [[1], [1, 1, 0], [0, 1, 1, 0, 1]]
+        cli._cone_problem(dict(CONE_INSTANCE, surjective=True), "$.x")
 
 
 def test_verify_bounds_ok_and_failure_exit(tmp_path):
@@ -730,14 +726,14 @@ def test_check_pinsker_decides_in_nats(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["evolve-exact", "verify-bounds"])
-def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
-    # each t needs one exact window law, shared by the entropy floor and the
-    # Pinsker row, and the instance one surjectivity verdict; count the
-    # solves and the decisions wherever they are called from
+def test_exact_law_solved_once_per_instance(tmp_path, monkeypatch, kind):
+    # one solve gives every t's window law, shared by the entropy floor and
+    # the Pinsker row, and the instance has one surjectivity verdict; count
+    # the solves, the sweeps planned and the decisions wherever they are made
     from rcalab import analysis, cli, exact
 
-    solve, decide = exact.exact_window_marginal, analysis.test_surjective
-    calls, decisions = [], []
+    solve, decide, plan = exact.exact_window_marginal, analysis.test_surjective, exact._Sweep.__init__
+    calls, decisions, planned = [], [], []
 
     def counted(problem):
         calls.append(problem.horizon)
@@ -746,7 +742,8 @@ def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(cli, "exact_window_marginal", counted)
     monkeypatch.setattr(exact, "exact_window_marginal", counted)
     monkeypatch.setattr(analysis, "test_surjective", lambda rule: decisions.append(rule) or decide(rule))
-    horizon = 3
+    monkeypatch.setattr(exact._Sweep, "__init__", lambda self, *a: planned.append(a) or plan(self, *a))
+    horizon = 8
     instance = {
         "rule": {"elementary": 90}, "noise": NOISE,
         "window": {"hypercube": 2}, "horizon": horizon, "initial": "all-zeros",
@@ -760,7 +757,10 @@ def test_exact_law_solved_once_per_step(tmp_path, monkeypatch, kind):
         }
     cfg = write_config(tmp_path, doc)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert calls == list(range(horizon + 1))
+    assert calls == [horizon]
+    # from a point mass the first step is a product of kernel rows: one sweep
+    # per later step, where one problem per t planned 0 + 1 + ... + 7 = 28
+    assert len(planned) == horizon - 1
     assert len(decisions) == 1
 
 
@@ -920,9 +920,14 @@ def test_evolve_exact_pattern_initial_on_horizon_cone(tmp_path, capsys):
     assert [int(r["t"]) for r in rows] == [0, 1, 2]
     assert float(rows[0]["tv_to_uniform"]) == 0.75  # a point mass on 4 patterns
     rule, noise = build_elementary(90), noise_from_json(NOISE)
+    # the t = 2 row is the horizon's own law; the t = 1 row is a marginal of
+    # the cone law after one step, equal to its own solve up to rounding
     for t, sub in ((1, pattern[1:5]), (2, pattern)):
-        law = exact_window_marginal(ConeProblem(rule, noise, hypercube(2), t, sub))
-        assert float(rows[t]["H_nats"]) == entropy(law)
+        h = entropy(exact_window_marginal(ConeProblem(rule, noise, hypercube(2), t, sub))[-1])
+        if t == 2:
+            assert float(rows[t]["H_nats"]) == h
+        else:
+            assert abs(float(rows[t]["H_nats"]) - h) < 1e-12
 
     bad = dict(params, initial={"pattern": pattern[:4]})
     cfg = write_config(tmp_path, {"kind": "evolve-exact", "params": bad}, "bad.json")

@@ -50,7 +50,7 @@ OBJECTS = 64 * 1024
 
 def _from_zeros(rule, window, t):
     cone = dependence_cone(window, rule, t)
-    return exact_window_marginal(ConeProblem(rule, Q91, window, t, np.zeros(len(cone), dtype=np.int64)))
+    return exact_window_marginal(ConeProblem(rule, Q91, window, t, np.zeros(len(cone), dtype=np.int64)))[-1]
 
 
 def _from_law(rule, window, t):
@@ -58,7 +58,7 @@ def _from_law(rule, window, t):
     # solve declares only what it allocates
     cone = dependence_cone(window, rule, t)
     law = WindowDistribution(cone, Z2, np.random.default_rng(2).dirichlet(np.ones(2 ** len(cone))))
-    return lambda: exact_window_marginal(ConeProblem(rule, Q91, window, t, law))
+    return lambda: exact_window_marginal(ConeProblem(rule, Q91, window, t, law))[-1]
 
 
 def _push(rule, source, target):
@@ -190,12 +190,12 @@ def test_2d_sweep_holds_two_laws_and_the_kernels():
     # the cone tensor lies in two buffers of the largest law, 16 cells at
     # t = 1, and each reordered copy is made in the one the input is not in
     problem = ConeProblem(MOORE, Q91, hypercube(2, 2), 2, np.zeros(36, dtype=np.int64))
-    exact_window_marginal(problem)
+    exact_window_marginal(problem)[-1]
     law_bytes = 8 * 2 ** len(dependence_cone(hypercube(2, 2), MOORE, 1))
     kernel_bytes = 8 * 2 ** (len(MOORE.neighborhood) + 1)
     tracemalloc.start()
     try:
-        exact_window_marginal(problem)
+        exact_window_marginal(problem)[-1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -92,7 +92,7 @@ def test_empirical_marginal_matches_exact():
         R90, Q91, (16,), "all-zeros", 2, 100_000, 11, hypercube(2)
     )
     phat = window_pattern_counts(plan)[2] / plan.replicates
-    exact = exact_window_marginal(ConeProblem(R90, Q91, hypercube(2), 2, np.zeros(6, int)))
+    exact = exact_window_marginal(ConeProblem(R90, Q91, hypercube(2), 2, np.zeros(6, int)))[-1]
     z = np.abs(phat - exact.probs) / np.sqrt(exact.probs * (1 - exact.probs) / plan.replicates)
     assert z.max() <= 3.0
 
@@ -150,7 +150,7 @@ def test_mixing_matches_exact_rule90():
     for t in range(8):
         marg = exact_window_marginal(
             ConeProblem(R90, Q91, hypercube(2), t, np.zeros(2 + 2 * t, int))
-        )
+        )[-1]
         exact_curve.append(tv_to_uniform(marg))
     t_exact = next(t for t, d in enumerate(exact_curve) if d <= eps)
     fam = adversarial_family(R90, Q91, hypercube(2), horizon=10, replicates=50_000, seed=5)
@@ -173,7 +173,7 @@ def test_product_alphabet_exact_vs_mc():
     z22 = Alphabet((2, 2))
     noise = additive_noise(z22, [0.7, 0.1, 0.1, 0.1])
     rule = build_linear(z22, {-1: 1, 0: 1})
-    exact = exact_window_marginal(ConeProblem(rule, noise, CellSet([0]), 2, np.zeros(5, int)))
+    exact = exact_window_marginal(ConeProblem(rule, noise, CellSet([0]), 2, np.zeros(5, int)))[-1]
     plan = SimulationPlan(rule, noise, (8,), "all-zeros", 2, 50_000, 3, CellSet([0]))
     phat = window_pattern_counts(plan)[2] / plan.replicates
     z = np.abs(phat - exact.probs) / np.sqrt(exact.probs * (1 - exact.probs) / plan.replicates)
