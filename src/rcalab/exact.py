@@ -9,10 +9,12 @@ cell at a time, against the PCA local kernel phi(u, b) = q(b - f(u)) onto
 A + (s-1)N', so the rule and the noise are one batched matmul per target
 cell and every source cell is summed out after its last use.  The law after
 each step, marginalized onto A, is the window law at that step, so one pass
-gives the whole curve.  The same sweep serves every dimension.  A point-mass
-start skips the largest cone: its first step is a product of kernel rows.
-A solve plans every step before it allocates, then runs in two flat buffers
-of the largest tensor of the plan.
+gives the whole curve.  The same sweep serves every dimension.  From a
+point mass the law after the first step is a product of kernel rows, and it
+is never built: its window law is the product of the rows at A, and the
+first sweep takes each row in at its source cell's first use.  A solve
+plans every step before it allocates, then runs in two flat buffers of the
+largest tensor of the plan.
 """
 
 from __future__ import annotations
@@ -56,25 +58,32 @@ def dependence_cone(A: CellSet, rule: LocalRule, t: int) -> CellSet:
 def _light_cones(A: CellSet, rule: LocalRule, t: int) -> list[CellSet]:
     """A + s(N u {0}) for s = 0..t: the cells whose state s or fewer steps
     earlier can reach A, so each cone holds A and the next (A + sN when
-    0 is in N).  Each cone grows on the last, and the law on each lies in the
-    sweep's buffers, so a cone whose law alone breaks the budget is refused
-    as soon as it is built, before any larger one is."""
+    0 is in N).  Each cone grows on the last.  The law on every cone but the
+    last lies in the sweep's buffers (on the last only when the initial is a
+    law, which the plan counts), so a cone before the last whose law alone
+    breaks the budget is refused as soon as it is built, before any larger
+    one is."""
     offsets = np.array(sorted({*rule.neighborhood, (0,) * A.dim}), dtype=np.int64)
     cones = [A]
-    for _ in range(t):
+    for s in range(1, t + 1):
         cells = cones[-1].as_array()[:, None, :] + offsets
         cones.append(CellSet(cells.reshape(-1, A.dim), dim=A.dim))
-        _check_sweep_bytes(rule.alphabet.size ** len(cones[-1]), rule)
+        if s < t:
+            _check_sweep_bytes(rule.alphabet.size ** len(cones[-1]), rule)
     return cones
 
 
 class _Plan(NamedTuple):
-    """Every step of one solve, planned before anything is allocated: from a
-    point mass, the product of the kernel rows at `codes`, the neighbourhood
-    codes of the light cone A + (T-1)N'; then `sweeps`, the first from the
-    initial's cone when the initial is a law, each next one from the last
-    one's target, down to A.  After step t the law lies on `cones[t - 1]`.
-    `largest` is the most states a tensor of the solve holds."""
+    """Every step of one solve, planned before anything is allocated.  From
+    a point mass, `codes` are the neighbourhood codes of the cells of the
+    light cone A + (T-1)N': the law after step 1 is the product of the
+    kernel rows at those codes.  That law is never built: its window law is
+    the product of the rows at A, and the first of `sweeps` takes each row
+    in at its source cell's first use.  From a law, `codes` is None and the
+    first sweep runs from the initial's cone.  Each next sweep runs from the
+    last one's target, down to A.  After step t the law lies on
+    `cones[t - 1]`.  `largest` is the most states a tensor of the solve
+    holds."""
 
     codes: np.ndarray | None
     sweeps: list
@@ -112,8 +121,8 @@ class ConeProblem:
         size, symbols = self.rule.alphabet.size, self.initial_symbols()  # refuses an initial that does not fit
         if self.horizon == 0:
             return _Plan(None, [], [], 0)
-        # every cone's law is a tensor of the solve: a cone too large is
-        # refused before the sweeps, which cost about |cone|^2 each, are planned
+        # a cone too large is refused before the sweeps, which cost about
+        # |cone|^2 each, are planned
         cones = _light_cones(self.window, self.rule, self.horizon - 1)[::-1]
         steps, codes = list(zip(cones, cones[1:])), None
         if symbols is None:
@@ -121,9 +130,11 @@ class ConeProblem:
         else:
             slots = _neighbour_slots(self.cone(), self.rule, cones[0])
             codes = symbols[slots] @ pattern_strides(len(self.rule.neighborhood), size)
-        sweeps = [_Sweep(source, self.rule, target) for source, target in steps]
-        largest = max([sweep.largest for sweep in sweeps] + [size ** len(cones[0])] * (codes is not None))
-        return _Plan(codes, sweeps, cones, largest)
+        sweeps = [
+            _Sweep(source, self.rule, target, from_rows=codes is not None and i == 0)
+            for i, (source, target) in enumerate(steps)
+        ]
+        return _Plan(codes, sweeps, cones, max((sweep.largest for sweep in sweeps), default=0))
 
     def cone(self) -> CellSet:
         return dependence_cone(self.window, self.rule, self.horizon)
@@ -166,10 +177,15 @@ def _check_sweep_bytes(largest: int, rule: LocalRule, curve: int = 0) -> None:
 
 
 class _Step(NamedTuple):
-    """One target cell of a sweep: the tensor's axes in (kept, rest, done)
-    order, whether that view is a free reshape, its (kept, rest, done) state
-    counts, and the kernel's axes in (kept, done, output) order."""
+    """One target cell of a sweep: the (memory position, source slot) of
+    each row multiplied in as a new axis first and the (kernel axis, source
+    slot) of each row contracted into the kernel, the tensor's axes in
+    (kept, rest, done) order, whether that view is a free reshape, its
+    (kept, rest, done) state counts, and the kernel's axes in (kept, done,
+    output) order."""
 
+    grow: tuple
+    fold: tuple
     order: tuple
     free: bool
     shape: tuple
@@ -179,45 +195,61 @@ class _Step(NamedTuple):
 class _Sweep:
     """Plan of one application of the local kernel (one row per neighbourhood
     code, one column per output symbol) to a law on `source`, which must hold
-    target + N, marginalized onto `target`.
+    target + N, marginalized onto `target`.  With `from_rows` that law is a
+    product of per-cell rows and the tensor starts with no axes: a source
+    cell enters at its first use, as a row contracted into that target's
+    kernel when no later target uses it, else as a new axis multiplied in
+    right before that target's matmul.  A law's axes are all there from the
+    start, and its axes no target uses are summed out first.
 
-    Source axes no target uses are summed out first.  Then each target cell,
-    in canonical order, is one batched matmul: the cone tensor is viewed as
-    (kept, rest, done), where kept are the target's source axes that a later
-    target uses again, done those whose last user it is and rest all other
-    axes, and the kernel as (kept, done, Sigma).  The product (kept, rest,
-    Sigma) is the next tensor as it lies in memory, so the view is free
-    whenever each of the three groups is one run of memory axes, as in every
-    1D step; otherwise (2D) the reordered tensor is copied first.  Source
-    axes are labelled by their slot and output axes by ~j in a list kept in
-    memory order.  Output axes only ever sit in rest, which keeps its order,
-    and each new one goes last, so the result comes out in canonical target
-    order.  `largest` counts the states of every tensor the sweep writes:
-    the summed-out law, each copy and each product."""
+    Each target cell, in canonical order, is one batched matmul: the cone
+    tensor is viewed as (kept, rest, done), where kept are the target's
+    source axes that a later target uses again, done those whose last user
+    it is and rest all other axes, and the kernel as (kept, done, Sigma).
+    The product (kept, rest, Sigma) is the next tensor as it lies in memory,
+    so the view is free whenever each of the three groups is one run of
+    memory axes, as in every 1D step; otherwise (2D) the reordered tensor is
+    copied first.  Source axes are labelled by their slot and output axes by
+    ~j in a list kept in the memory order a law's tensor would have; the
+    tensor holds the labels `held`, in that order, so a new axis goes where
+    a law's would lie and a group that is one run for a law is one run here.
+    Output axes only ever sit in rest, which keeps its order, and each new
+    one goes last, so the result comes out in canonical target order.
+    `largest` counts the states of every tensor the sweep writes: the
+    summed-out law, each product with a row, each copy and each matmul."""
 
-    def __init__(self, source: CellSet, rule: LocalRule, target: CellSet):
+    def __init__(self, source: CellSet, rule: LocalRule, target: CellSet, from_rows: bool = False):
         size = rule.alphabet.size
         uses = _neighbour_slots(source, rule, target).tolist()
         last = {a: j for j, axes in enumerate(uses) for a in axes}
         labels = [a for a in range(len(source)) if a in last]
-        self.n_source, self.steps = len(source), []
-        self.unused = tuple(a for a in range(len(source)) if a not in last)
+        held = set() if from_rows else set(labels)
+        self.n_axes, self.steps = 0 if from_rows else len(source), []
+        self.unused = () if from_rows else tuple(a for a in range(len(source)) if a not in last)
         sizes = [size ** len(labels)] if self.unused else []
         for j, axes in enumerate(uses):
-            at = {a: i for i, a in enumerate(labels)}
-            done = [a for a in labels if last.get(a) == j]
-            kept = [a for a in labels if a in axes and last[a] != j]
-            rest = [a for a in labels if a not in axes]
+            grow, fold = [], [(axes.index(a), a) for a in axes if a not in held and last[a] == j]
+            for i, a in enumerate(labels):
+                if a in axes and a not in held and last[a] != j:
+                    grow.append((sum(b in held for b in labels[:i]), a))
+                    held.add(a)
+                    sizes.append(size ** len(held))
+            tensor = [a for a in labels if a in held]
+            at = {a: i for i, a in enumerate(tensor)}
+            done = [a for a in tensor if last.get(a) == j]
+            kept = [a for a in tensor if a in axes and last[a] != j]
+            rest = [a for a in tensor if a not in axes]
             order = [at[a] for a in kept + rest + done]
             starts = {len(kept), len(kept) + len(rest)}
             free = all(p in starts or order[p] == order[p - 1] + 1 for p in range(1, len(order)))
             if not free:
-                sizes.append(size ** len(labels))
+                sizes.append(size ** len(tensor))
             local = [axes.index(a) for a in kept + done] + [len(axes)]
             shape = (size ** len(kept), size ** len(rest), size ** len(done))
-            self.steps.append(_Step(tuple(order), free, shape, tuple(local)))
-            labels = kept + rest + [~j]
-            sizes.append(size ** len(labels))
+            self.steps.append(_Step(tuple(grow), tuple(fold), tuple(order), free, shape, tuple(local)))
+            labels = [a for a in labels if a in axes and last[a] != j] + [a for a in labels if a not in axes] + [~j]
+            held = {*kept, *rest, ~j}
+            sizes.append(size ** len(held))
         self.largest = max(sizes)
 
 
@@ -228,24 +260,36 @@ def _next(pair: list, shape) -> np.ndarray:
     return pair[0][: math.prod(shape)].reshape(shape)
 
 
-def _run_sweep(sweep: _Sweep, probs: np.ndarray, kernel: np.ndarray, pair: list) -> np.ndarray:
-    """Flat target law of a planned sweep of the flat law `probs`, computed in
-    pair's two flat buffers of at least sweep.largest states, with probs in
-    pair[0] or in neither.  Each tensor is written into the buffer that does
-    not hold its input, and the law comes back as a view of pair[0]."""
+def _run_sweep(sweep: _Sweep, probs: np.ndarray, kernel: np.ndarray, pair: list, rows=None) -> np.ndarray:
+    """Flat target law of a planned sweep of the flat law `probs` on the
+    sweep's starting axes (np.ones(1), the empty product, for a sweep from
+    `rows`, the kernel rows of the source cells), computed in pair's two
+    flat buffers of at least sweep.largest states, with probs in pair[0] or
+    in neither.  Each tensor is written into the buffer that does not hold
+    its input, and the law comes back as a view of pair[0]."""
     size = kernel.shape[-1]
-    tensor = probs.reshape((size,) * sweep.n_source)
+    tensor = probs.reshape((size,) * sweep.n_axes)
     if sweep.unused:
-        shape = (size,) * (sweep.n_source - len(sweep.unused))
+        shape = (size,) * (sweep.n_axes - len(sweep.unused))
         tensor = np.sum(tensor, axis=sweep.unused, out=_next(pair, shape))
     for step in sweep.steps:
+        for at, slot in step.grow:
+            flat = tensor.reshape(size ** at, 1, -1)
+            # an outer product as a matmul over one term, exact: a ufunc
+            # (np.multiply.outer, broadcast or strided) would allocate buffers
+            tensor = np.matmul(rows[slot][:, None], flat, out=_next(pair, (flat.shape[0], size, flat.shape[2])))
         view = tensor.reshape((size,) * len(step.order)).transpose(step.order)
         if not step.free:
             copy = _next(pair, view.shape)
             np.copyto(copy, view)
             view = copy
         kept, rest, done = step.shape
-        local = kernel.reshape((size,) * len(step.local)).transpose(step.local).reshape(kept, done, size)
+        # the kernel with the folded rows summed in, its axes in (kept, done, output) order
+        n_axes = len(step.local) + len(step.fold)
+        operands = [kernel.reshape((size,) * n_axes), list(range(n_axes))]
+        for axis, slot in step.fold:
+            operands += [rows[slot], [axis]]
+        local = np.einsum(*operands, list(step.local)).reshape(kept, done, size)
         # no copy: the reordered copy, or a view the plan marks free, lies as (kept, rest, done)
         tensor = np.matmul(view.reshape(step.shape), local, out=_next(pair, (kept, rest, size)))
         del local  # the next reordered kernel is made without this one
@@ -300,13 +344,15 @@ def _window_start(problem: ConeProblem) -> np.ndarray:
 
 def exact_window_marginal(problem: ConeProblem) -> list[WindowDistribution]:
     """Exact laws of X^t on the window for t = 0..horizon, a list indexed by
-    t, each step's cone law renormalized when float drift exceeds 1e-12.
+    t, each step's law renormalized when float drift exceeds 1e-12.
     The solve runs its plan once, in two flat buffers of the plan's largest
     tensor: each step is one sweep with the noisy local kernel onto the next
-    light cone, and from a point mass the first step is the outer product of
-    the kernel rows at the targets' neighbourhood codes, so no law on the
-    initial's cone is built.  After each step the cone law, which holds A,
-    is marginalized onto A out of place; at t = horizon that cone is A."""
+    light cone.  From a point mass the law after step 1, the product of the
+    kernel rows at the neighbourhood codes of A + (T-1)N', is never built:
+    the window law at t = 1 is the product of the rows at A, and the first
+    sweep takes each row in at its first use.  After each later step the
+    cone law, which holds A, is marginalized onto A out of place; at
+    t = horizon that cone is A."""
     rule, plan, window = problem.rule, problem._plan, problem.window
     size = rule.alphabet.size
     curve = np.empty((problem.horizon + 1, size ** len(window)))
@@ -315,22 +361,18 @@ def exact_window_marginal(problem: ConeProblem) -> list[WindowDistribution]:
         kernel = local_kernel(rule, problem.noise)
         pair = [np.empty(plan.largest), np.empty(plan.largest)]
         if plan.codes is None:
-            law, sweeps = problem.initial.probs, plan.sweeps
+            law, rows, start = problem.initial.probs, None, 1
         else:
             rows = kernel[plan.codes]
-            law = _next(pair, rows[0].shape)
-            np.copyto(law, rows[0])
-            for row in rows[1:]:
-                out = _next(pair, (law.size, row.size))
-                for symbol, p in enumerate(row):  # np.multiply.outer would allocate ufunc buffers
-                    np.multiply(law, p, out=out[:, symbol])
-                law = out.reshape(-1)
-            sweeps = [None] + plan.sweeps  # the product was step 1
-        for t, (sweep, cone) in enumerate(zip(sweeps, plan.cones), start=1):
-            if sweep is not None:
-                law = _run_sweep(sweep, law, kernel, pair)
+            at = {c: i for i, c in enumerate(plan.cones[0].cells)}
+            window_rows = rows[[at[c] for c in window.cells]]
+            curve[1] = WindowDistribution.product_of_cells(window, rule.alphabet, window_rows).probs
+            _renormalize(curve[1])
+            law, start = np.ones(1), 2  # the empty product: the first sweep starts with no axes
+        for t, sweep in enumerate(plan.sweeps, start=start):
+            law = _run_sweep(sweep, law, kernel, pair, rows)
             _renormalize(law)
-            curve[t] = marginalize_patterns(law, cone, window, size)
+            curve[t] = marginalize_patterns(law, plan.cones[t - 1], window, size)
     return [WindowDistribution(window, rule.alphabet, law) for law in curve]
 
 

@@ -126,7 +126,7 @@ def test_evolve_exact_horizon_1000_refused_before_planning(tmp_path, monkeypatch
     from rcalab import exact
 
     planned, plan = [], exact._Sweep.__init__
-    monkeypatch.setattr(exact._Sweep, "__init__", lambda self, *a: planned.append(a) or plan(self, *a))
+    monkeypatch.setattr(exact._Sweep, "__init__", lambda self, *a, **k: planned.append(a) or plan(self, *a, **k))
     params = dict(CONE_INSTANCE, window={"hypercube": 4}, horizon=1000)
     cfg = write_config(tmp_path, {"kind": "evolve-exact", "params": params})
     tracemalloc.start()
@@ -742,7 +742,7 @@ def test_exact_law_solved_once_per_instance(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(cli, "exact_window_marginal", counted)
     monkeypatch.setattr(exact, "exact_window_marginal", counted)
     monkeypatch.setattr(analysis, "test_surjective", lambda rule: decisions.append(rule) or decide(rule))
-    monkeypatch.setattr(exact._Sweep, "__init__", lambda self, *a: planned.append(a) or plan(self, *a))
+    monkeypatch.setattr(exact._Sweep, "__init__", lambda self, *a, **k: planned.append(a) or plan(self, *a, **k))
     horizon = 8
     instance = {
         "rule": {"elementary": 90}, "noise": NOISE,
@@ -758,8 +758,9 @@ def test_exact_law_solved_once_per_instance(tmp_path, monkeypatch, kind):
     cfg = write_config(tmp_path, doc)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert calls == [horizon]
-    # from a point mass the first step is a product of kernel rows: one sweep
-    # per later step, where one problem per t planned 0 + 1 + ... + 7 = 28
+    # from a point mass t = 1 is the product of the kernel rows at A and the
+    # first sweep takes the rows in itself: one sweep per later step, where
+    # one problem per t planned 0 + 1 + ... + 7 = 28
     assert len(planned) == horizon - 1
     assert len(decisions) == 1
 
