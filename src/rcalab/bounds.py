@@ -200,29 +200,10 @@ def check_block_superadditivity(
     check_bytes(2 * 8 * size ** len(big), f"the joint law on {len(big)} cells")
     if padding is None:
         padding = np.full(size, 1.0 / size)
-    padding = np.asarray(padding, dtype=np.float64)
-    block_cells = set()
-    for q in layout.blocks:
-        block_cells |= set(q.cells)
-
-    # Assemble as an outer product (blocks first, then padding cells), then
-    # permute axes into the canonical cell order of S_m.
-    tensors = []
-    axis_cells = []
-    n_cells = len(block.window)
-    for q in layout.blocks:
-        tensors.append(block.probs.reshape((size,) * n_cells))
-        axis_cells.extend(q.cells)
-    pad_cells = [c for c in big.cells if c not in block_cells]
-    for c in pad_cells:
-        tensors.append(padding)
-        axis_cells.append(c)
-    joint = tensors[0]
-    for tns in tensors[1:]:
-        joint = np.multiply.outer(joint, tns)
-    order = [axis_cells.index(c) for c in big.cells]
-    joint = np.transpose(joint, order).reshape(-1)
-    assembled = WindowDistribution(big, block.alphabet, joint)
+    # the blocks first, then each padding cell, reordered into S_m's cell order
+    block_cells = {c for q in layout.blocks for c in q.cells}
+    pads = [(CellSet([c], dim=d), padding) for c in big.cells if c not in block_cells]
+    assembled = WindowDistribution.product(block.alphabet, [(q, block.probs) for q in layout.blocks] + pads)
 
     lhs = deficiency(assembled)
     rhs = (k ** d) * deficiency(block)

@@ -344,7 +344,4 @@ def network_from_json(doc: dict) -> ReversibleNetwork:
             else:
                 raise ValueError(f"unknown gate kind {name!r}")
         layers.append(tuple(gates))
-    schedule = doc.get("schedule", "cycle")
-    if isinstance(schedule, list):
-        schedule = tuple(schedule)
-    return ReversibleNetwork(int(doc["sites"]), alphabet, tuple(layers), schedule)
+    return ReversibleNetwork(int(doc["sites"]), alphabet, tuple(layers), doc.get("schedule", "cycle"))

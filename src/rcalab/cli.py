@@ -134,7 +134,7 @@ def _parse_window(doc: dict, rule: LocalRule) -> CellSet:
     if "hypercube" in doc:
         window = hypercube(int(doc["hypercube"]), int(doc.get("dim", rule.dim)))
     else:  # CellSet refuses cells of mixed dimensions, or of another dimension than a dim given
-        window = CellSet([tuple(c) if isinstance(c, list) else c for c in doc["cells"]], doc.get("dim"))
+        window = CellSet(doc["cells"], doc.get("dim"))
     if window.dim != rule.dim:
         raise ValueError(f"a {window.dim}D window on a {rule.dim}D rule")
     return window

@@ -97,17 +97,30 @@ class WindowDistribution:
         return cls(window, alphabet, probs)
 
     @classmethod
+    def product(cls, alphabet, parts):
+        """Joint law of independent laws on disjoint windows: `parts` are
+        (window, flat law) pairs, multiplied in the order given, and the
+        axes are then reordered into the union's canonical cell order."""
+        parts = [(window, np.asarray(p, dtype=np.float64)) for window, p in parts]
+        cells = [c for window, _ in parts for c in window.cells]
+        union = CellSet(cells, dim=parts[0][0].dim)
+        if len(union) != len(cells):
+            raise ValueError("the windows of independent laws must be disjoint")
+        check_bytes(8 * alphabet.size ** len(union), "a window law")
+        probs = np.ones(1)
+        for _, p in parts:
+            probs = np.multiply.outer(probs, p).reshape(-1)
+        at = {c: i for i, c in enumerate(cells)}
+        order = [at[c] for c in union.cells]
+        return cls(union, alphabet, probs.reshape((alphabet.size,) * len(cells)).transpose(order).reshape(-1))
+
+    @classmethod
     def product_of_cells(cls, window, alphabet, cell_laws):
         """Independent per-cell laws assembled into a joint distribution
         (cell_laws in the window's canonical cell order)."""
-        cell_laws = [np.asarray(p, dtype=np.float64) for p in cell_laws]
         if len(cell_laws) != len(window):
             raise ValueError("one per-cell law per window cell required")
-        check_bytes(8 * alphabet.size ** len(window), "a window law")
-        probs = np.ones(1)
-        for p in cell_laws:
-            probs = np.multiply.outer(probs, p).reshape(-1)
-        return cls(window, alphabet, probs)
+        return cls.product(alphabet, [(CellSet([c], dim=window.dim), p) for c, p in zip(window.cells, cell_laws)])
 
     def marginal(self, sub_window: CellSet) -> "WindowDistribution":
         """Exact marginal on a subset of the window's cells."""

@@ -10,11 +10,13 @@ A + (s-1)N', so the rule and the noise are one batched matmul per target
 cell and every source cell is summed out after its last use.  The law after
 each step, marginalized onto A, is the window law at that step, so one pass
 gives the whole curve.  The same sweep serves every dimension.  From a
-point mass the law after the first step is a product of kernel rows, and it
-is never built: its window law is the product of the rows at A, and the
-first sweep takes each row in at its source cell's first use.  A solve
-plans every step before it allocates, then runs in two flat buffers of the
-largest tensor of the plan.
+point mass the window laws at t = 0 and t = 1 are products of rows, one-hot
+rows of the start's symbols and kernel rows, and the law on the cone after
+the first step is never built: the first sweep takes each kernel row in at
+its source cell's first use.  A solve plans every step before it allocates,
+then one runner (`_Plan.run`) takes the plan's sweeps in two flat buffers of
+its largest tensor; a deterministic pushforward is a one-sweep plan run the
+same way.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .bounds import SLACK, BoundReport
 from .entropy import WindowDistribution, check_bytes, entropy
-from .lattice import CellSet, decode_patterns, marginalize_patterns, moore, moore_boundary, pattern_strides
+from .lattice import CellSet, marginalize_patterns, moore, moore_boundary, pattern_strides
 from .noise import NoiseModel, channel_matrix, convolve_sites, kappa, local_kernel
 from .rules import LocalRule
 
@@ -74,21 +76,32 @@ def _light_cones(A: CellSet, rule: LocalRule, t: int) -> list[CellSet]:
 
 
 class _Plan(NamedTuple):
-    """Every step of one solve, planned before anything is allocated.  From
-    a point mass, `codes` are the neighbourhood codes of the cells of the
-    light cone A + (T-1)N': the law after step 1 is the product of the
-    kernel rows at those codes.  That law is never built: its window law is
-    the product of the rows at A, and the first of `sweeps` takes each row
-    in at its source cell's first use.  From a law, `codes` is None and the
-    first sweep runs from the initial's cone.  Each next sweep runs from the
-    last one's target, down to A.  After step t the law lies on
-    `cones[t - 1]`.  `largest` is the most states a tensor of the solve
-    holds."""
+    """Every step of one solve, or the one sweep of a pushforward, planned
+    before anything is allocated.  From a point mass, `codes` are the
+    neighbourhood codes of the cells of the light cone A + (T-1)N': the law
+    after step 1 is the product of the kernel rows at those codes.  That law
+    is never built: its window law is the product of the rows at A, and the
+    first of `sweeps` takes each row in at its source cell's first use.
+    From a law, `codes` is None and the first sweep runs from the initial's
+    cone.  Each next sweep runs from the last one's target, down to A.
+    After step t the law lies on `cones[t - 1]`.  `largest` is the most
+    states a tensor of the solve holds."""
 
     codes: np.ndarray | None
     sweeps: list
     cones: list
     largest: int
+
+    def run(self, law: np.ndarray, kernel: np.ndarray, rows=None):
+        """Yield the flat law after each sweep, run from the flat law `law`
+        (np.ones(1), the empty product, when the first sweep takes `rows`,
+        the kernel rows at `codes`) in two flat buffers of `largest` states
+        that only this runner holds.  A yielded law is a view of one buffer,
+        which the caller may change in place before the next sweep reads it."""
+        pair = [np.empty(self.largest), np.empty(self.largest)]
+        for sweep in self.sweeps:
+            law = _run_sweep(sweep, law, kernel, pair, rows)
+            yield law
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +109,8 @@ class ConeProblem:
     """Exact-evolution instance: window A observed at times 0..horizon, with
     the initial condition given on moore(A, r*horizon) (`dependence_cone`).
 
-    `initial` may be an int pattern code on the cone, a per-cell symbol array
-    in the cone's canonical cell order, or a WindowDistribution on the cone.
+    `initial` is a point mass, given as a per-cell symbol array in the
+    cone's canonical cell order, or a WindowDistribution on the cone.
     """
 
     rule: LocalRule
@@ -147,10 +160,6 @@ class ConeProblem:
             if self.initial.window != cone:
                 raise ValueError("initial distribution must cover the dependence cone")
             return None
-        if isinstance(self.initial, (int, np.integer)):
-            if not 0 <= self.initial < size ** len(cone):
-                raise ValueError("initial pattern code out of range")
-            return decode_patterns(int(self.initial), len(cone), size)
         symbols = np.asarray(self.initial, dtype=np.int64)
         if symbols.shape != (len(cone),):
             raise ValueError(f"point initial must give {len(cone)} symbols, one per cone cell")
@@ -296,24 +305,17 @@ def _run_sweep(sweep: _Sweep, probs: np.ndarray, kernel: np.ndarray, pair: list,
     return tensor.reshape(-1)
 
 
-def _sweep(dist: WindowDistribution, rule: LocalRule, target: CellSet, kernel) -> WindowDistribution:
-    """Law on `target` of one application of the local kernel to `dist`
-    (`_Sweep`), in two buffers of its own."""
-    sweep = _Sweep(dist.window, rule, target)
-    _check_sweep_bytes(sweep.largest, rule)
-    pair = [np.empty(sweep.largest), np.empty(sweep.largest)]
-    law = _run_sweep(sweep, dist.probs, kernel, pair)
-    del pair[1]  # the law lies in pair[0]
-    return WindowDistribution(target, rule.alphabet, law.copy())
-
-
 def push_deterministic(
     dist: WindowDistribution, rule: LocalRule, target: CellSet
 ) -> WindowDistribution:
     """Exact pushforward of a window law through one deterministic rule
     application, marginalized onto `target` (requires target + N inside the
-    source window)."""
-    return _sweep(dist, rule, target, np.eye(rule.alphabet.size)[rule.table])
+    source window): a one-sweep plan, run as a solve's are."""
+    sweep = _Sweep(dist.window, rule, target)
+    _check_sweep_bytes(sweep.largest, rule)
+    # unpacking runs the plan to its end, which frees the buffer the law is not in
+    (law,) = _Plan(None, [sweep], [target], sweep.largest).run(dist.probs, np.eye(rule.alphabet.size)[rule.table])
+    return WindowDistribution(target, rule.alphabet, law.copy())
 
 
 def convolve_noise(dist: WindowDistribution, noise: NoiseModel) -> WindowDistribution:
@@ -330,47 +332,40 @@ def _renormalize(law: np.ndarray) -> None:
         law /= total
 
 
-def _window_start(problem: ConeProblem) -> np.ndarray:
-    """The law of X^0 on the window: the initial's marginal there, made
-    without a law on the initial's cone when the initial is a point mass."""
-    cone, window, size = problem.cone(), problem.window, problem.rule.alphabet.size
-    symbols = problem.initial_symbols()
-    if symbols is None:
-        return marginalize_patterns(problem.initial.probs, cone, window, size)
-    at = {c: i for i, c in enumerate(cone.cells)}
-    code = symbols[[at[c] for c in window.cells]] @ pattern_strides(len(window), size)
-    return WindowDistribution.point_mass(window, problem.rule.alphabet, code).probs
+def _product_of_rows(cells: CellSet, rows: np.ndarray, window: CellSet, alphabet) -> np.ndarray:
+    """Flat law on `window` of independent cells, each with its row of
+    `rows`, one row per cell of `cells`, which holds the window."""
+    at = {c: i for i, c in enumerate(cells.cells)}
+    return WindowDistribution.product_of_cells(window, alphabet, rows[[at[c] for c in window.cells]]).probs
 
 
 def exact_window_marginal(problem: ConeProblem) -> list[WindowDistribution]:
     """Exact laws of X^t on the window for t = 0..horizon, a list indexed by
-    t, each step's law renormalized when float drift exceeds 1e-12.
-    The solve runs its plan once, in two flat buffers of the plan's largest
-    tensor: each step is one sweep with the noisy local kernel onto the next
-    light cone.  From a point mass the law after step 1, the product of the
-    kernel rows at the neighbourhood codes of A + (T-1)N', is never built:
-    the window law at t = 1 is the product of the rows at A, and the first
-    sweep takes each row in at its first use.  After each later step the
-    cone law, which holds A, is marginalized onto A out of place; at
-    t = horizon that cone is A."""
+    t, each step's law renormalized when float drift exceeds 1e-12.  The
+    solve runs its plan once (`_Plan.run`): each step is one sweep with the
+    noisy local kernel onto the next light cone, whose law, which holds A,
+    is marginalized onto A out of place; at t = horizon that cone is A.
+    From a point mass the window laws at t = 0 and t = 1 are products of
+    rows at A, one-hot rows of the start's symbols and kernel rows; the law
+    after step 1, on A + (T-1)N', is never built, as the first sweep takes
+    each kernel row in at its first use."""
     rule, plan, window = problem.rule, problem._plan, problem.window
-    size = rule.alphabet.size
+    size, symbols = rule.alphabet.size, problem.initial_symbols()
     curve = np.empty((problem.horizon + 1, size ** len(window)))
-    curve[0] = _window_start(problem)
+    if symbols is None:
+        curve[0] = problem.initial.marginal(window).probs
+    else:
+        curve[0] = _product_of_rows(problem.cone(), np.eye(size)[symbols], window, rule.alphabet)
     if problem.horizon > 0:
         kernel = local_kernel(rule, problem.noise)
-        pair = [np.empty(plan.largest), np.empty(plan.largest)]
         if plan.codes is None:
             law, rows, start = problem.initial.probs, None, 1
         else:
             rows = kernel[plan.codes]
-            at = {c: i for i, c in enumerate(plan.cones[0].cells)}
-            window_rows = rows[[at[c] for c in window.cells]]
-            curve[1] = WindowDistribution.product_of_cells(window, rule.alphabet, window_rows).probs
+            curve[1] = _product_of_rows(plan.cones[0], rows, window, rule.alphabet)
             _renormalize(curve[1])
             law, start = np.ones(1), 2  # the empty product: the first sweep starts with no axes
-        for t, sweep in enumerate(plan.sweeps, start=start):
-            law = _run_sweep(sweep, law, kernel, pair, rows)
+        for t, law in enumerate(plan.run(law, kernel, rows), start=start):
             _renormalize(law)
             curve[t] = marginalize_patterns(law, plan.cones[t - 1], window, size)
     return [WindowDistribution(window, rule.alphabet, law) for law in curve]

@@ -49,7 +49,11 @@ class NoiseModel:
     kind "permutation": perms (the rows of perm_table) is a stack of
     permutations of Sigma and q the law over them; the induced channel matrix
     must be doubly stochastic with all entries positive.  The permutation kind
-    is an extension; bound validation in this lab is additive-only.
+    is an extension of the paper's theorem, which is stated for additive
+    noise.  The bound checks accept it: a permutation channel C is doubly
+    stochastic, so C = kappa U + (1-kappa) C' with U the uniform channel and C'
+    doubly stochastic, and the noise lemma holds for it by concavity of
+    entropy.
     thresholds is the read-only uint64 array word_threshold(cumsum(q)[:-1])
     that add_noise_index compares 64-bit words with: a word is >= its k-th
     entry exactly when the uniform Generator.random makes of it is >= the

@@ -224,4 +224,4 @@ def rule_from_json(doc: dict) -> LocalRule:
         if declared and declared != rule.neighborhood:
             raise ValueError("declared neighborhood does not match linear coefficients")
         return rule
-    return LocalRule(alphabet, [tuple(a) for a in doc["neighborhood"]], doc["table"])
+    return LocalRule(alphabet, doc["neighborhood"], doc["table"])

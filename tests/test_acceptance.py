@@ -46,7 +46,7 @@ def test_criterion_1_closed_form_decay():
     start = time.time()
     # exact engine: TV(X^t, uniform) = 0.8^t / 2 within 1e-12
     for t in range(21):
-        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, 0))[-1]
+        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, np.zeros(1, int)))[-1]
         assert abs(tv_to_uniform(marginal) - 0.8 ** t / 2) < 1e-12
     # Monte Carlo at R = 1e5 within 3 sigma (pinned seed)
     plan = SimulationPlan(IDENTITY, Q91, (4,), "all-zeros", 20, 100_000, 31, CellSet([0]))
@@ -105,7 +105,7 @@ def test_criterion_4_pinsker_end_to_end():
     worst_gap = math.inf
     # every exact output of criterion 1
     for t in range(21):
-        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, 0))[-1]
+        marginal = exact_window_marginal(ConeProblem(IDENTITY, Q91, CellSet([0]), t, np.zeros(1, int)))[-1]
         bound = pinsker_bound(marginal)
         assert tv_to_uniform(marginal) <= bound + 1e-12
         worst_gap = min(worst_gap, bound - tv_to_uniform(marginal))

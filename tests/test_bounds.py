@@ -21,9 +21,9 @@ from rcalab.bounds import (
 )
 from rcalab.entropy import WindowDistribution, entropy_vec
 from rcalab.exact import leakage_constants
-from rcalab.lattice import Alphabet, hypercube, moore, translate
+from rcalab.lattice import Alphabet, CellSet, hypercube, moore, translate
 from rcalab.noise import NoiseModel, additive_noise, channel_matrix, kappa
-from rcalab.rules import build_elementary
+from rcalab.rules import build_elementary, build_linear
 
 Z2 = Alphabet((2,))
 Z3 = Alphabet((3,))
@@ -319,3 +319,18 @@ def test_bound_report_json():
     rep = BoundReport("x/y", np.float64(1.0), np.float64(2.0), np.bool_(True), {"k": np.int64(3)})
     doc = json.loads(json.dumps(rep.to_dict()))
     assert doc == {"claim": "x/y", "lhs": 1.0, "rhs": 2.0, "ok": True, "params": {"k": 3}}
+
+
+# refusals no other test reaches, (message pattern, call)
+BOUNDS_REFUSALS = {
+    "n and k must be positive": lambda: bootstrap_layout(0, 1, 1, 1, 1),
+    "r and t must be non-negative": lambda: bootstrap_layout(1, 1, -1, 1, 1),
+    "hypercube S_n anchored at 0": lambda: check_block_superadditivity(WindowDistribution.uniform(CellSet([1, 2]), Z2), 2),
+    "vanish for radius-0 rules": lambda: proof_rate_constants(build_linear(Z2, {0: 1}), Q91),
+}
+
+
+@pytest.mark.parametrize("message", sorted(BOUNDS_REFUSALS))
+def test_bounds_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        BOUNDS_REFUSALS[message]()

@@ -431,3 +431,23 @@ def test_worst_case_curve_builds_each_layer_once_across_batches(monkeypatch):
     calls = _count_layer_builds(monkeypatch)
     worst_case_curve(net, Q91, 7)
     assert sorted(calls) == [0, 1]
+
+
+CNOT = ControlledAdd(0, 1)
+# refusals no other test reaches, (message pattern, call)
+CIRCUIT_REFUSALS = {
+    "at least one non-empty layer": lambda: ReversibleNetwork(2, Z2, ((CNOT,), ())),
+    "unknown schedule": lambda: ReversibleNetwork(2, Z2, ((CNOT,),), "sometimes"),
+    "indexed from t = 1": lambda: ReversibleNetwork(2, Z2, ((CNOT,),)).layer_index_at(0),
+    "noise and network alphabets differ": lambda: evolve_chain_exact(
+        WindowDistribution.point_mass(hypercube(2), Z2, 0), ReversibleNetwork(2, Z2, ((CNOT,),)),
+        additive_noise(Z3, [0.5, 0.25, 0.25]), 1,
+    ),
+    "at least two sites": lambda: alternating_cnot_network(1),
+}
+
+
+@pytest.mark.parametrize("message", sorted(CIRCUIT_REFUSALS))
+def test_circuit_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        CIRCUIT_REFUSALS[message]()

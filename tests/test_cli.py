@@ -998,3 +998,30 @@ def test_writer_refuses_non_finite_before_opening(tmp_path, fmt, method, bad):
     with pytest.raises(ValueError):
         getattr(writer, method)("out", *args)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_exact_labels_a_window_that_is_no_hypercube(tmp_path):
+    params = dict(CONE_INSTANCE, window={"cells": [0, 2]}, horizon=1)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"kind": "evolve-exact", "params": params})
+    assert main(["evolve-exact", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "evolve-exact.csv")
+    assert [r["window"] for r in rows] == ["cells(2)", "cells(2)"]
+
+
+def test_decay_envelope_skips_steps_before_its_gate(tmp_path):
+    # n = 1, so the gate t >= a log n + b is t >= b: t = 0, 1 are not checked
+    doc = {
+        "kind": "verify-bounds", "seed": 1,
+        "params": {"checks": ["decay-envelope"], "decay_instance": dict(DECAY_INSTANCE, b=2.0)},
+    }
+    out = tmp_path / "out"
+    assert main(["verify-bounds", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    reports = [json.loads(line) for line in (out / "verify-bounds.jsonl").read_text().splitlines()[1:]]
+    assert [r["params"]["t"] for r in reports] == [2]
+
+
+def test_bad_usage_exits_with_the_config_code():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate"])
+    assert exit_info.value.code == EXIT_CONFIG

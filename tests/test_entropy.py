@@ -12,6 +12,7 @@ from rcalab.entropy import (
     entropy_rows,
     entropy_vec,
     estimate_entropy,
+    mixing_time,
     pinsker_bound,
     tv_to_uniform,
     tv_vec,
@@ -230,3 +231,21 @@ def test_admitted_negative_entry_is_stored_as_zero():
     assert entropy(law) == pytest.approx(_masked_entropy(probs), abs=1e-14)
     clean = np.array([0.25, 0.0, 0.25, 0.5])
     assert WindowDistribution(hypercube(2), Z2, clean).probs is clean
+
+
+HALF = [0.5, 0.5]
+# refusals no other test reaches, (message pattern, call)
+ENTROPY_REFUSALS = {
+    "must have 4 entries": lambda: WindowDistribution(hypercube(2), Z2, np.full(3, 1 / 3)),
+    "one per-cell law per window cell": lambda: WindowDistribution.product_of_cells(hypercube(2), Z2, [HALF]),
+    "windows of independent laws must be disjoint": lambda: WindowDistribution.product(
+        Z2, [(hypercube(2), np.full(4, 0.25)), (CELL, HALF)]
+    ),
+    "epsilon must be in": lambda: mixing_time([0.5, 0.1], 1.0),
+}
+
+
+@pytest.mark.parametrize("message", sorted(ENTROPY_REFUSALS))
+def test_entropy_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        ENTROPY_REFUSALS[message]()

@@ -9,7 +9,6 @@ from rcalab.exact import (
     ConeProblem,
     _light_cones,
     _neighbour_slots,
-    _sweep,
     check_evolution_bound,
     check_surjective_step_bound,
     convolve_noise,
@@ -38,7 +37,7 @@ def test_dependence_cone_examples():
 
 def test_identity_chain_closed_form():
     for t in range(0, 8):
-        marginal = exact_window_marginal(ConeProblem(IDENT, Q91, CellSet([0]), t, 0))[-1]
+        marginal = exact_window_marginal(ConeProblem(IDENT, Q91, CellSet([0]), t, np.zeros(1, int)))[-1]
         p1 = (1 - 0.8 ** t) / 2
         assert marginal.probs == pytest.approx([1 - p1, p1], abs=1e-14)
 
@@ -53,14 +52,13 @@ def test_initial_forms_agree():
     pattern = np.array([0, 1, 1, 0, 1])
     code = int("".join(map(str, pattern)), 2)
     a = exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 2, pattern))[-1]
-    b = exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 2, code))[-1]
     point = WindowDistribution.point_mass(cone, Z2, code)
-    c = exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 2, point))[-1]
-    assert np.allclose(a.probs, b.probs) and np.allclose(b.probs, c.probs)
+    b = exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 2, point))[-1]
+    assert np.allclose(a.probs, b.probs)
 
 
 def test_point_initial_outside_alphabet_rejected():
-    # three cone cells: codes 0..7, symbols 0..1
+    # three cone cells, symbols 0..1; an int is not a symbol array
     for initial in (8, -1, np.array([0, 2, 0]), np.array([0, -1, 0])):
         with pytest.raises(ValueError):
             exact_window_marginal(ConeProblem(R90, Q91, CellSet([0]), 1, initial))[-1]
@@ -113,7 +111,7 @@ def test_leakage_constants_examples():
 
 def test_evolution_bound_vacuous_cases():
     # t = 0: rhs = -c_tilde <= 0 <= lhs
-    problem = ConeProblem(R90, Q91, hypercube(1), 0, 0)
+    problem = ConeProblem(R90, Q91, hypercube(1), 0, np.zeros(1, int))
     res = check_evolution_bound(problem, problem.horizon, exact_window_marginal(problem)[-1], True)
     assert res.ok and res.rhs <= 0 <= res.lhs + 1e-12
     # single cell: c_tilde = 24 ln 2 > h_max, bound vacuous but ok
@@ -209,12 +207,12 @@ def test_pinsker_on_exact_outputs():
 
 def test_cap_enforced():
     with pytest.raises(CapExceededError):
-        ConeProblem(R90, Q91, hypercube(2), 20, 0)
+        ConeProblem(R90, Q91, hypercube(2), 20, np.zeros(42, int))
 
 
 def test_renormalization_drift():
     # long horizons stay normalized
-    marginal = exact_window_marginal(ConeProblem(IDENT, Q91, CellSet([0]), 200, 0))[-1]
+    marginal = exact_window_marginal(ConeProblem(IDENT, Q91, CellSet([0]), 200, np.zeros(1, int)))[-1]
     assert marginal.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert marginal.probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
@@ -292,14 +290,13 @@ AGREEMENT_CASES = {
 
 
 def _initials(rule, window, t, seed):
-    """Code, symbol-array and WindowDistribution initials on the cone."""
+    """Symbol-array and WindowDistribution initials on the cone."""
     cone = dependence_cone(window, rule, t)
     rng = np.random.default_rng(seed)
     size = rule.alphabet.size
     symbols = rng.integers(0, size, size=len(cone))
-    code = int(symbols @ pattern_strides(len(cone), size))
     law = WindowDistribution(cone, rule.alphabet, rng.dirichlet(np.ones(size ** len(cone))))
-    return {"symbols": symbols, "code": code, "law": law}
+    return {"symbols": symbols, "law": law}
 
 
 @pytest.mark.parametrize("name", sorted(AGREEMENT_CASES))
@@ -428,16 +425,19 @@ def test_sweep_matches_einsum_oracle(name, seed):
     kernel = local_kernel(rule, noise)
     rng = np.random.default_rng(seed)
     size = alphabet.size
-    # one sweep from a law on a source window wider than target + N, so some
-    # source axes have no user, with the noisy and the deterministic kernel
+    # one deterministic sweep from a law on a source window wider than
+    # target + N, so some source axes have no user
     source = moore(window, rule.radius + 1)
     if size ** len(source) > 2 ** 16:
         source = moore(window, rule.radius)
     law = WindowDistribution(source, alphabet, rng.dirichlet(np.ones(size ** len(source))))
-    for k in (kernel, np.eye(size)[rule.table]):
-        got = _sweep(law, rule, window, k)
-        assert got.window == window
-        assert np.abs(got.probs - _einsum_sweep(law, rule, window, k).probs).max() < 1e-12
+    got = push_deterministic(law, rule, window)
+    assert got.window == window
+    assert np.abs(got.probs - _einsum_sweep(law, rule, window, np.eye(size)[rule.table]).probs).max() < 1e-12
+    # the noisy kernel through a horizon-1 solve, from a law on moore(A, r)
+    law = law.marginal(moore(window, rule.radius))
+    got = exact_window_marginal(ConeProblem(rule, noise, window, 1, law))[-1]
+    assert np.abs(got.probs - _einsum_sweep(law, rule, window, kernel).probs).max() < 1e-12
 
 
 # The sweep runs on the light cones A + s(N u {0}), the cells whose state s
@@ -553,11 +553,12 @@ def test_curve_agrees_with_per_t_solves(name):
             assert np.abs(law.probs - want).max() < 1e-12, (name, t, form)
 
 
-def _moore_target_marginal(problem, step):
+def _moore_target_marginal(problem, engine):
     """The solve with every target a Moore ball moore(A, r*(s-1)): from a
     point mass, the product of kernel rows on moore(A, r*(T-1)), then one
-    `step(dist, rule, target, kernel)` per t, renormalized by division as
-    the solve is."""
+    step per t, renormalized by division as the solve is.  A step is a
+    horizon-1 solve from the law when `engine`, which runs the same _Sweep
+    and renormalizes in place, else the einsum oracle."""
     rule, kernel = problem.rule, local_kernel(problem.rule, problem.noise)
     symbols = problem.initial_symbols()
     dist = _initial_law(problem) if symbols is None or problem.horizon == 0 else None
@@ -567,8 +568,10 @@ def _moore_target_marginal(problem, step):
             slots = _neighbour_slots(problem.cone(), rule, target)
             rows = kernel[symbols[slots] @ pattern_strides(len(rule.neighborhood), rule.alphabet.size)]
             dist = WindowDistribution.product_of_cells(target, rule.alphabet, rows)
+        elif engine:
+            dist = exact_window_marginal(ConeProblem(rule, problem.noise, target, 1, dist))[-1]
         else:
-            dist = step(dist, rule, target, kernel)
+            dist = _einsum_sweep(dist, rule, target, kernel)
         if abs(float(dist.probs.sum()) - 1.0) > 1e-12:
             dist = WindowDistribution(dist.window, dist.alphabet, dist.probs / dist.probs.sum())
     return dist
@@ -582,7 +585,7 @@ def test_light_cone_law_matches_moore_target_oracle(name):
         for form, initial in _small_initials(rule, window, t, 20 + t).items():
             problem = ConeProblem(rule, noise, window, t, initial)
             got = exact_window_marginal(problem)[-1]
-            want = _moore_target_marginal(problem, _einsum_sweep)
+            want = _moore_target_marginal(problem, engine=False)
             assert got.window == want.window == window
             assert np.abs(got.probs - want.probs).max() < 1e-12, (name, t, form)
 
@@ -601,7 +604,7 @@ def test_full_moore_laws_bit_identical_to_moore_target_sweeps(name):
         for form, initial in _initials(rule, window, t, 30 + t).items():
             problem = ConeProblem(rule, noise, window, t, initial)
             got = exact_window_marginal(problem)[-1].probs
-            want = _moore_target_marginal(problem, _sweep).probs
+            want = _moore_target_marginal(problem, engine=True).probs
             if form == "law":
                 assert np.array_equal(got, want), (name, t, form)
             else:
@@ -612,11 +615,11 @@ def test_rule30_laws_bit_identical_to_moore_target_sweeps():
     cone = dependence_cone(hypercube(4), build_elementary(30), 4)
     law = WindowDistribution(cone, Z2, np.random.default_rng(31).dirichlet(np.ones(2 ** len(cone))))
     problem = ConeProblem(build_elementary(30), Q91, hypercube(4), 4, law)
-    assert np.array_equal(exact_window_marginal(problem)[-1].probs, _moore_target_marginal(problem, _sweep).probs)
+    assert np.array_equal(exact_window_marginal(problem)[-1].probs, _moore_target_marginal(problem, engine=True).probs)
     for t in range(9):
         problem = ConeProblem(build_elementary(30), Q91, hypercube(4), t, np.zeros(4 + 2 * t, dtype=np.int64))
         got = exact_window_marginal(problem)[-1].probs
-        assert np.abs(got - _moore_target_marginal(problem, _sweep).probs).max() < 1e-12, t
+        assert np.abs(got - _moore_target_marginal(problem, engine=True).probs).max() < 1e-12, t
 
 
 # point-mass cases of every neighbourhood shape, (rule, window, horizon)
@@ -654,7 +657,7 @@ def test_point_mass_curve_matches_moore_target_oracle(name):
     for T in sorted({1, 2, max(horizons)}):
         problem = ConeProblem(rule, noise, window, T, _small_initials(rule, window, T, 70 + T)["symbols"])
         for t, law in enumerate(exact_window_marginal(problem)):
-            want = _moore_target_marginal(_problem_at(problem, t), _einsum_sweep).probs
+            want = _moore_target_marginal(_problem_at(problem, t), engine=False).probs
             assert np.abs(law.probs - want).max() < 1e-12, (name, T, t)
 
 
@@ -683,3 +686,37 @@ def test_reach_of_the_two_buffer_sweep(declared, name):
     assert declared[-1] == n_bytes <= MEMORY_CAP
     with pytest.raises(CapExceededError):
         problem(horizon + 1)
+
+
+# refusals no other test reaches, (message pattern, call)
+EXACT_REFUSALS = {
+    "rule and noise alphabets differ": lambda: ConeProblem(
+        R90, additive_noise(Z3, [0.5, 0.25, 0.25]), hypercube(1), 1, np.zeros(3, int)
+    ),
+    "window dimension does not match": lambda: ConeProblem(R90, Q91, hypercube(1, 2), 1, np.zeros(3, int)),
+    "window must be non-empty": lambda: ConeProblem(R90, Q91, CellSet([], dim=1), 1, np.zeros(1, int)),
+    "horizon must be non-negative": lambda: dependence_cone(hypercube(1), R90, -1),
+    "initial law must live on moore": lambda: check_surjective_step_bound(
+        R90, hypercube(2), WindowDistribution.uniform(moore(hypercube(2), 1), Z2)
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(EXACT_REFUSALS))
+def test_exact_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        EXACT_REFUSALS[message]()
+
+
+def test_renormalize_divides_a_drifting_law():
+    # an initial law scaled by 1 + 5e-11 is admitted; its first sweep drifts
+    # past 1e-12, so every later law is divided by its total
+    rule, window, t = build_elementary(30), hypercube(2), 3
+    cone = dependence_cone(window, rule, t)
+    probs = np.random.default_rng(80).dirichlet(np.ones(2 ** len(cone)))
+    scaled = exact_window_marginal(ConeProblem(rule, Q91, window, t, WindowDistribution(cone, Z2, probs * (1 + 5e-11))))
+    exact = exact_window_marginal(ConeProblem(rule, Q91, window, t, WindowDistribution(cone, Z2, probs)))
+    assert abs(scaled[0].probs.sum() - 1) > 1e-12
+    for got, want in zip(scaled[1:], exact[1:]):
+        assert abs(got.probs.sum() - 1) <= 1e-15
+        assert np.abs(got.probs - want.probs).max() < 1e-12

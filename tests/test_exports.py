@@ -100,3 +100,20 @@ def test_only_check_bytes_raises_cap_exceeded():
     # count of its own
     src = Path(rcalab.__file__).resolve().parent
     assert [owner for path in sorted(src.glob("*.py")) for owner in _cap_raisers(path)] == ["entropy.check_bytes"]
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level function or class named with a leading underscore that
+    # nothing in src/rcalab uses outside its own body is dead code
+    src = Path(rcalab.__file__).resolve().parent
+    private, used = set(), set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private |= {
+            (path.stem, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        }
+        used |= _referenced(path, strings=False)
+    unused = {f"{module}.{name}" for module, name in private if name not in used}
+    assert private and not unused, unused

@@ -171,3 +171,18 @@ def test_marginalize_patterns_matches_code_loop():
     assert np.array_equal(marginalize_patterns(probs, window, window, 3), probs)
     with pytest.raises(ValueError):
         marginalize_patterns(probs, window, CellSet([(0, 1), (3, 0)]), 3)
+
+
+# refusals no other test reaches, (message pattern, call)
+LATTICE_REFUSALS = {
+    "window side must be non-negative": lambda: hypercube(-1),
+    "radius must be non-negative": lambda: moore(CellSet([0]), -1),
+    "digit count does not match": lambda: Alphabet((2, 3)).encode([1]),
+    "digit 2 out of range": lambda: Alphabet((2, 3)).encode([2, 0]),
+}
+
+
+@pytest.mark.parametrize("message", sorted(LATTICE_REFUSALS))
+def test_lattice_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        LATTICE_REFUSALS[message]()

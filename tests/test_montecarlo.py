@@ -447,3 +447,32 @@ def test_count_cap_counts_every_worker(memory_cap, declared):
         window_pattern_counts(plan, threads=2)
     assert window_pattern_counts(plan, threads=1).sum() == 4 * 2048
     assert declared[-1] <= two_workers // 2
+
+
+def _plan(**changes):
+    args = dict(rule=R90, noise=Q91, sides=(12,), generator="all-zeros", horizon=2, replicates=10, seed=1,
+                window=hypercube(2))
+    return SimulationPlan(**{**args, **changes})
+
+
+# refusals no other test reaches, (message pattern, call)
+MONTECARLO_REFUSALS = {
+    "rule and noise alphabets differ": lambda: _plan(noise=additive_noise(Alphabet((3,)), [0.5, 0.25, 0.25])),
+    "torus smaller than the rule neighbourhood": lambda: _plan(sides=(2,), allow_wrap=True),
+    "at least one replicate": lambda: _plan(replicates=0),
+    "horizon must be non-negative": lambda: _plan(horizon=-1),
+    "window dimension does not match": lambda: _plan(window=hypercube(1, 2)),
+    "must match the torus shape": lambda: _plan(generator=np.zeros(5, int)),
+    "unknown generator": lambda: _plan(generator="all-twos"),
+    "replicate index out of range": lambda: sample_trajectory(_plan(), 10),
+    "plans must share window and horizon": lambda: estimate_mixing_time(
+        [_plan(), _plan(horizon=3)], [np.ones((3, 4)), np.ones((4, 4))], 0.1
+    ),
+    "one count array per plan": lambda: estimate_mixing_time([_plan(), _plan()], [np.ones((3, 4))], 0.1),
+}
+
+
+@pytest.mark.parametrize("message", sorted(MONTECARLO_REFUSALS))
+def test_montecarlo_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        MONTECARLO_REFUSALS[message]()

@@ -7,6 +7,7 @@ from rcalab import noise
 from rcalab.lattice import Alphabet
 from rcalab.noise import (
     MIN_PROB,
+    NoiseModel,
     additive_noise,
     apply_noise,
     channel_matrix,
@@ -291,3 +292,21 @@ def test_convolve_sites_refuses_non_contiguous_out():
     probs = np.full((8, 4), 1.0 / 8)
     with pytest.raises(ValueError, match="C-contiguous"):
         convolve_sites(probs, channel, 3, out=np.empty((4, 8)).T)
+
+
+# refusals no other test reaches, (message pattern, call)
+NOISE_REFUSALS = {
+    "additive noise takes no permutations": lambda: NoiseModel(Z2, "additive", [0.5, 0.5], perms=[[0, 1], [1, 0]]),
+    "one entry per symbol": lambda: NoiseModel(Z2, "additive", [0.25] * 4),
+    "stack of symbol permutations": lambda: NoiseModel(Z3, "permutation", [0.5, 0.5], perms=[[0, 1], [1, 0]]),
+    "one entry per permutation": lambda: NoiseModel(Z3, "permutation", [0.25] * 4, perms=[[0, 1, 2], [1, 2, 0]]),
+    "permutation of Sigma": lambda: NoiseModel(Z3, "permutation", [0.5, 0.5], perms=[[0, 1, 2], [0, 0, 2]]),
+    "unknown noise kind": lambda: NoiseModel(Z2, "multiplicative", [0.5, 0.5]),
+    "rule and noise alphabets differ": lambda: local_kernel(build_elementary(90), additive_noise(Z3, [0.5, 0.25, 0.25])),
+}
+
+
+@pytest.mark.parametrize("message", sorted(NOISE_REFUSALS))
+def test_noise_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        NOISE_REFUSALS[message]()

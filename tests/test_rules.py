@@ -206,3 +206,19 @@ def test_rule_validation():
         LocalRule(Z2, [(-1,), (1,)], [0, 1])  # wrong table size
     with pytest.raises(ValueError):
         LocalRule(Z2, [(0,)], [0, 2])  # symbol out of range
+
+
+# refusals no other test reaches, (message pattern, call)
+RULE_REFUSALS = {
+    "at least one offset": lambda: LocalRule(Z2, [], [0]),
+    "inconsistent dimensions": lambda: LocalRule(Z2, [(0,), (0, 1)], [0] * 4),
+    "declared neighborhood does not match": lambda: rule_from_json(
+        {"alphabet": [2], "linear": [[[0], 1], [[1], 1]], "neighborhood": [[0], [2]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(RULE_REFUSALS))
+def test_rule_refusals(message):
+    with pytest.raises(ValueError, match=message):
+        RULE_REFUSALS[message]()
