@@ -263,8 +263,8 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
     k_states = network.n_states
-    # ones, a permutation per layer used (the last while built), 3 arrays per batch column
-    fixed, column = 8 * k_states * (min(len(network.layers), t_max) + 4), 24 * k_states
+    # ones, a permutation per layer used (the last while built), 2 arrays per batch column
+    fixed, column = 8 * k_states * (min(len(network.layers), t_max) + 4), 16 * k_states
     width = min(CHAIN_BATCH, 1 + check_bytes(fixed + column, f"the chain on {k_states} states") // column)
     exact = k_states <= EXACT_STATES
     initials = range(k_states) if exact else np.random.default_rng(0).integers(0, k_states, SAMPLED_INITIALS)
@@ -278,18 +278,18 @@ def worst_case_curve(network: ReversibleNetwork, noise: NoiseModel, t_max: int):
         batch_idx = np.asarray(initials[lo : lo + width])
         mat = np.zeros((k_states, batch_idx.size))
         mat[batch_idx, np.arange(batch_idx.size)] = 1.0
-        # per-batch buffers: the laws and a spare for the chain step, and the
-        # reductions' scratch
-        spare, work = np.empty_like(mat), np.empty_like(mat)
+        # the laws and a spare for the chain step; between steps the spare is
+        # the reductions' scratch, as the next step's scatter overwrites every row
+        spare = np.empty_like(mat)
         for t in range(t_max + 1):
             if t:
                 mat, spare = _chain_step(network, blocks, perms, t, mat, spare)
-                xi_curve[t] = max(xi_curve[t], h_max_total - entropy_rows(mat, work).min())
+                xi_curve[t] = max(xi_curve[t], h_max_total - entropy_rows(mat, spare).min())
             # each law sums to 1, so its TV to uniform is sum(max(p, 1/N)) - 1,
             # the column sums taken as one matrix-vector product
-            tv = (ones @ np.maximum(mat, uniform, out=work)).max() - 1.0
+            tv = (ones @ np.maximum(mat, uniform, out=spare)).max() - 1.0
             d_curve[t] = max(d_curve[t], tv)
-        del mat, spare, work  # before the next batch allocates its own
+        del mat, spare  # before the next batch allocates its own
     return d_curve, xi_curve, ("exact" if exact else "sampled-lower-bound")
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -60,6 +59,16 @@ from .montecarlo import SimulationPlan, mixing_scan, tv_curve, window_pattern_co
 from .noise import NoiseModel, noise_from_json
 from .rules import LocalRule, rule_from_json
 from .schema import first_error
+
+# CPython's built-in SHA-256 (the same digest as hashlib's): hashlib maps
+# OpenSSL's libcrypto, about 3.3 MB resident, for the one digest of a header
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 KINDS = (
     "analyze-rule",
@@ -126,7 +135,7 @@ def _read(path: str, build, *args, **kwargs):
 
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _parse_window(doc: dict, rule: LocalRule) -> CellSet:

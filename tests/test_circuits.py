@@ -326,9 +326,9 @@ def test_worst_case_curve_chunks_by_state_cap(monkeypatch, memory_cap, declared)
         return convolve(probs, channel, n_sites, out=out)
 
     monkeypatch.setattr(circuits, "convolve_sites", spy)
-    # the chain asks for room for one batch column, three float64 arrays of
+    # the chain asks for room for one batch column, two float64 arrays of
     # the states; a budget with room for nine more runs ten at a time
-    memory_cap(declared[0] + 9 * 3 * 8 * 64)
+    memory_cap(declared[0] + 9 * 2 * 8 * 64)
     chunked = worst_case_curve(net, Q91, 7)
     assert max(batches) == 10 and sum(batches) == 7 * 64
     memory_cap(declared[0] - 1)

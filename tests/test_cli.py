@@ -1,11 +1,18 @@
 import csv
 import dataclasses
+import hashlib
 import importlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcalab import analysis, cli, montecarlo
 from rcalab.cli import EXIT_BOUND, EXIT_CAP, EXIT_CONFIG, main
@@ -1025,3 +1032,67 @@ def test_bad_usage_exits_with_the_config_code():
     with pytest.raises(SystemExit) as exit_info:
         main(["simulate"])
     assert exit_info.value.code == EXIT_CONFIG
+
+
+def _hashlib_digest(config):
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def test_config_hash_is_hashlibs_sha256_on_the_tests_configs(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = [{"kind": kind, "seed": 1, "params": params} for kind, params in BUDGETED_RUNS.items()]
+    configs += [{"kind": kind, "params": params} for kind, params in EPSILON_PARAMS.items()]
+    configs += [step.config for name in workloads.WORKLOADS for step in workloads.steps(name, 1)]
+    for config in configs:
+        assert cli.config_hash(config) == _hashlib_digest(config)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_config_hash_is_hashlibs_sha256(config):
+    assert cli.config_hash(config) == _hashlib_digest(config)
+
+
+OPENSSL_PROBE = """
+import json, sys
+from rcalab import cli
+
+for kind, cfg, out in zip(*[iter(sys.argv[1:])] * 3):
+    assert cli.main([kind, "--config", cfg, "--out", out]) == 0, kind
+print(json.dumps("_hashlib" in sys.modules))
+"""
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+    reason="no built-in SHA-256 module: config_hash falls back to hashlib",
+)
+def test_exact_kinds_leave_openssl_unloaded(tmp_path):
+    # hashlib's OpenSSL backend maps libcrypto; the exact kinds never need it
+    docs = {
+        "evolve-exact": {"kind": "evolve-exact", "params": CONE_INSTANCE},
+        "analyze-rule": {"kind": "analyze-rule", "params": {"rule": {"elementary": 30}}},
+        "circuit-mix": {"kind": "circuit-mix", "params": EPSILON_PARAMS["circuit-mix"]},
+    }
+    argv = []
+    for kind, doc in docs.items():
+        argv += [kind, write_config(tmp_path, doc, f"{kind}.json"), str(tmp_path / kind)]
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENSSL_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) is False
+    for kind in ("evolve-exact", "circuit-mix"):
+        meta, _ = read_csv(tmp_path / kind / f"{kind}.csv")
+        assert meta["config-sha256"] == _hashlib_digest(docs[kind])

@@ -162,13 +162,13 @@ def _stop(*args):
 def test_budget_admits_exact_circuit_mode_at_2_20_states(monkeypatch, declared):
     # the chain's check only: the run stops before the noise blocks are built
     monkeypatch.setattr(circuits, "_noise_blocks", _stop)
-    for n_sites, least_width in ((20, 16), (21, 8)):
+    for n_sites, least_width in ((20, 29), (21, 13)):
         net = alternating_cnot_network(n_sites)
         declared.clear()
         with pytest.raises(_Stop):
             worst_case_curve(net, Q91, 16)
-        # each batch column holds three float64 arrays of the states
-        width = min(circuits.CHAIN_BATCH, 1 + (MEMORY_CAP - declared[0]) // (24 * net.n_states))
+        # each batch column holds two float64 arrays of the states
+        width = min(circuits.CHAIN_BATCH, 1 + (MEMORY_CAP - declared[0]) // (16 * net.n_states))
         assert width >= least_width
     assert alternating_cnot_network(20).n_states <= circuits.EXACT_STATES
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcalab.rng import CounterRng, word_threshold
+from rcalab.rng import CounterRng, draw_words, word_threshold
 
 ADDRESS = st.tuples(st.integers(0, 7), st.integers(0, 2**63), st.integers(0, 2**63))
 
@@ -42,6 +42,31 @@ def test_seek_matches_fresh_block(seed, stream, start, target, kind, n):
     )
     assert np.array_equal(gen.random(7), fresh.random(7))
     assert np.array_equal(gen.integers(0, 5, size=9), fresh.integers(0, 5, size=9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    addresses=st.lists(st.one_of(st.none(), ADDRESS), min_size=1, max_size=3),
+    kinds=st.lists(st.sampled_from(["none", "random", "integers", "uint32"]), min_size=3, max_size=3),
+    n=st.integers(0, 6),
+    shapes=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 7)), min_size=3, max_size=3),
+)
+def test_draw_words_are_the_raw_philox_words(seed, addresses, kinds, n, shapes):
+    # the bit generator's raw words, after seeks (None: no seek) and with its
+    # buffers partly used before each draw
+    rng = CounterRng(seed)
+    gen, twin = rng.block(1), rng.block(1)
+    for address, kind, shape in zip(addresses * 3, kinds, shapes):
+        if address is not None:
+            rng.seek(gen, *address)
+            rng.seek(twin, *address)
+        _draw_some(gen, kind, n)
+        _draw_some(twin, kind, n)
+        words = draw_words(gen, shape)
+        assert words.dtype == np.uint64 and words.shape == shape
+        assert np.array_equal(words, twin.bit_generator.random_raw(shape))
+    assert np.array_equal(gen.random(5), twin.random(5))
 
 
 @pytest.mark.parametrize("address", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (1 << 64, 0, 0)])
